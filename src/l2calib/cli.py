@@ -309,6 +309,7 @@ def cmd_calibrate(cfg: dict) -> int:
 
     base_loss = l2_loss_fn(fit, model, rule)
     analyses = {}
+    samples = {}
     worst = 0
     for name in analyses_from(cfg):
         variant, kind = name.split("-")
@@ -337,8 +338,7 @@ def cmd_calibrate(cfg: dict) -> int:
                 entry["rhat"] = post.rhat.tolist()
                 mean = post.draws.mean(axis=0)
                 sd = post.draws.std(axis=0, ddof=1)
-                if cfg.get("draws_out"):
-                    write_draws_csv(post, cfg["draws_out"])
+                samples[name] = post
             else:
                 post = laplace_approx(est, adj, data.n)
                 mean, sd = post.mean, post.sd
@@ -354,6 +354,8 @@ def cmd_calibrate(cfg: dict) -> int:
         entry["flags"] = sorted(set(entry["flags"]))
         analyses[name] = entry
         flags.extend(entry["flags"])
+    if cfg.get("draws_out") and samples:
+        write_draws_csv(samples, cfg["draws_out"])
 
     report = {
         "schema": 1,

@@ -324,11 +324,12 @@ def batch_mcse(x: np.ndarray, n_batches: int = 50) -> float:
     return float(means.std(ddof=1) / np.sqrt(n_batches))
 
 
-def write_draws_csv(sample: PosteriorSample, path) -> None:
-    """One row per kept draw: theta_1..theta_p, chain."""
-    p = sample.draws.shape[1]
+def write_draws_csv(samples: dict[str, PosteriorSample], path) -> None:
+    """One row per kept draw of each labelled sample: analysis, theta_1..theta_p, chain."""
+    p = next(iter(samples.values())).draws.shape[1]
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow([f"theta_{j + 1}" for j in range(p)] + ["chain"])
-        for row, cid in zip(sample.draws, sample.chain_ids):
-            writer.writerow([repr(float(v)) for v in row] + [int(cid)])
+        writer.writerow(["analysis"] + [f"theta_{j + 1}" for j in range(p)] + ["chain"])
+        for label, sample in samples.items():
+            for row, cid in zip(sample.draws, sample.chain_ids):
+                writer.writerow([label] + [repr(float(v)) for v in row] + [int(cid)])

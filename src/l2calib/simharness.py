@@ -406,7 +406,7 @@ def _closed_form_slice(config_dict: dict, n: int, indices: list[int]) -> list[di
     grid = GcvGrid(xs.reshape(-1, 1), family=cfg.kernel_family)
     # per-bandwidth pieces for the closed-form estimator and its variance
     qvecs = [kernel_matrix(spec, rule.nodes, grid.design).T @ (wq * xq)
-             for (spec, d, qmat) in grid._eig]
+             for spec, _, _ in grid.bandwidths]
     y0 = np.asarray(system.mu(xs.reshape(-1, 1)), dtype=float)
     sigma = system.sigma
     out = []
@@ -414,7 +414,7 @@ def _closed_form_slice(config_dict: dict, n: int, indices: list[int]) -> list[di
         rng = np.random.default_rng(cfg.seed + i)
         y = y0 + sigma * rng.standard_normal(n)
         idx, lam, score, rss, trm = grid.select(y)
-        spec, d, qmat = grid._eig[idx]
+        spec, d, qmat = grid.bandwidths[idx]
         q = qvecs[idx]
         qt_q = qmat.T @ q
         theta_hat = float(qt_q @ ((qmat.T @ y) / (d + lam))) / den

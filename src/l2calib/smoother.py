@@ -179,14 +179,35 @@ def smoother_weights(fit: SmootherFit, x) -> np.ndarray:
     return fit.weights(x)
 
 
-def _eigen_gcv(d: np.ndarray, z: np.ndarray, lam: float, n: int):
-    """(score, rss, tr(I-A)) from eigenvalues d and rotated data z = Q.T y."""
+def _gcv_terms(rss, trm, n: int):
+    """(score, sigma2_hat) from rss = ||(I - A) y||^2 and trm = tr(I - A).
+
+    Both are n rss / trm^2; the score is inf where trm < 1e-12 and GCV is
+    undefined, while sigma2_hat floors trm there. Broadcasts over arrays.
+    """
+    sigma2 = n * rss / np.maximum(trm, 1e-12) ** 2
+    return np.where(trm < 1e-12, np.inf, sigma2), sigma2
+
+
+def _bandwidth(spec: KernelSpec, design: np.ndarray):
+    """(spec, d, q) with (d, q) the eigenpairs of the jittered K + JITTER I."""
+    d, q = np.linalg.eigh(kernel_matrix(spec, design, design) + JITTER * np.eye(len(design)))
+    return spec, d, q
+
+
+def _eigen_fit(data: Dataset, lam: float, kernel: KernelSpec, d: np.ndarray,
+               q: np.ndarray) -> SmootherFit:
+    """SmootherFit at ridge lam on one bandwidth triple (kernel, d, q)."""
+    n = data.n
+    z = q.T @ data.responses
     shr = lam / (d + lam)
     rss = float(np.sum((shr * z) ** 2))
     trm = float(np.sum(shr))
-    if trm < 1e-12:
-        return np.inf, rss, trm
-    return n * rss / trm**2, rss, trm
+    score, sigma2 = _gcv_terms(rss, trm, n)
+    flags = ("degenerate-smoother",) if trm < 1e-6 * n else ()
+    return SmootherFit(data=data, kernel=kernel, lam=float(lam), coef=q @ (z / (d + lam)),
+                       sigma2_hat=float(sigma2), trace_hat=n - trm,
+                       gcv_value=float(score), flags=flags, eig_values=d, eig_vectors=q)
 
 
 def default_rho_grid(design: np.ndarray) -> np.ndarray:
@@ -200,8 +221,12 @@ def default_rho_grid(design: np.ndarray) -> np.ndarray:
 class GcvGrid:
     """GCV selection machinery for a fixed design.
 
-    Precomputes one eigendecomposition of K + jitter per bandwidth so that
-    repeated fits on new responses (same design) cost O(grid * n^2).
+    The constructor takes one eigendecomposition K + jitter = Q diag(d) Q' per
+    bandwidth, kept public in ``bandwidths`` as (spec, d, Q) triples, and
+    stores everything GCV needs that does not depend on the response: the
+    stacked Q' (g, n, n), the shrinkage factors lam / (d + lam) (g, L, n) and
+    tr(I - A) (g, L). A select then costs one batched rotation Q'y and one
+    reduction over the whole (rho, lam) grid, O(g * n * (n + L)).
     """
 
     def __init__(self, design, family: str = "gaussian", lambda_grid=None,
@@ -221,55 +246,42 @@ class GcvGrid:
         # sort rows lexicographically so selection ignores input ordering
         self.rho_grid = rho[np.lexsort(rho.T[::-1])]
         self.family = family
-        self._eig = []
-        for r in self.rho_grid:
-            spec = KernelSpec(family, r)
-            k = kernel_matrix(spec, self.design, self.design) + JITTER * np.eye(n)
-            d, q = np.linalg.eigh(k)
-            self._eig.append((spec, d, q))
+        self.bandwidths = tuple(_bandwidth(KernelSpec(family, r), self.design)
+                                for r in self.rho_grid)
+        self._qt = np.stack([q.T for _, _, q in self.bandwidths])
+        d = np.stack([d for _, d, _ in self.bandwidths])[:, None, :]
+        self._shr = self.lambda_grid[:, None] / (d + self.lambda_grid[:, None])
+        self._trace = self._shr.sum(axis=-1)
 
     def select(self, y: np.ndarray):
-        """Grid-minimise GCV; ties go to the larger ridge value."""
+        """Grid-minimise GCV; returns (rho index, lam, score, rss, tr(I - A)).
+
+        Ties go to the first bandwidth that reaches the minimum and, within
+        it, to the largest ridge value.
+        """
         y = np.asarray(y, dtype=float)
-        n = y.size
-        best = None
-        for idx, (spec, d, q) in enumerate(self._eig):
-            z = q.T @ y
-            for lam in self.lambda_grid:
-                score, rss, trm = _eigen_gcv(d, z, lam, n)
-                if best is None or score < best[0] or (score == best[0] and
-                                                       idx == best[3] and lam > best[1]):
-                    best = (score, lam, rss, idx, trm)
-        score, lam, rss, idx, trm = best
-        if not np.isfinite(score):
+        z = self._qt @ y
+        # same arithmetic as _eigen_fit: rounding alone orders cells flat in lam (K = I)
+        rss = np.sum((self._shr * z[:, None, :]) ** 2, axis=-1)
+        score = _gcv_terms(rss, self._trace, y.size)[0]
+        best = score.min()
+        if not np.isfinite(best):
             raise DegenerateSmootherError("GCV denominator vanished on the whole grid")
-        return idx, float(lam), float(score), float(rss), float(trm)
+        hits = score == best
+        idx = int(np.argmax(hits.any(axis=1)))
+        j = hits.shape[1] - 1 - int(np.argmax(hits[idx, ::-1]))
+        return (idx, float(self.lambda_grid[j]), float(best), float(rss[idx, j]),
+                float(self._trace[idx, j]))
 
     def fit(self, y: np.ndarray) -> SmootherFit:
-        y = np.asarray(y, dtype=float)
-        idx, lam, score, rss, trm = self.select(y)
-        spec, d, q = self._eig[idx]
-        coef = q @ ((q.T @ y) / (d + lam))
-        flags = []
-        if trm < 1e-6 * y.size:
-            flags.append("degenerate-smoother")
-        sigma2 = y.size * rss / max(trm, 1e-12) ** 2
-        data = Dataset(design=self.design, responses=y)
-        return SmootherFit(data=data, kernel=spec, lam=lam, coef=coef,
-                           sigma2_hat=sigma2, trace_hat=y.size - trm,
-                           gcv_value=score, flags=tuple(flags),
-                           eig_values=d, eig_vectors=q)
+        idx, lam = self.select(y)[:2]
+        return _eigen_fit(Dataset(design=self.design, responses=y), lam, *self.bandwidths[idx])
 
 
 def gcv_score(data: Dataset, kernel: KernelSpec, lam: float) -> float:
     """GCV score for one (kernel, lam) pair."""
-    if lam < 0:
-        raise ValueError("ridge parameter must be nonnegative")
-    n = data.n
-    k = kernel_matrix(kernel, data.design, data.design) + JITTER * np.eye(n)
-    d, q = np.linalg.eigh(k)
-    score, _, trm = _eigen_gcv(d, q.T @ data.responses, lam, n)
-    if trm < 1e-12:
+    score = fit_smoother_fixed(data, kernel, lam).gcv_value
+    if not np.isfinite(score):
         raise DegenerateSmootherError(
             "tr(I - A) below 1e-12; the smoother interpolates and GCV is undefined")
     return score
@@ -287,19 +299,4 @@ def fit_smoother_fixed(data: Dataset, kernel: KernelSpec, lam: float) -> Smoothe
     """Fit the smoother at fixed (kernel, lam), no selection step."""
     if lam < 0:
         raise ValueError("ridge parameter must be nonnegative")
-    n = data.n
-    k = kernel_matrix(kernel, data.design, data.design) + JITTER * np.eye(n)
-    d, q = np.linalg.eigh(k)
-    z = q.T @ data.responses
-    coef = q @ (z / (d + lam))
-    shr = lam / (d + lam)
-    rss = float(np.sum((shr * z) ** 2))
-    trm = float(np.sum(shr))
-    flags = []
-    if trm < 1e-6 * n:
-        flags.append("degenerate-smoother")
-    sigma2 = n * rss / max(trm, 1e-12) ** 2
-    score = n * rss / trm**2 if trm >= 1e-12 else np.inf
-    return SmootherFit(data=data, kernel=kernel, lam=float(lam), coef=coef,
-                       sigma2_hat=sigma2, trace_hat=n - trm, gcv_value=score,
-                       flags=tuple(flags), eig_values=d, eig_vectors=q)
+    return _eigen_fit(data, lam, *_bandwidth(kernel, data.design))

@@ -1,5 +1,6 @@
 import csv
 import json
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -86,8 +87,22 @@ def test_calibrate_mcmc_engine_writes_draws(tmp_path):
     assert "acceptance_rate" in entry and "rhat" in entry
     with open(draws, newline="") as fh:
         rows = list(csv.reader(fh))
-    assert rows[0] == ["theta_1", "chain"]
+    assert rows[0] == ["analysis", "theta_1", "chain"]
     assert len(rows) - 1 == 2 * 250
+    assert {r[0] for r in rows[1:]} == {"marginal-magnitude"}
+
+
+def test_calibrate_draws_out_keeps_every_analysis(tmp_path):
+    draws = tmp_path / "draws.csv"
+    rc = main(["calibrate", "--scenario", "simple-linear", "--seed", "1",
+               "--engine", "mcmc", "--chains", "2", "--iterations", "600",
+               "--thin", "3", "--scaling", "both", "--variant", "marginal",
+               "--draws-out", str(draws)])
+    assert rc in (0, 1)
+    with open(draws, newline="") as fh:
+        counts = Counter(r["analysis"] for r in csv.DictReader(fh))
+    kept = 2 * (600 // 2) // 3  # chains x post-burn-in iterations / thin
+    assert counts == {"marginal-magnitude": kept, "marginal-curvature": kept}
 
 
 def test_simulate_reports_and_summary(tmp_path, capsys):

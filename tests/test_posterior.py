@@ -280,12 +280,13 @@ def test_batch_mcse():
 def test_write_draws_csv_round_trip(tmp_path):
     post = _std_normal_sample(seed=2, iterations=400, chains=2)
     path = tmp_path / "draws.csv"
-    write_draws_csv(post, path)
+    write_draws_csv({"a": post}, path)
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
-    assert rows[0] == ["theta_1", "chain"]
+    assert rows[0] == ["analysis", "theta_1", "chain"]
     assert len(rows) - 1 == post.n_draws
-    vals = np.array([float(r[0]) for r in rows[1:]])
-    chains = np.array([int(r[1]) for r in rows[1:]])
+    assert {r[0] for r in rows[1:]} == {"a"}
+    vals = np.array([float(r[1]) for r in rows[1:]])
+    chains = np.array([int(r[2]) for r in rows[1:]])
     assert_allclose(vals, post.draws[:, 0], rtol=0, atol=0)
     assert np.array_equal(chains, post.chain_ids)

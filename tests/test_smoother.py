@@ -1,5 +1,9 @@
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from l2calib.models import make_scenario
@@ -260,6 +264,68 @@ def test_degenerate_gcv_raises():
     spec = KernelSpec("gaussian", np.array([0.5]))
     with pytest.raises(DegenerateSmootherError):
         gcv_score(data, spec, 0.0)
+
+
+def _loop_select(grid, y):
+    """Reference for GcvGrid.select: score every (rho, lam) cell in turn."""
+    n = y.size
+    best = None
+    for idx, (spec, d, q) in enumerate(grid.bandwidths):
+        z = q.T @ y
+        for lam in grid.lambda_grid:
+            shr = lam / (d + lam)
+            rss = float(np.sum((shr * z) ** 2))
+            trm = float(np.sum(shr))
+            score = np.inf if trm < 1e-12 else n * rss / trm**2
+            if best is None or score < best[0] or (score == best[0] and
+                                                   idx == best[3] and lam > best[1]):
+                best = (score, lam, rss, idx, trm)
+    score, lam, rss, idx, trm = best
+    return idx, float(lam), float(score), float(rss), float(trm)
+
+
+@st.composite
+def _selection_cases(draw):
+    n = draw(st.integers(3, 20))
+    k = draw(st.integers(1, 2))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    # distinct points of the default ridge grid, 10^-8 .. 10^1, in drawn order
+    steps = draw(st.lists(st.integers(0, 18), min_size=1, max_size=19, unique=True))
+    x = rng.random((n, k))
+    y = x @ rng.standard_normal(k) + rng.choice([1e-3, 0.1, 1.0]) * rng.standard_normal(n)
+    return x, y, 10.0 ** (-8.0 + 0.5 * np.array(steps))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_selection_cases())
+def test_select_matches_loop_reference(case):
+    x, y, lams = case
+    grid = GcvGrid(x, lambda_grid=lams)
+    got, ref = grid.select(y), _loop_select(grid, y)
+    assert got[:2] == ref[:2]
+    assert_allclose(got[2:], ref[2:], rtol=1e-12, atol=0)
+
+
+def test_select_tie_rule():
+    x = np.linspace(0.0, 1.0, 6).reshape(-1, 1)
+    grid = GcvGrid(x)
+    # a zero response scores 0 on every cell: first bandwidth, largest ridge
+    zero = np.zeros(6)
+    assert grid.select(zero)[:2] == (0, grid.lambda_grid[-1]) == _loop_select(grid, zero)[:2]
+    twin = GcvGrid(x, rho_grid=[[0.3], [0.3]])
+    y = np.random.default_rng(5).standard_normal(6)
+    assert twin.select(y)[0] == 0 == _loop_select(twin, y)[0]
+
+
+def test_select_on_degenerate_grid_raises_without_warnings():
+    # both ridges leave tr(I - A) below 1e-12; at 1e-300 its square underflows to 0
+    x = np.linspace(0.0, 1.0, 5).reshape(-1, 1)
+    grid = GcvGrid(x, lambda_grid=[1e-300, 1e-30])
+    y = np.random.default_rng(2).standard_normal(5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DegenerateSmootherError):
+            grid.select(y)
 
 
 def test_fixed_fit_rejects_negative_lambda():
