@@ -19,8 +19,7 @@ from .models import (SCENARIO_NAMES, DesignRule, DomainBox, MathModel,
 from .smoother import (DEFAULT_LAMBDA_GRID, Dataset, DegenerateSmootherError,
                        GcvGrid, KernelSpec, SmootherFit, default_rho_grid,
                        fit_smoother, fit_smoother_fixed, gcv_score,
-                       kernel_matrix, predict_mean, read_dataset_csv,
-                       smoother_weights, write_dataset_csv)
+                       kernel_matrix, read_dataset_csv, write_dataset_csv)
 from .calibration import (CalibrationEstimate, estimate_theta, l2_loss,
                           l2_loss_fn, l2_loss_grad, l2_loss_hess,
                           linear_theta_hat, ols_loss, ols_loss_fn,
@@ -55,8 +54,8 @@ __all__ = [
     # smoother
     "DEFAULT_LAMBDA_GRID", "Dataset", "DegenerateSmootherError", "GcvGrid",
     "KernelSpec", "SmootherFit", "default_rho_grid", "fit_smoother",
-    "fit_smoother_fixed", "gcv_score", "kernel_matrix", "predict_mean",
-    "read_dataset_csv", "smoother_weights", "write_dataset_csv",
+    "fit_smoother_fixed", "gcv_score", "kernel_matrix", "read_dataset_csv",
+    "write_dataset_csv",
     # calibration
     "CalibrationEstimate", "estimate_theta", "l2_loss", "l2_loss_fn",
     "l2_loss_grad", "l2_loss_hess", "linear_theta_hat", "ols_loss",

@@ -6,8 +6,10 @@ Four commands: ``fit`` (smoother selection on one dataset), ``calibrate``
 coverage study on the straight-line scenario).
 
 Configuration may come from flags, from a JSON file via ``--config``, or
-both; explicit flags override file values. Exit codes: 0 success, 1 run
-completed but raised warnings, 2 configuration error, 3 I/O failure.
+both; explicit flags override file values. Each setting is declared once in
+``SETTINGS`` and ``COMMANDS`` lists the settings of each command. Exit codes:
+0 success, 1 run completed but raised warnings, 2 configuration error or bad
+dataset, 3 I/O failure.
 """
 
 from __future__ import annotations
@@ -17,54 +19,96 @@ import csv
 import json
 import os
 import sys
+from dataclasses import dataclass
 
-import numpy as np
-
-from .asymptotics import (conditional_matrices, marginal_matrices,
-                          ols_matrices)
+from .asymptotics import (CONDITIONAL_FORMS, conditional_matrices,
+                          marginal_matrices, ols_matrices)
 from .calibration import estimate_theta, l2_loss_fn
 from .models import SCENARIO_NAMES, make_scenario
-from .numerics import build_rule
-from .posterior import (Prior, SamplerSettings, credible_interval,
-                        laplace_approx, sample_posterior, write_draws_csv)
+from .numerics import DEFAULT_QUAD_ORDER, build_rule
+from .posterior import (INTERVAL_MODES, Prior, SamplerSettings,
+                        credible_interval, laplace_approx, sample_posterior,
+                        write_draws_csv)
 from .scaling import (ScalingError, curvature_adjustment,
                       magnitude_adjustment)
-from .simharness import (ClosedFormStudyConfig, StudyConfig,
-                         generate_replicate, run_closed_form_study,
-                         run_study)
-from .smoother import fit_smoother, read_dataset_csv
+from .simharness import (ENGINES, SCALINGS, VARIANTS, ClosedFormStudyConfig,
+                         StudyConfig, generate_replicate,
+                         run_closed_form_study, run_study)
+from .smoother import (KERNEL_FAMILIES, MIN_OBSERVATIONS, fit_smoother,
+                       read_dataset_csv)
 
 
 class ConfigError(Exception):
     pass
 
 
-# flag defaults per command; None marks required-or-derived values
-DEFAULTS = {
-    "fit": {
-        "scenario": None, "data": None, "n": None, "seed": 0,
-        "kernel": "gaussian", "out": None,
-    },
-    "calibrate": {
-        "scenario": None, "data": None, "n": None, "seed": 0,
-        "engine": "laplace", "scaling": "both", "variant": "both",
-        "interval": "quantile", "level": 0.95, "quad_order": 64,
-        "kernel": "gaussian", "conditional_form": "derived",
-        "chains": 4, "iterations": 20_000, "thin": 4,
-        "out": None, "draws_out": None,
-    },
-    "simulate": {
-        "scenario": None, "replicates": None, "n": None, "seed": 0,
-        "engine": "laplace", "scaling": "both", "variant": "both",
-        "interval": "quantile", "level": 0.95, "quad_order": 64,
-        "kernel": "gaussian", "conditional_form": "derived",
-        "workers": None, "out": None, "summary_out": None, "records": False,
-    },
-    "table1": {
-        "replicates": 10_000, "seed": 0, "tau2": 1.0, "level": 0.95,
-        "quad_order": 64, "kernel": "gaussian", "prior_in_interval": False,
-        "workers": None, "out": None, "summary_out": None,
-    },
+@dataclass(frozen=True)
+class Setting:
+    """One configuration key: value type, default, allowed values, a
+    ``(test, message)`` bound on non-null values, and help text."""
+
+    type: type
+    default: object = None
+    choices: tuple | None = None
+    bound: tuple | None = None
+    help: str | None = None
+
+
+def _at_least(low: int) -> tuple:
+    return (lambda v: v >= low, f"must be >= {low}")
+
+
+# defaults the library declares are read from it; None means unset
+SETTINGS = {
+    "seed": Setting(int, StudyConfig.seed, bound=_at_least(0)),
+    "out": Setting(str, help="path for the JSON report"),
+    "scenario": Setting(str, choices=SCENARIO_NAMES),
+    "data": Setting(str, help="CSV dataset (x1..xk,y header)"),
+    "n": Setting(int, bound=_at_least(MIN_OBSERVATIONS),
+                 help="sample size when generating data"),
+    "kernel": Setting(str, StudyConfig.kernel_family, choices=KERNEL_FAMILIES),
+    "engine": Setting(str, StudyConfig.engine, choices=ENGINES),
+    "scaling": Setting(str, "both", choices=SCALINGS + ("both",)),
+    "variant": Setting(str, "both", choices=VARIANTS + ("both",)),
+    "interval": Setting(str, StudyConfig.interval, choices=INTERVAL_MODES),
+    "level": Setting(float, StudyConfig.level,
+                     bound=(lambda v: 0.0 < v < 1.0, "must be in (0,1)")),
+    "quad_order": Setting(int, DEFAULT_QUAD_ORDER, bound=_at_least(2)),
+    "conditional_form": Setting(str, StudyConfig.conditional_form,
+                                choices=CONDITIONAL_FORMS),
+    "chains": Setting(int, SamplerSettings.chains, bound=_at_least(2)),
+    "iterations": Setting(int, SamplerSettings.iterations, bound=_at_least(200)),
+    "thin": Setting(int, SamplerSettings.thin, bound=_at_least(1)),
+    "draws_out": Setting(str, help="CSV file for posterior draws (mcmc engine)"),
+    "replicates": Setting(int, bound=_at_least(1)),
+    "workers": Setting(int, bound=_at_least(1)),
+    "summary_out": Setting(str, help="CSV file for the aggregate table"),
+    "records": Setting(bool, False,
+                       help="include per-replicate records in the JSON report"),
+    "tau2": Setting(float, ClosedFormStudyConfig.tau2,
+                    bound=(lambda v: v > 0.0, "must be positive")),
+    "prior_in_interval": Setting(
+        bool, ClosedFormStudyConfig.prior_in_interval,
+        help="keep the normal prior inside the reported intervals"),
+}
+REQUIRED = ("scenario", "replicates")
+
+_DATA = ("scenario", "data", "n", "kernel")
+_ANALYSIS = ("engine", "scaling", "variant", "interval", "level", "quad_order",
+             "conditional_form")
+# command: (help, its settings in flag order, defaults that differ from SETTINGS)
+COMMANDS = {
+    "fit": ("select a smoother by cross validation", ("seed", "out") + _DATA, {}),
+    "calibrate": ("single-dataset calibration report",
+                  ("seed", "out") + _DATA + _ANALYSIS
+                  + ("chains", "iterations", "thin", "draws_out"), {}),
+    "simulate": ("replicated coverage study",
+                 ("seed", "out", "scenario", "n", "kernel") + _ANALYSIS
+                 + ("replicates", "workers", "summary_out", "records"), {}),
+    "table1": ("closed-form coverage study, straight line",
+               ("seed", "out", "replicates", "tau2", "level", "quad_order",
+                "kernel", "prior_in_interval", "workers", "summary_out"),
+               {"replicates": ClosedFormStudyConfig.replicates}),
 }
 
 
@@ -73,74 +117,26 @@ def build_parser() -> argparse.ArgumentParser:
         prog="l2calib",
         description="Bayesian L2 calibration of inexact mathematical models.")
     sub = ap.add_subparsers(dest="command", required=True, metavar="command")
-
-    def add_common(p):
+    for command, (help_text, keys, _) in COMMANDS.items():
+        p = sub.add_parser(command, help=help_text)
         p.add_argument("--config", help="JSON file with flag values")
         p.add_argument("--print-config", action="store_true",
                        help="echo the resolved configuration and exit")
-        p.add_argument("--seed", type=int)
-        p.add_argument("--out", help="path for the JSON report")
-
-    def add_data(p):
-        p.add_argument("--scenario", choices=SCENARIO_NAMES)
-        p.add_argument("--data", help="CSV dataset (x1..xk,y header)")
-        p.add_argument("--n", type=int, help="sample size when generating data")
-        p.add_argument("--kernel", choices=("gaussian", "matern52"))
-
-    def add_analysis(p):
-        p.add_argument("--engine", choices=("mcmc", "laplace", "conjugate"))
-        p.add_argument("--scaling", choices=("magnitude", "curvature", "both"))
-        p.add_argument("--variant", choices=("marginal", "conditional", "both"))
-        p.add_argument("--interval", choices=("quantile", "hpd"))
-        p.add_argument("--level", type=float)
-        p.add_argument("--quad-order", type=int, dest="quad_order")
-        p.add_argument("--conditional-form", choices=("derived", "literal"),
-                       dest="conditional_form")
-
-    p = sub.add_parser("fit", help="select a smoother by cross validation")
-    add_common(p)
-    add_data(p)
-
-    p = sub.add_parser("calibrate", help="single-dataset calibration report")
-    add_common(p)
-    add_data(p)
-    add_analysis(p)
-    p.add_argument("--chains", type=int)
-    p.add_argument("--iterations", type=int)
-    p.add_argument("--thin", type=int)
-    p.add_argument("--draws-out", dest="draws_out",
-                   help="CSV file for posterior draws (mcmc engine)")
-
-    p = sub.add_parser("simulate", help="replicated coverage study")
-    add_common(p)
-    add_data(p)
-    add_analysis(p)
-    p.add_argument("--replicates", type=int)
-    p.add_argument("--workers", type=int)
-    p.add_argument("--summary-out", dest="summary_out",
-                   help="CSV file for the aggregate table")
-    p.add_argument("--records", action="store_true",
-                   help="include per-replicate records in the JSON report")
-
-    p = sub.add_parser("table1", help="closed-form coverage study, straight line")
-    add_common(p)
-    p.add_argument("--replicates", type=int)
-    p.add_argument("--tau2", type=float)
-    p.add_argument("--level", type=float)
-    p.add_argument("--quad-order", type=int, dest="quad_order")
-    p.add_argument("--kernel", choices=("gaussian", "matern52"))
-    p.add_argument("--prior-in-interval", action="store_true",
-                   dest="prior_in_interval",
-                   help="keep the normal prior inside the reported intervals")
-    p.add_argument("--workers", type=int)
-    p.add_argument("--summary-out", dest="summary_out")
+        for key in keys:
+            s = SETTINGS[key]
+            flag = "--" + key.replace("_", "-")
+            if s.type is bool:
+                p.add_argument(flag, action="store_true", default=None, help=s.help)
+            else:
+                p.add_argument(flag, type=s.type, choices=s.choices, help=s.help)
     return ap
 
 
 def resolve_config(args: argparse.Namespace) -> dict:
     """Merge defaults, config file and explicit flags, then validate."""
     command = args.command
-    merged = dict(DEFAULTS[command])
+    _, keys, overrides = COMMANDS[command]
+    merged = {key: overrides.get(key, SETTINGS[key].default) for key in keys}
     if args.config is not None:
         try:
             with open(args.config, encoding="utf-8") as fh:
@@ -151,68 +147,40 @@ def resolve_config(args: argparse.Namespace) -> dict:
             raise ConfigError(f"config file is not valid JSON: {exc}") from exc
         if not isinstance(file_cfg, dict):
             raise ConfigError("config file must hold a JSON object")
+        file_command = file_cfg.pop("command", command)
+        if file_command != command:
+            raise ConfigError(f"config key 'command': file says {file_command!r}, "
+                              f"command line says {command!r}")
         for key, value in file_cfg.items():
-            if key == "command":
-                if value != command:
-                    raise ConfigError(
-                        f"config key 'command': file says {value!r}, "
-                        f"command line says {command!r}")
-                continue
             if key not in merged:
                 raise ConfigError(f"unknown config key: {key}")
             merged[key] = value
-    for key in merged:
-        flag_val = getattr(args, key, None)
-        if flag_val is not None and flag_val is not False:
-            merged[key] = flag_val
+    for key in keys:
+        if getattr(args, key) is not None:
+            merged[key] = getattr(args, key)
     merged["command"] = command
     validate_config(merged)
     return merged
 
 
 def validate_config(cfg: dict) -> None:
-    command = cfg["command"]
-
-    def need(key, kind, pred=None, msg=None):
-        v = cfg.get(key)
-        if v is None:
-            return
-        if kind is float and isinstance(v, int) and not isinstance(v, bool):
-            v = float(v)
-            cfg[key] = v
-        if not isinstance(v, kind) or isinstance(v, bool) and kind is not bool:
-            raise ConfigError(f"config key '{key}': expected {kind.__name__}, "
-                              f"got {type(v).__name__}")
-        if pred is not None and not pred(v):
-            raise ConfigError(msg or f"config key '{key}': invalid value {v!r}")
-
-    need("seed", int)
-    need("n", int, lambda v: v >= 1, "n must be >= 1")
-    need("level", float, lambda v: 0.0 < v < 1.0, "level must be in (0,1)")
-    need("quad_order", int, lambda v: v >= 2, "quad-order must be >= 2")
-    need("replicates", int, lambda v: v >= 1, "replicates must be >= 1")
-    need("workers", int, lambda v: v >= 1, "workers must be >= 1")
-    need("tau2", float, lambda v: v > 0.0, "tau2 must be positive")
-    need("chains", int, lambda v: v >= 2, "chains must be >= 2")
-    need("iterations", int, lambda v: v >= 200, "iterations must be >= 200")
-    need("thin", int, lambda v: v >= 1, "thin must be >= 1")
-    for key, choices in (("kernel", ("gaussian", "matern52")),
-                         ("engine", ("mcmc", "laplace", "conjugate")),
-                         ("scaling", ("magnitude", "curvature", "both")),
-                         ("variant", ("marginal", "conditional", "both")),
-                         ("interval", ("quantile", "hpd")),
-                         ("conditional_form", ("derived", "literal"))):
-        v = cfg.get(key)
-        if v is not None and v not in choices:
-            raise ConfigError(f"config key '{key}': expected one of {choices}, "
-                              f"got {v!r}")
-    if command in ("fit", "calibrate", "simulate") and cfg.get("scenario") is None:
-        raise ConfigError("config key 'scenario': required")
-    if cfg.get("scenario") is not None and cfg["scenario"] not in SCENARIO_NAMES:
-        raise ConfigError(f"config key 'scenario': unknown scenario "
-                          f"{cfg['scenario']!r}; choose from {SCENARIO_NAMES}")
-    if command == "simulate" and cfg.get("replicates") is None:
-        raise ConfigError("config key 'replicates': required")
+    for key, value in cfg.items():
+        s = SETTINGS.get(key)
+        if s is None or value is None and s.default is None:
+            continue
+        if s.type is float and type(value) is int:
+            value = cfg[key] = float(value)
+        if type(value) is not s.type:
+            raise ConfigError(f"config key '{key}': expected {s.type.__name__}, "
+                              f"got {type(value).__name__}")
+        if s.choices is not None and value not in s.choices:
+            raise ConfigError(f"config key '{key}': expected one of {s.choices}, "
+                              f"got {value!r}")
+        if s.bound is not None and not s.bound[0](value):
+            raise ConfigError(f"{key.replace('_', '-')} {s.bound[1]}")
+    for key in REQUIRED:
+        if key in cfg and cfg[key] is None:
+            raise ConfigError(f"config key '{key}': required")
     if cfg.get("engine") == "conjugate" and cfg.get("scenario") is not None:
         model, _, _ = make_scenario(cfg["scenario"])
         if not model.scalar_linear:
@@ -221,24 +189,28 @@ def validate_config(cfg: dict) -> None:
 
 
 def analyses_from(cfg: dict) -> tuple:
-    variants = (("marginal", "conditional") if cfg["variant"] == "both"
-                else (cfg["variant"],))
-    scalings = (("magnitude", "curvature") if cfg["scaling"] == "both"
-                else (cfg["scaling"],))
+    variants = VARIANTS if cfg["variant"] == "both" else (cfg["variant"],)
+    scalings = SCALINGS if cfg["scaling"] == "both" else (cfg["scaling"],)
     return tuple(f"{v}-{s}" for v in variants for s in scalings)
 
 
 def load_or_generate(cfg: dict):
-    """Return (model, system, data, n) for fit/calibrate commands."""
+    """Return (model, system, data) for fit/calibrate commands."""
     model, system, defaults = make_scenario(cfg["scenario"])
-    if cfg.get("data"):
-        data = read_dataset_csv(cfg["data"])
+    if cfg["data"]:
+        try:
+            data = read_dataset_csv(cfg["data"])
+        except ValueError as exc:
+            raise ConfigError(f"bad dataset: {exc}") from exc
         if data.k != model.x_box.lower.size:
             raise ConfigError(
                 f"dataset has {data.k} input column(s); scenario "
                 f"{cfg['scenario']!r} expects {model.x_box.lower.size}")
+        if data.n < MIN_OBSERVATIONS:
+            raise ConfigError(f"dataset has {data.n} row(s); at least "
+                              f"{MIN_OBSERVATIONS} are needed")
     else:
-        n = cfg["n"] if cfg.get("n") is not None else defaults["n"]
+        n = cfg["n"] if cfg["n"] is not None else defaults["n"]
         data = generate_replicate(system, n, cfg["seed"])
     return model, system, data
 
@@ -299,13 +271,12 @@ def cmd_calibrate(cfg: dict) -> int:
         flags.append("estimate-not-converged")
 
     sw_marg = marginal_matrices(est, fit, model, rule)
-    w_block = {"marginal": sw_marg.W.tolist()}
-    for form in ("derived", "literal"):
-        sw_c = conditional_matrices(est, fit, model, rule, form=form)
-        w_block[f"conditional-{form}"] = sw_c.W.tolist()
+    sw_cond = {form: conditional_matrices(est, fit, model, rule, form=form)
+               for form in CONDITIONAL_FORMS}
     sw_ols = ols_matrices(est_ols, fit, model, rule)
-    w_block["ols"] = sw_ols.W.tolist()
-    w_block["ols_extra"] = sw_ols.W_E.tolist()
+    w_block = {"marginal": sw_marg.W.tolist(), "ols": sw_ols.W.tolist(),
+               "ols_extra": sw_ols.W_E.tolist(),
+               **{f"conditional-{f}": sw.W.tolist() for f, sw in sw_cond.items()}}
 
     base_loss = l2_loss_fn(fit, model, rule)
     analyses = {}
@@ -314,10 +285,8 @@ def cmd_calibrate(cfg: dict) -> int:
     for name in analyses_from(cfg):
         variant, kind = name.split("-")
         entry: dict = {"flags": []}
+        sw = sw_marg if variant == "marginal" else sw_cond[cfg["conditional_form"]]
         try:
-            sw = (sw_marg if variant == "marginal" else
-                  conditional_matrices(est, fit, model, rule,
-                                       form=cfg["conditional_form"]))
             adj = (magnitude_adjustment(sw) if kind == "magnitude"
                    else curvature_adjustment(sw, est.theta))
             entry["gamma"] = adj.gamma if adj.kind == "magnitude" else None
@@ -354,7 +323,7 @@ def cmd_calibrate(cfg: dict) -> int:
         entry["flags"] = sorted(set(entry["flags"]))
         analyses[name] = entry
         flags.extend(entry["flags"])
-    if cfg.get("draws_out") and samples:
+    if cfg["draws_out"] and samples:
         write_draws_csv(samples, cfg["draws_out"])
 
     report = {
@@ -458,17 +427,12 @@ HANDLERS = {"fit": cmd_fit, "calibrate": cmd_calibrate,
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         cfg = resolve_config(args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    if args.print_config:
-        print(_json_report(cfg))
-        return 0
-    try:
+        if args.print_config:
+            print(_json_report(cfg))
+            return 0
         return HANDLERS[args.command](cfg)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)

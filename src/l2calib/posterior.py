@@ -27,6 +27,7 @@ from .scaling import ScalingAdjustment
 from .smoother import SmootherFit
 
 MIN_INTERVAL_DRAWS = 100
+INTERVAL_MODES = ("quantile", "hpd")
 ACCEPT_BAND = (0.1, 0.6)
 RHAT_LIMIT = 1.05
 
@@ -291,7 +292,7 @@ def credible_interval(obj, level: float = 0.95, mode: str = "quantile") -> np.nd
     the highest-density and equal-tailed intervals coincide. Sample-based
     intervals refuse to run on fewer than 100 draws.
     """
-    if mode not in ("quantile", "hpd"):
+    if mode not in INTERVAL_MODES:
         raise ValueError(f"unknown interval mode {mode!r}")
     if not 0.0 < level < 1.0:
         raise ValueError("level must be in (0, 1)")

@@ -143,13 +143,9 @@ def variance_matching_gamma(fit: SmootherFit, model: MathModel, rule: Quadrature
         raise ScalingError("variance matching is defined for scalar linear models only")
     if tau2 <= 0:
         raise ScalingError("prior variance tau2 must be positive")
-    s2 = fit.sigma2_hat if sigma2 is None else float(sigma2)
+    var = linear_estimator_variance(fit, rule, sigma2)
     x = rule.nodes[:, 0]
     den = float(np.sum(rule.weights * x * x))
-    kq = kernel_matrix(fit.kernel, rule.nodes, fit.data.design)
-    q = kq.T @ (rule.weights * x)
-    phi_inv_q = fit.solve_phi(q)
-    var = s2 * float(phi_inv_q @ phi_inv_q) / den**2
     if var >= tau2:
         raise ScalingError(
             f"estimator variance {var:.3g} is not below the prior variance {tau2:.3g}; "

@@ -15,6 +15,7 @@ from __future__ import annotations
 import json
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
+from functools import partial
 
 import numpy as np
 from scipy.special import ndtri
@@ -23,15 +24,16 @@ from . import __version__
 from .asymptotics import conditional_matrices, marginal_matrices
 from .calibration import estimate_theta, l2_loss_fn
 from .models import make_scenario
-from .numerics import build_rule
+from .numerics import DEFAULT_QUAD_ORDER, build_rule
 from .posterior import (Prior, SamplerSettings, conjugate_posterior,
                         credible_interval, laplace_approx, sample_posterior)
 from .scaling import (ScalingError, curvature_adjustment, fixed_gamma,
                       magnitude_adjustment, no_scaling, scaled_loss)
 from .smoother import Dataset, GcvGrid, kernel_matrix
 
-DEFAULT_ANALYSES = ("marginal-magnitude", "marginal-curvature",
-                    "conditional-magnitude", "conditional-curvature")
+VARIANTS = ("marginal", "conditional")
+SCALINGS = ("magnitude", "curvature")
+DEFAULT_ANALYSES = tuple(f"{v}-{s}" for v in VARIANTS for s in SCALINGS)
 ENGINES = ("laplace", "mcmc", "conjugate")
 
 
@@ -45,14 +47,14 @@ class StudyConfig:
     engine: str = "laplace"
     interval: str = "quantile"
     level: float = 0.95
-    quad_order: int = 64
+    quad_order: int = DEFAULT_QUAD_ORDER
     kernel_family: str = "gaussian"
     conditional_form: str = "derived"
     n_starts: int = 10
     workers: int = 1
-    mcmc_chains: int = 4
-    mcmc_iterations: int = 20_000
-    mcmc_thin: int = 4
+    mcmc_chains: int = SamplerSettings.chains
+    mcmc_iterations: int = SamplerSettings.iterations
+    mcmc_thin: int = SamplerSettings.thin
 
     def __post_init__(self):
         if self.replicates < 1:
@@ -86,8 +88,7 @@ def parse_analysis(name: str):
             raise ValueError(f"fixed gamma must be positive in {name!r}")
         return None, "fixed", g
     parts = name.split("-")
-    if len(parts) == 2 and parts[0] in ("marginal", "conditional") and \
-            parts[1] in ("magnitude", "curvature"):
+    if len(parts) == 2 and parts[0] in VARIANTS and parts[1] in SCALINGS:
         return parts[0], parts[1], None
     raise ValueError(
         f"unknown analysis {name!r}; expected variant-scaling, 'unscaled' "
@@ -112,7 +113,7 @@ def generate_replicate(system, n: int, seed: int) -> Dataset:
 _ORACLE_CACHE: dict = {}
 
 
-def oracle_theta(scenario: str, quad_order: int = 64) -> np.ndarray:
+def oracle_theta(scenario: str, quad_order: int = DEFAULT_QUAD_ORDER) -> np.ndarray:
     """Population loss minimiser for a scenario, cached per quadrature order."""
     key = (scenario, quad_order)
     if key not in _ORACLE_CACHE:
@@ -123,7 +124,7 @@ def oracle_theta(scenario: str, quad_order: int = 64) -> np.ndarray:
     return _ORACLE_CACHE[key].copy()
 
 
-def brute_force_theta(scenario: str, quad_order: int = 64,
+def brute_force_theta(scenario: str, quad_order: int = DEFAULT_QUAD_ORDER,
                       grid_size: int = 20001) -> np.ndarray:
     """Grid-search oracle for one-parameter scenarios, used as a cross-check."""
     model, system, _ = make_scenario(scenario)
@@ -326,21 +327,25 @@ class SimulationReport:
         return rows
 
 
-def _chunk(indices: list[int], workers: int) -> list[list[int]]:
-    size = max(1, (len(indices) + workers - 1) // workers)
-    return [indices[i:i + size] for i in range(0, len(indices), size)]
+def _map_slices(slice_fn, workers: int, replicates: int, *args) -> list[dict]:
+    """Records of ``slice_fn(*args, indices)`` over replicates 0..replicates-1.
+
+    With more than one worker the indices are cut into one contiguous chunk
+    per worker and the chunks run in a process pool.
+    """
+    indices = list(range(replicates))
+    if workers <= 1 or replicates <= 1:
+        return slice_fn(*args, indices)
+    size = (replicates + workers - 1) // workers
+    chunks = [indices[i:i + size] for i in range(0, replicates, size)]
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        parts = pool.map(partial(slice_fn, *args), chunks)
+        return [r for part in parts for r in part]
 
 
 def run_study(config: StudyConfig) -> SimulationReport:
-    indices = list(range(config.replicates))
     cd = config.to_dict()
-    if config.workers > 1 and config.replicates > 1:
-        with ProcessPoolExecutor(max_workers=config.workers) as pool:
-            parts = list(pool.map(_study_slice_star,
-                                  [(cd, ch) for ch in _chunk(indices, config.workers)]))
-        records = [r for part in parts for r in part]
-    else:
-        records = _study_slice(cd, indices)
+    records = _map_slices(_study_slice, config.workers, config.replicates, cd)
     records.sort(key=lambda r: r["index"])
     theta_star = oracle_theta(config.scenario, config.quad_order)
     analyses = aggregate_records(records, config.analyses)
@@ -353,10 +358,6 @@ def run_study(config: StudyConfig) -> SimulationReport:
     return SimulationReport(config=cd_report, oracle_theta=theta_star.tolist(),
                             analyses=analyses, replicate_flags=dict(sorted(flag_counts.items())),
                             records=records)
-
-
-def _study_slice_star(args):
-    return _study_slice(*args)
 
 
 # ---------------------------------------------------------------------------
@@ -382,7 +383,7 @@ class ClosedFormStudyConfig:
     gamma_fixed: tuple = (1.0, 15.0)
     tau2: float = 1.0
     level: float = 0.95
-    quad_order: int = 64
+    quad_order: int = DEFAULT_QUAD_ORDER
     kernel_family: str = "gaussian"
     prior_in_interval: bool = False
     workers: int = 1
@@ -437,10 +438,6 @@ def _closed_form_slice(config_dict: dict, n: int, indices: list[int]) -> list[di
     return out
 
 
-def _closed_form_slice_star(args):
-    return _closed_form_slice(*args)
-
-
 def run_closed_form_study(cfg: ClosedFormStudyConfig) -> SimulationReport:
     z = float(ndtri(0.5 + cfg.level / 2.0))
     theta_star = float(oracle_theta("simple-linear", cfg.quad_order)[0])
@@ -449,14 +446,7 @@ def run_closed_form_study(cfg: ClosedFormStudyConfig) -> SimulationReport:
     all_flags: dict = {}
     records = []
     for n in cfg.sample_sizes:
-        indices = list(range(cfg.replicates))
-        if cfg.workers > 1 and cfg.replicates > 1:
-            with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
-                parts = list(pool.map(_closed_form_slice_star,
-                                      [(cd, n, ch) for ch in _chunk(indices, cfg.workers)]))
-            recs = [r for part in parts for r in part]
-        else:
-            recs = _closed_form_slice(cd, n, indices)
+        recs = _map_slices(_closed_form_slice, cfg.workers, cfg.replicates, cd, n)
         recs.sort(key=lambda r: r["index"])
         labels = [f"gamma={g:g}" for g in cfg.gamma_fixed] + ["gamma=matched"]
         for label in labels:

@@ -22,6 +22,7 @@ import numpy as np
 
 JITTER = 1e-10
 KERNEL_FAMILIES = ("gaussian", "matern52")
+MIN_OBSERVATIONS = 3  # fewest observations GCV selection accepts
 DEFAULT_LAMBDA_GRID = np.logspace(-8.0, 1.0, 19)
 # bandwidth multipliers applied to the per-coordinate data range
 DEFAULT_RHO_FACTORS = np.logspace(np.log10(0.05), np.log10(2.0), 13)
@@ -171,14 +172,6 @@ class SmootherFit:
         return self.solve_phi(kx.T).T
 
 
-def predict_mean(fit: SmootherFit, x) -> np.ndarray:
-    return fit.predict(x)
-
-
-def smoother_weights(fit: SmootherFit, x) -> np.ndarray:
-    return fit.weights(x)
-
-
 def _gcv_terms(rss, trm, n: int):
     """(score, sigma2_hat) from rss = ||(I - A) y||^2 and trm = tr(I - A).
 
@@ -233,8 +226,8 @@ class GcvGrid:
                  rho_grid=None):
         self.design = np.atleast_2d(np.asarray(design, dtype=float))
         n = self.design.shape[0]
-        if n < 3:
-            raise ValueError("GCV selection needs at least 3 observations")
+        if n < MIN_OBSERVATIONS:
+            raise ValueError(f"GCV selection needs at least {MIN_OBSERVATIONS} observations")
         lam = DEFAULT_LAMBDA_GRID if lambda_grid is None else np.asarray(lambda_grid, float)
         if np.any(lam <= 0):
             raise ValueError("ridge grid values must be positive")

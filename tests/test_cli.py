@@ -1,3 +1,4 @@
+import argparse
 import csv
 import json
 from collections import Counter
@@ -5,7 +6,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from l2calib.cli import main
+from l2calib.cli import build_parser, main
 from l2calib.simharness import generate_replicate
 from l2calib.models import make_scenario
 from l2calib.smoother import write_dataset_csv
@@ -45,12 +46,19 @@ def test_fit_reads_csv_dataset(tmp_path):
     assert json.loads(out.read_text())["n"] == 30
 
 
-def test_fit_rejects_wrong_column_count(tmp_path, capsys):
-    path = tmp_path / "wide.csv"
-    path.write_text("x1,x2,y\n0.1,0.2,1.0\n0.3,0.4,2.0\n0.5,0.6,3.0\n")
+@pytest.mark.parametrize("text, message", [
+    ("x1,x2,y\n0.1,0.2,1.0\n0.3,0.4,2.0\n0.5,0.6,3.0\n", "input column"),
+    ("x1,y\n0.1,1.0\n0.3,abc\n0.5,3.0\n", "non-numeric value"),
+    ("x1,y\n0.1,1.0\n0.1,2.0\n0.5,3.0\n", "duplicate rows"),
+    ("x1,y\n0.1,1.0\n0.3,2.0\n", "at least 3"),
+], ids=["wrong-column-count", "non-numeric", "duplicate-rows", "two-rows"])
+def test_fit_rejects_wrong_column_count(tmp_path, capsys, text, message):
+    path = tmp_path / "bad.csv"
+    path.write_text(text)
     rc = main(["fit", "--scenario", "scenario2", "--data", str(path)])
     assert rc == 2
-    assert "input column" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
 
 
 def test_calibrate_report(tmp_path, capsys):
@@ -222,6 +230,40 @@ def test_validation_errors(capsys):
     rc = main(["calibrate", "--scenario", "scenario2", "--engine", "conjugate"])
     assert rc == 2
     assert "conjugate" in capsys.readouterr().err
+
+    rc = main(["fit", "--scenario", "scenario2", "--seed", "-1"])
+    assert rc == 2
+    assert "seed must be >= 0" in capsys.readouterr().err
+
+    rc = main(["simulate", "--scenario", "scenario2", "--replicates", "2",
+               "--n", "2"])
+    assert rc == 2
+    assert "n must be >= 3" in capsys.readouterr().err
+
+
+def test_simulate_refuses_data_flag(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["simulate", "--scenario", "scenario2", "--replicates", "2",
+              "--data", str(tmp_path / "x.csv")])
+    assert exc.value.code == 2
+    assert "--data" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, required", [
+    ("fit", ["--scenario", "scenario2"]),
+    ("calibrate", ["--scenario", "scenario2"]),
+    ("simulate", ["--scenario", "scenario2", "--replicates", "2"]),
+    ("table1", []),
+])
+def test_parser_flags_match_printed_config(capsys, command, required):
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    flags = {opt for action in sub.choices[command]._actions
+             for opt in action.option_strings
+             if opt not in ("-h", "--help", "--config", "--print-config")}
+    assert main([command, *required, "--print-config"]) == 0
+    keys = set(json.loads(capsys.readouterr().out)) - {"command"}
+    assert flags == {"--" + key.replace("_", "-") for key in keys}
 
 
 def test_config_type_check(tmp_path, capsys):

@@ -11,8 +11,8 @@ from l2calib.simharness import generate_replicate
 from l2calib.smoother import (JITTER, Dataset, DegenerateSmootherError,
                               GcvGrid, KernelSpec, default_rho_grid,
                               fit_smoother, fit_smoother_fixed, gcv_score,
-                              kernel_matrix, predict_mean, read_dataset_csv,
-                              smoother_weights, write_dataset_csv)
+                              kernel_matrix, read_dataset_csv,
+                              write_dataset_csv)
 
 
 def _line_data(n=8, slope=3.0, noise=0.0, seed=0):
@@ -187,7 +187,7 @@ def test_predict_zero_coefficients():
     data = _line_data(n=5, slope=0.0)
     fit = fit_smoother_fixed(data, KernelSpec("gaussian", np.array([0.5])), 1e-3)
     assert_allclose(fit.coef, 0.0, atol=1e-15)
-    assert_allclose(predict_mean(fit, np.array([[0.3]])), [0.0], atol=1e-15)
+    assert_allclose(fit.predict(np.array([[0.3]])), [0.0], atol=1e-15)
 
 
 def test_predict_interpolates_at_lambda_zero():
@@ -213,7 +213,7 @@ def test_weights_reproduce_predictions():
     data = _line_data(n=8, noise=0.3, seed=11)
     fit = fit_smoother(data)
     pts = np.random.default_rng(2).random((6, 1))
-    g = smoother_weights(fit, pts)
+    g = fit.weights(pts)
     assert g.shape == (6, 8)
     assert_allclose(g @ data.responses, fit.predict(pts), atol=1e-12)
 
