@@ -41,13 +41,15 @@ def l2_loss_terms(mu_like, model: MathModel, rule: QuadratureRule):
 
 
 def l2_loss_fn(mu_like, model: MathModel, rule: QuadratureRule):
-    """Closure theta -> l2 loss, with the smoothed mean evaluated once."""
+    """Closure theta -> l2 loss, with the smoothed mean evaluated once: a
+    float for one theta (p,), a (c,) array for a batch (c, p)."""
     nodes, w, mu = l2_loss_terms(mu_like, model, rule)
 
     def loss(theta):
         theta = np.asarray(theta, dtype=float)
         resid = mu - model.eta(theta, nodes)
-        return float(np.sum(w * resid * resid))
+        val = (w * resid * resid).sum(axis=-1)
+        return float(val) if theta.ndim == 1 else val
 
     return loss
 

@@ -27,8 +27,8 @@ from .calibration import estimate_theta, l2_loss_fn
 from .models import SCENARIO_NAMES, make_scenario
 from .numerics import DEFAULT_QUAD_ORDER, build_rule
 from .posterior import (INTERVAL_MODES, Prior, SamplerSettings,
-                        credible_interval, laplace_approx, sample_posterior,
-                        write_draws_csv)
+                        conjugate_posterior, credible_interval, laplace_approx,
+                        sample_posterior, write_draws_csv)
 from .scaling import (ScalingError, curvature_adjustment,
                       magnitude_adjustment)
 from .simharness import (ENGINES, SCALINGS, VARIANTS, ClosedFormStudyConfig,
@@ -181,6 +181,8 @@ def validate_config(cfg: dict) -> None:
     for key in REQUIRED:
         if key in cfg and cfg[key] is None:
             raise ConfigError(f"config key '{key}': required")
+    if cfg.get("data") and cfg.get("n") is not None:
+        raise ConfigError("n and data are exclusive: a dataset has its own size")
     if cfg.get("engine") == "conjugate" and cfg.get("scenario") is not None:
         model, _, _ = make_scenario(cfg["scenario"])
         if not model.scalar_linear:
@@ -308,6 +310,10 @@ def cmd_calibrate(cfg: dict) -> int:
                 mean = post.draws.mean(axis=0)
                 sd = post.draws.std(axis=0, ddof=1)
                 samples[name] = post
+            elif cfg["engine"] == "conjugate":
+                post = conjugate_posterior(fit, data.n, tau2=float("inf"),
+                                           gamma=adj.scalar_gamma, rule=rule)
+                mean, sd = post.mean, post.sd
             else:
                 post = laplace_approx(est, adj, data.n)
                 mean, sd = post.mean, post.sd

@@ -43,9 +43,13 @@ class DomainBox:
     def center(self) -> np.ndarray:
         return 0.5 * (self.lower + self.upper)
 
+    def inside(self, x, atol: float = 1e-12):
+        """Membership of each point: a bool for x of shape (dim,), (c,) for (c, dim)."""
+        x = np.asarray(x, dtype=float)
+        return ((x >= self.lower - atol) & (x <= self.upper + atol)).all(axis=-1)
+
     def contains(self, x, atol: float = 1e-12) -> bool:
-        x = np.atleast_2d(np.asarray(x, dtype=float))
-        return bool(np.all(x >= self.lower - atol) and np.all(x <= self.upper + atol))
+        return bool(np.all(self.inside(x, atol)))
 
     def clip(self, x) -> np.ndarray:
         return np.clip(np.asarray(x, dtype=float), self.lower, self.upper)
@@ -68,7 +72,8 @@ def _as_points(x, dim: int) -> np.ndarray:
 class MathModel:
     """Simulator with analytic theta-derivatives.
 
-    eta(theta, x)      -> (m,) model output at each row of x
+    eta(theta, x)      -> (m,) model output at each row of x; a batch theta
+                          of shape (c, p) gives (c, m), one row per theta
     grad_eta(theta, x) -> (m, p) gradient in theta
     hess_eta(theta, x) -> (m, p, p) Hessian in theta
 
@@ -176,10 +181,15 @@ def validate_derivatives(model: MathModel, seed: int = 0, n_points: int = 100,
 # built-in scenarios
 # ---------------------------------------------------------------------------
 
+def _coords(theta):
+    """Scalars for one theta (p,); (c, 1) columns for a batch (c, p), so eta is (c, m)."""
+    return theta.T[..., None] if theta.ndim == 2 else theta
+
+
 def _linear_model(name: str, theta_lo: float, theta_hi: float) -> MathModel:
     def eta(theta, x):
         pts = _as_points(x, 1)
-        return theta[0] * pts[:, 0]
+        return _coords(theta)[0] * pts[:, 0]
 
     def grad(theta, x):
         pts = _as_points(x, 1)
@@ -219,8 +229,9 @@ def _make_scenario1():
 
     def eta(theta, x):
         pts = _as_points(x, 1)
-        a = np.sin(two_pi * theta[0] - np.pi)
-        b = two_pi * theta[1] - np.pi
+        th = _coords(theta)
+        a = np.sin(two_pi * th[0] - np.pi)
+        b = two_pi * th[1] - np.pi
         return 7.0 * a * a + 2.0 * b * b * np.sin(two_pi * pts[:, 0] - np.pi)
 
     def grad(theta, x):
@@ -263,7 +274,7 @@ def _make_scenario1():
 def _make_scenario2():
     def eta(theta, x):
         pts = _as_points(x, 1)
-        return np.sin(5.0 * theta[0] * pts[:, 0]) + 5.0 * pts[:, 0]
+        return np.sin(5.0 * _coords(theta)[0] * pts[:, 0]) + 5.0 * pts[:, 0]
 
     def grad(theta, x):
         pts = _as_points(x, 1)

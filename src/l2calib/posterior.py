@@ -57,24 +57,33 @@ class Prior:
     def dim(self) -> int:
         return self.box.dim if self.kind == "uniform" else self.mean.size
 
-    def log_density(self, theta: np.ndarray) -> float:
-        """Log prior density up to an additive constant."""
+    def log_density(self, theta):
+        """Log prior density up to a constant: float for theta (p,), (c,) for (c, p)."""
+        theta = np.asarray(theta, dtype=float)
         if self.kind == "uniform":
-            return 0.0 if self.box.contains(theta) else -np.inf
-        d = theta - self.mean
-        return float(-0.5 * np.sum(d * d / self.var))
+            lp = np.where(self.box.inside(theta), 0.0, -np.inf)
+        else:
+            d = theta - self.mean
+            lp = -0.5 * (d * d / self.var).sum(axis=-1)
+        return lp if theta.ndim == 2 else float(lp)
 
 
-def log_gen_posterior(theta, loss, prior: Prior, n: int) -> float:
-    """Log generalised posterior up to an additive constant."""
-    theta = np.atleast_1d(np.asarray(theta, dtype=float))
+def log_gen_posterior(theta, loss, prior: Prior, n: int):
+    """Log generalised posterior up to an additive constant.
+
+    ``theta`` is one point (p,), giving a float, or a batch (c, p), giving
+    (c,). ``loss`` maps a batch (c, p) to (c,) and is called once, on the rows
+    inside the prior's support; a non-finite loss gives -inf.
+    """
+    theta = np.asarray(theta, dtype=float)
+    if theta.ndim < 2:
+        return float(log_gen_posterior(np.atleast_1d(theta)[None], loss, prior, n)[0])
     lp = prior.log_density(theta)
-    if not np.isfinite(lp):
-        return -np.inf
-    val = loss(theta)
-    if not np.isfinite(val):
-        return -np.inf
-    return -n * val + lp
+    inside = np.isfinite(lp)
+    if inside.any():
+        val = loss(theta[inside])
+        lp[inside] = np.where(np.isfinite(val), -n * val + lp[inside], -np.inf)
+    return lp
 
 
 @dataclass
@@ -136,10 +145,14 @@ def sample_posterior(loss, prior: Prior, n: int, seed: int = 0,
                      settings: SamplerSettings | None = None) -> PosteriorSample:
     """Adaptive random-walk Metropolis on the generalised posterior.
 
-    Chain c uses an independent stream seeded by (seed, c), so results are
-    reproducible and independent of how chains are scheduled. The proposal
-    is x + s L z with L a Cholesky factor of ``init_cov`` (identity scale if
-    absent) and s adapted by Robbins-Monro during burn-in only.
+    ``loss`` maps a batch (c, p) to (c,) values, as the losses of
+    ``calibration`` and ``scaling`` do: the chains advance in lockstep, with one
+    loss call per step on the proposals inside the prior. Chain c draws its
+    start jitter, all its proposal normals, then all its log-uniforms from a
+    stream seeded by (seed, c), so results are reproducible and independent of
+    the chain count. The proposal is x + s L z with L a Cholesky factor of
+    ``init_cov`` (identity if absent) and each chain's s adapted by
+    Robbins-Monro during burn-in only.
     """
     st = settings if settings is not None else SamplerSettings()
     p = prior.dim
@@ -156,50 +169,51 @@ def sample_posterior(loss, prior: Prior, n: int, seed: int = 0,
     else:
         chol = np.eye(p)
 
-    burn = int(st.burnin_frac * st.iterations)
-    kept_per_chain = []
-    accept_rates = np.empty(st.chains)
-    target = st.target_accept
-    for c in range(st.chains):
+    chains, iters = st.chains, st.iterations
+    burn = int(st.burnin_frac * iters)
+    x = np.empty((chains, p))
+    steps = np.empty((iters, chains, p))     # L z, before the step size s
+    log_u = np.empty((iters, chains))
+    for c in range(chains):
         rng = np.random.default_rng([seed, c])
-        x = init + 0.01 * (chol @ rng.standard_normal(p))
-        lp = log_gen_posterior(x, loss, prior, n)
-        if not np.isfinite(lp):
-            x, lp = init.copy(), lp0
-        log_s = np.log(2.38 / np.sqrt(p))
-        kept = []
-        accepted_post = 0
-        for t in range(st.iterations):
-            s = np.exp(log_s)
-            prop = x + s * (chol @ rng.standard_normal(p))
-            lp_prop = log_gen_posterior(prop, loss, prior, n)
-            delta = lp_prop - lp
-            if delta >= 0 or np.log(rng.random()) < delta:
-                x, lp = prop, lp_prop
-                accepted = True
-            else:
-                accepted = False
-            if t < burn:
-                alpha = 1.0 if delta >= 0 else np.exp(max(delta, -50.0))
-                log_s += (alpha - target) / (t + 1) ** 0.6
-            else:
-                accepted_post += accepted
-                if (t - burn) % st.thin == 0:
-                    kept.append(x.copy())
-        kept_per_chain.append(np.asarray(kept))
-        accept_rates[c] = accepted_post / max(st.iterations - burn, 1)
+        x[c] = init + 0.01 * (chol @ rng.standard_normal(p))
+        steps[:, c] = rng.standard_normal((iters, p)) @ chol.T
+        log_u[:, c] = np.log(rng.random(iters))
+    lp = log_gen_posterior(x, loss, prior, n)
+    stuck = ~np.isfinite(lp)
+    x[stuck], lp[stuck] = init, lp0
 
-    rhat = split_rhat(kept_per_chain) if st.chains >= 2 else np.full(p, np.nan)
+    log_s = np.full(chains, np.log(2.38 / np.sqrt(p)))
+    s = np.exp(log_s)[:, None]
+    kept = np.empty((chains, len(range(burn, iters, st.thin)), p))
+    accepted_post = np.zeros(chains)
+    for t in range(iters):
+        prop = x + s * steps[t]
+        lp_prop = log_gen_posterior(prop, loss, prior, n)
+        delta = lp_prop - lp
+        # log u < 0, so this accepts every delta >= 0
+        accept = log_u[t] < delta
+        x = np.where(accept[:, None], prop, x)
+        lp = np.where(accept, lp_prop, lp)
+        if t < burn:
+            alpha = np.exp(np.minimum(delta, 0.0))
+            log_s += (alpha - st.target_accept) / (t + 1) ** 0.6
+            s = np.exp(log_s)[:, None]
+        else:
+            accepted_post += accept
+            if (t - burn) % st.thin == 0:
+                kept[:, (t - burn) // st.thin] = x
+    accept_rates = accepted_post / max(iters - burn, 1)
+
+    rhat = split_rhat(kept) if chains >= 2 else np.full(p, np.nan)
     flags = []
     pooled = float(accept_rates.mean())
     if not ACCEPT_BAND[0] <= pooled <= ACCEPT_BAND[1]:
         flags.append("acceptance-outside-band")
-    if st.chains >= 2 and np.any(rhat > RHAT_LIMIT):
+    if chains >= 2 and np.any(rhat > RHAT_LIMIT):
         flags.append("rhat-high")
-    draws = np.concatenate(kept_per_chain, axis=0)
-    chain_ids = np.concatenate([np.full(k.shape[0], i, dtype=int)
-                                for i, k in enumerate(kept_per_chain)])
-    return PosteriorSample(draws=draws, chain_ids=chain_ids,
+    return PosteriorSample(draws=kept.reshape(-1, p),
+                           chain_ids=np.repeat(np.arange(chains), kept.shape[1]),
                            acceptance_rate=pooled, per_chain_accept=accept_rates,
                            rhat=rhat, seed=seed, flags=tuple(flags), settings=st)
 

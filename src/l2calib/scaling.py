@@ -63,6 +63,11 @@ class ScalingAdjustment:
             if self.Gamma is None or self.anchor is None:
                 raise ScalingError("curvature scaling needs Gamma and an anchor point")
 
+    @property
+    def scalar_gamma(self) -> float:
+        """Loss multiplier of a one-parameter model: gamma, or Gamma^2 under curvature."""
+        return self.gamma if self.Gamma is None else float(self.Gamma[0, 0]) ** 2
+
 
 def no_scaling() -> ScalingAdjustment:
     return ScalingAdjustment(kind="none")
@@ -105,7 +110,8 @@ def scaled_loss(adj: ScalingAdjustment, base_loss, theta_box: DomainBox | None =
     Curvature remaps theta -> anchor + Gamma (theta - anchor); arguments that
     land outside ``theta_box`` are evaluated at the box projection plus a
     quadratic overshoot penalty so the wrapped loss stays finite and repels
-    samplers from the rim.
+    samplers from the rim. Every kind takes one theta (p,) or a batch (c, p),
+    remapped and penalised row by row, as ``base_loss`` does.
     """
     if adj.kind == "none":
         return base_loss
@@ -118,12 +124,16 @@ def scaled_loss(adj: ScalingAdjustment, base_loss, theta_box: DomainBox | None =
 
     def loss(theta):
         theta = np.asarray(theta, dtype=float)
-        mapped = anchor + gamma_mat @ (theta - anchor)
+        # row-wise products and sums, so a batch row equals the single theta
+        mapped = anchor + (gamma_mat * (theta - anchor)[..., None, :]).sum(axis=-1)
         proj = theta_box.clip(mapped)
         over = mapped - proj
+        pen = (over * over).sum(axis=-1)
         base = base_loss(proj)
-        if np.any(over != 0.0):
-            base = base + float(over @ over) * 1e3 * (1.0 + abs(base))
+        outside = pen > 0.0
+        if outside.any():
+            # rows inside the box keep base, even where base is not finite
+            base = base + pen * 1e3 * (1.0 + np.abs(np.where(outside, base, 0.0)))
         return base
 
     return loss

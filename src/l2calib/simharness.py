@@ -187,9 +187,8 @@ def run_replicate(index: int, config: StudyConfig, model, system, rule,
             elif config.engine == "conjugate":
                 if not model.scalar_linear:
                     raise ValueError("conjugate engine needs a scalar linear model")
-                geff = adj.gamma if adj.Gamma is None else float(adj.Gamma[0, 0]) ** 2
-                post = conjugate_posterior(fit, n, tau2=np.inf, gamma=geff,
-                                           rule=rule)
+                post = conjugate_posterior(fit, n, tau2=np.inf,
+                                           gamma=adj.scalar_gamma, rule=rule)
                 mean, sd = post.mean, post.sd
             else:
                 loss = scaled_loss(adj, base_loss, model.theta_box)

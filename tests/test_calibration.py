@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from l2calib.calibration import (estimate_theta, l2_loss, l2_loss_fn,
                                  l2_loss_grad, l2_loss_hess, linear_theta_hat,
                                  ols_loss, ols_loss_grad, ols_loss_hess)
-from l2calib.models import make_scenario
+from l2calib.models import SCENARIO_NAMES, make_scenario
 from l2calib.numerics import build_rule
 from l2calib.simharness import generate_replicate
 from l2calib.smoother import Dataset, fit_smoother
@@ -176,3 +178,18 @@ def test_loss_rejects_rule_outside_model_box():
     wide = build_rule([0.0], [1.5], 16)
     with pytest.raises(ValueError, match="outside"):
         l2_loss([3.0], system.mu, model, wide)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(SCENARIO_NAMES), st.integers(1, 6),
+       st.integers(0, 2**32 - 1))
+def test_l2_loss_batch_rows_equal_single_theta(name, chains, seed):
+    model, system, _ = make_scenario(name)
+    loss = l2_loss_fn(system.mu, model, _rule(model))
+    box = model.theta_box
+    rng = np.random.default_rng(seed)
+    thetas = box.lower + rng.random((chains, box.dim)) * (box.upper - box.lower)
+    batch = loss(thetas)
+    assert batch.shape == (chains,)
+    for i in range(chains):
+        assert batch[i] == loss(thetas[i])

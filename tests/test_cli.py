@@ -6,10 +6,15 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from l2calib.asymptotics import conditional_matrices, marginal_matrices
+from l2calib.calibration import estimate_theta
 from l2calib.cli import build_parser, main
+from l2calib.numerics import DEFAULT_QUAD_ORDER, build_rule
+from l2calib.posterior import conjugate_posterior
+from l2calib.scaling import curvature_adjustment, magnitude_gamma
 from l2calib.simharness import generate_replicate
 from l2calib.models import make_scenario
-from l2calib.smoother import write_dataset_csv
+from l2calib.smoother import fit_smoother, write_dataset_csv
 
 
 def test_fit_generated_data(tmp_path, capsys):
@@ -80,6 +85,29 @@ def test_calibrate_report(tmp_path, capsys):
         lo, hi = entry["interval"][0]
         assert lo < report["theta_hat"][0] < hi
     assert "theta_hat =" in capsys.readouterr().out
+
+
+def test_calibrate_conjugate_engine_uses_closed_form(tmp_path):
+    out = tmp_path / "cal.json"
+    rc = main(["calibrate", "--scenario", "simple-linear", "--seed", "2",
+               "--engine", "conjugate", "--out", str(out)])
+    assert rc == 0
+    report = json.loads(out.read_text())
+    model, system, defaults = make_scenario("simple-linear")
+    rule = build_rule(model.x_box.lower, model.x_box.upper, DEFAULT_QUAD_ORDER)
+    data = generate_replicate(system, defaults["n"], 2)
+    fit = fit_smoother(data)
+    est = estimate_theta(fit, model, rule, seed=2)
+    sandwiches = {"marginal": marginal_matrices(est, fit, model, rule),
+                  "conditional": conditional_matrices(est, fit, model, rule)}
+    for name, entry in report["analyses"].items():
+        variant, kind = name.split("-")
+        sw = sandwiches[variant]
+        gamma = (magnitude_gamma(sw) if kind == "magnitude"
+                 else float(curvature_adjustment(sw, est.theta).Gamma[0, 0]) ** 2)
+        exact = conjugate_posterior(fit, data.n, tau2=np.inf, gamma=gamma, rule=rule)
+        assert entry["post_mean"] == exact.mean.tolist()
+        assert entry["post_sd"] == exact.sd.tolist()
 
 
 def test_calibrate_mcmc_engine_writes_draws(tmp_path):
@@ -239,6 +267,12 @@ def test_validation_errors(capsys):
                "--n", "2"])
     assert rc == 2
     assert "n must be >= 3" in capsys.readouterr().err
+
+    for command in ("fit", "calibrate"):
+        rc = main([command, "--scenario", "scenario2", "--data", "data.csv",
+                   "--n", "12"])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error: n and data")
 
 
 def test_simulate_refuses_data_flag(tmp_path, capsys):

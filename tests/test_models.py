@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from l2calib.models import (SCENARIO_NAMES, DesignRule, DomainBox,
@@ -107,3 +109,21 @@ def test_analytic_derivatives_match_finite_differences():
         report = validate_derivatives(model, seed=0, n_points=60)
         assert report["max_grad_rel_err"] < 1e-5
         assert report["max_hess_rel_err"] < 1e-5
+
+
+def _points_in(box, rng, count):
+    return box.lower + rng.random((count, box.dim)) * (box.upper - box.lower)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(SCENARIO_NAMES), st.integers(1, 6),
+       st.integers(0, 2**32 - 1))
+def test_eta_batch_rows_equal_single_theta(name, chains, seed):
+    model, _, _ = make_scenario(name)
+    rng = np.random.default_rng(seed)
+    thetas = _points_in(model.theta_box, rng, chains)
+    x = _points_in(model.x_box, rng, 9)
+    batch = model.eta(thetas, x)
+    assert batch.shape == (chains, 9)
+    for i in range(chains):
+        assert np.array_equal(batch[i], model.eta(thetas[i], x))

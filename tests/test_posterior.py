@@ -2,6 +2,8 @@ import csv
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from l2calib.calibration import CalibrationEstimate
@@ -81,11 +83,12 @@ def test_conjugate_interval_length():
 def test_log_gen_posterior_uniform_prior():
     box = DomainBox(np.array([-10.0]), np.array([10.0]))
     prior = Prior.uniform(box)
-    loss = lambda th: float((th[0] - 1.0) ** 2)
+    loss = lambda th: (th[:, 0] - 1.0) ** 2
     n = 7
     d = (log_gen_posterior([1.0], loss, prior, n)
          - log_gen_posterior([2.0], loss, prior, n))
-    assert_allclose(d, -n * (loss([1.0]) - loss([2.0])), rtol=1e-12)
+    vals = loss(np.array([[1.0], [2.0]]))
+    assert_allclose(d, -n * (vals[0] - vals[1]), rtol=1e-12)
     assert log_gen_posterior([11.0], loss, prior, n) == -np.inf
 
 
@@ -93,7 +96,7 @@ def test_log_gen_posterior_matches_conjugate_density():
     # eta = theta x with a quadratic loss: the kernel must agree with the
     # closed-form normal posterior up to one additive constant.
     n, den = 4, 1.0 / 3.0
-    loss = lambda th: float(den * (3.5 - th[0]) ** 2)
+    loss = lambda th: den * (3.5 - th[:, 0]) ** 2
     prior = Prior.normal([0.0], [1.0])
     post = conjugate_posterior(_LineFit(3.5), n=n, tau2=1.0, gamma=1.0)
     m, v = post.mean[0], post.cov[0, 0]
@@ -107,7 +110,7 @@ def test_log_gen_posterior_matches_conjugate_density():
 def _std_normal_sample(seed=0, iterations=4000, chains=4):
     box = DomainBox(np.array([-12.0]), np.array([12.0]))
     prior = Prior.uniform(box)
-    loss = lambda th: float(0.5 * th[0] ** 2)
+    loss = lambda th: 0.5 * th[:, 0] ** 2
     st = SamplerSettings(chains=chains, iterations=iterations, thin=2,
                          init=np.array([0.0]), init_cov=np.array([[1.0]]))
     return sample_posterior(loss, prior, n=1, seed=seed, settings=st)
@@ -137,17 +140,46 @@ def test_sampler_chains_independent_of_count():
     one = _std_normal_sample(seed=5, iterations=400, chains=1)
     two = _std_normal_sample(seed=5, iterations=400, chains=2)
     assert np.array_equal(one.draws, two.draws[two.chain_ids == 0])
+    assert not np.array_equal(one.draws, two.draws[two.chain_ids == 1])
 
 
 def test_sampler_validation():
     box = DomainBox(np.array([-1.0]), np.array([1.0]))
     prior = Prior.uniform(box)
-    loss = lambda th: float(th[0] ** 2)
+    loss = lambda th: th[:, 0] ** 2
     with pytest.raises(ValueError, match="initial"):
         sample_posterior(loss, prior, n=1, settings=SamplerSettings())
     st = SamplerSettings(init=np.array([5.0]))
     with pytest.raises(ValueError, match="initial"):
         sample_posterior(loss, prior, n=1, settings=st)
+
+
+def test_sampler_rejects_non_finite_loss():
+    # the loss is NaN above 2 and +inf below -2.5 inside a [-3, 3] prior: those
+    # proposals must be rejected exactly as if the prior stopped at [-2.5, 2]
+    inner = DomainBox(np.array([-2.5]), np.array([2.0]))
+    wide = DomainBox(np.array([-3.0]), np.array([3.0]))
+    bad_rows = []
+
+    def loss(th):
+        assert wide.contains(th)  # called on the rows inside the prior only
+        out = 0.5 * th[:, 0] ** 2
+        bad = ~inner.inside(th)
+        bad_rows.append(int(bad.sum()))
+        return np.where(bad, np.where(th[:, 0] > 0.0, np.nan, np.inf), out)
+
+    opts = SamplerSettings(chains=4, iterations=2000, thin=2,
+                           init=np.array([0.0]), init_cov=np.array([[1.0]]))
+    post = sample_posterior(loss, Prior.uniform(wide), n=1, seed=3, settings=opts)
+    assert sum(bad_rows) > 100
+    assert np.all(np.isfinite(post.draws)) and inner.contains(post.draws)
+    ref = sample_posterior(lambda th: 0.5 * th[:, 0] ** 2, Prior.uniform(inner),
+                           n=1, seed=3, settings=opts)
+    assert np.array_equal(post.draws, ref.draws)
+    assert np.array_equal(post.per_chain_accept, ref.per_chain_accept)
+    lp = log_gen_posterior(np.array([[0.0], [2.5], [-2.8], [1.0]]), loss,
+                           Prior.uniform(wide), 1)
+    assert_allclose(lp, [0.0, -np.inf, -np.inf, -0.5], rtol=0)
 
 
 def test_settings_validation():
@@ -290,3 +322,21 @@ def test_write_draws_csv_round_trip(tmp_path):
     chains = np.array([int(r[2]) for r in rows[1:]])
     assert_allclose(vals, post.draws[:, 0], rtol=0, atol=0)
     assert np.array_equal(chains, post.chain_ids)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 3), st.integers(1, 6), st.integers(0, 2**32 - 1))
+def test_prior_log_density_batch_rows_equal_single_theta(p, chains, seed):
+    rng = np.random.default_rng(seed)
+    lower = rng.uniform(-2.0, 0.0, p)
+    box = DomainBox(lower, lower + rng.uniform(0.1, 2.0, p))
+    priors = (Prior.uniform(box),
+              Prior.normal(rng.normal(size=p), rng.uniform(0.1, 3.0, p)))
+    # rows from three times the box: some inside the uniform prior, some not
+    width = box.upper - box.lower
+    thetas = box.lower - width + 3.0 * rng.random((chains, p)) * width
+    for prior in priors:
+        batch = prior.log_density(thetas)
+        assert batch.shape == (chains,)
+        for i in range(chains):
+            assert batch[i] == prior.log_density(thetas[i])

@@ -1,12 +1,17 @@
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from l2calib.asymptotics import SandwichMatrices, marginal_matrices
 from l2calib.calibration import estimate_theta, l2_loss_fn
-from l2calib.models import make_scenario
+from l2calib.models import SCENARIO_NAMES, DomainBox, make_scenario
 from l2calib.numerics import build_rule
-from l2calib.scaling import (ScalingError, curvature_adjustment, fixed_gamma,
+from l2calib.scaling import (ScalingAdjustment, ScalingError,
+                             curvature_adjustment, fixed_gamma,
                              linear_estimator_variance, magnitude_adjustment,
                              magnitude_gamma, no_scaling, scaled_loss,
                              variance_matching_gamma)
@@ -153,6 +158,19 @@ def test_scaled_loss_curvature_needs_box():
         scaled_loss(adj, base)
 
 
+def test_scaled_loss_curvature_keeps_non_finite_base_inside_box():
+    # no penalty term on rows the remap keeps inside the box, so an infinite
+    # base loss there stays +inf (0 * inf would make it NaN) without warnings
+    base = lambda th: np.where(th[:, 0] > 0.0, np.inf, th[:, 0] ** 2)
+    adj = ScalingAdjustment(kind="curvature", Gamma=np.eye(1), anchor=np.zeros(1))
+    box = DomainBox(np.array([-1.0]), np.array([1.0]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        vals = scaled_loss(adj, base, box)(np.array([[0.5], [-0.5], [-3.0]]))
+    assert vals[0] == np.inf and vals[1] == 0.25
+    assert vals[2] == 1.0 + 4.0 * 1e3 * 2.0
+
+
 def test_scaled_loss_curvature_finite_outside_box():
     model, _, _ = make_scenario("simple-linear")
     base = lambda th: float((th[0] - 3.0) ** 2)
@@ -216,3 +234,29 @@ def test_adjustment_validation():
         fixed_gamma(0.0)
     with pytest.raises(ScalingError):
         fixed_gamma(-2.0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(SCENARIO_NAMES), st.integers(1, 6),
+       st.integers(0, 2**32 - 1))
+def test_scaled_loss_batch_rows_equal_single_theta(name, chains, seed):
+    model, system, _ = make_scenario(name)
+    box = model.theta_box
+    base = l2_loss_fn(system.mu, model,
+                      build_rule(model.x_box.lower, model.x_box.upper, 16))
+    rng = np.random.default_rng(seed)
+    p, width = box.dim, box.upper - box.lower
+    anchor = box.lower + rng.random(p) * width
+    gamma_mat = np.eye(p) + rng.uniform(-0.5, 0.5, (p, p))
+    curvature = ScalingAdjustment(kind="curvature", Gamma=gamma_mat, anchor=anchor)
+    # rows from twice the box, and one that the remap sends far outside it
+    thetas = box.lower - 0.5 * width + 2.0 * rng.random((chains, p)) * width
+    thetas = np.vstack([thetas, anchor + 1e6 * width])
+    mapped = anchor + (thetas - anchor) @ gamma_mat.T
+    assert not box.contains(mapped[-1])
+    for adj in (no_scaling(), fixed_gamma(rng.uniform(0.1, 10.0)), curvature):
+        loss = scaled_loss(adj, base, box)
+        batch = loss(thetas)
+        assert batch.shape == (chains + 1,)
+        for i in range(chains + 1):
+            assert batch[i] == loss(thetas[i])
