@@ -12,18 +12,17 @@ __version__ = "0.1.0"
 
 from .numerics import (DEFAULT_QUAD_ORDER, FactorError, MinimizeResult,
                        QuadratureRule, build_rule, gauss_legendre_01,
-                       integrate, minimize_box, sym_psd_factor)
+                       minimize_box, sym_psd_factor)
 from .models import (SCENARIO_NAMES, DesignRule, DomainBox, MathModel,
-                     PhysicalSystem, eval_bias, make_scenario, scenario_names,
+                     PhysicalSystem, eval_bias, make_scenario,
                      validate_derivatives)
 from .smoother import (DEFAULT_LAMBDA_GRID, Dataset, DegenerateSmootherError,
                        GcvGrid, KernelSpec, SmootherFit, default_rho_grid,
                        fit_smoother, fit_smoother_fixed, gcv_score,
                        kernel_matrix, read_dataset_csv, write_dataset_csv)
-from .calibration import (CalibrationEstimate, estimate_theta, l2_loss,
-                          l2_loss_fn, l2_loss_grad, l2_loss_hess,
-                          linear_theta_hat, ols_loss, ols_loss_fn,
-                          ols_loss_grad, ols_loss_hess)
+from .calibration import (CalibrationEstimate, estimate_theta, l2_loss_fn,
+                          l2_loss_grad, l2_loss_hess, linear_theta_hat,
+                          ols_loss_fn, ols_loss_grad, ols_loss_hess)
 from .asymptotics import (CONDITIONAL_FORMS, SandwichMatrices,
                           SingularCurvatureError, conditional_matrices,
                           marginal_matrices, ols_matrices,
@@ -45,21 +44,20 @@ __all__ = [
     "__version__",
     # numerics
     "DEFAULT_QUAD_ORDER", "FactorError", "MinimizeResult", "QuadratureRule",
-    "build_rule", "gauss_legendre_01", "integrate", "minimize_box",
+    "build_rule", "gauss_legendre_01", "minimize_box",
     "sym_psd_factor",
     # models
     "SCENARIO_NAMES", "DesignRule", "DomainBox", "MathModel",
-    "PhysicalSystem", "eval_bias", "make_scenario", "scenario_names",
-    "validate_derivatives",
+    "PhysicalSystem", "eval_bias", "make_scenario", "validate_derivatives",
     # smoother
     "DEFAULT_LAMBDA_GRID", "Dataset", "DegenerateSmootherError", "GcvGrid",
     "KernelSpec", "SmootherFit", "default_rho_grid", "fit_smoother",
     "fit_smoother_fixed", "gcv_score", "kernel_matrix", "read_dataset_csv",
     "write_dataset_csv",
     # calibration
-    "CalibrationEstimate", "estimate_theta", "l2_loss", "l2_loss_fn",
-    "l2_loss_grad", "l2_loss_hess", "linear_theta_hat", "ols_loss",
-    "ols_loss_fn", "ols_loss_grad", "ols_loss_hess",
+    "CalibrationEstimate", "estimate_theta", "l2_loss_fn", "l2_loss_grad",
+    "l2_loss_hess", "linear_theta_hat", "ols_loss_fn", "ols_loss_grad",
+    "ols_loss_hess",
     # asymptotics
     "CONDITIONAL_FORMS", "SandwichMatrices", "SingularCurvatureError",
     "conditional_matrices", "marginal_matrices", "ols_matrices",

@@ -8,8 +8,10 @@ Two losses are supported:
 * the ordinary least squares loss
       ols(theta) = mean_i (y_i - eta(theta, x_i))^2.
 
-Both come with analytic gradients and Hessians in theta, and a shared
-multistart estimator that minimises them over the parameter box.
+Both are weighted sums of squares, sum_i w_i (y_i - eta(theta, x_i))^2, so
+one ``LossTerms`` object gives either loss, its gradient and its Hessian in
+theta; a shared multistart Newton estimator minimises them over the
+parameter box.
 """
 
 from __future__ import annotations
@@ -32,81 +34,90 @@ def _mu_at(mu_like, x: np.ndarray) -> np.ndarray:
     raise TypeError("expected a SmootherFit or a callable mean function")
 
 
-def l2_loss_terms(mu_like, model: MathModel, rule: QuadratureRule):
-    """Precompute (nodes, weights, mu values) for repeated loss evaluation."""
+@dataclass(frozen=True)
+class LossTerms:
+    """A calibration loss  sum_i w_i (y_i - eta(theta, x_i))^2  with every
+    theta-free piece computed once: points x, weights w and targets y.
+
+    The l2 loss uses the quadrature nodes and weights and the smoothed mean
+    at the nodes; the OLS loss uses the design, weights 1/n and the
+    responses. ``value`` takes one theta (p,) or a batch (c, p); ``grad`` and
+    ``hess`` take one theta.
+    """
+
+    model: MathModel
+    points: np.ndarray
+    weights: np.ndarray
+    target: np.ndarray
+
+    def _resid(self, theta):
+        return self.target - self.model.eta(theta, self.points)
+
+    def value(self, theta):
+        """A float for one theta (p,), a (c,) array for a batch (c, p)."""
+        theta = np.asarray(theta, dtype=float)
+        resid = self._resid(theta)
+        val = (self.weights * resid * resid).sum(axis=-1)
+        return float(val) if theta.ndim == 1 else val
+
+    def grad(self, theta) -> np.ndarray:
+        theta = np.asarray(theta, dtype=float)
+        g = self.model.grad_eta(theta, self.points)
+        return -2.0 * g.T @ (self.weights * self._resid(theta))
+
+    def hess(self, theta) -> np.ndarray:
+        theta = np.asarray(theta, dtype=float)
+        w = self.weights
+        g = self.model.grad_eta(theta, self.points)
+        h = self.model.hess_eta(theta, self.points)
+        gram = (g * w[:, None]).T @ g
+        curve = np.einsum("m,mij->ij", w * self._resid(theta), h)
+        return 2.0 * (gram - curve)
+
+
+def l2_loss_terms(mu_like, model: MathModel, rule: QuadratureRule) -> LossTerms:
+    """The l2 loss with the smoothed mean evaluated once at the nodes."""
     nodes = rule.nodes
     if not model.x_box.contains(nodes):
         raise ValueError("quadrature rule extends outside the model input box")
-    return nodes, rule.weights, _mu_at(mu_like, nodes)
+    return LossTerms(model, nodes, rule.weights, _mu_at(mu_like, nodes))
 
 
-def l2_loss_fn(mu_like, model: MathModel, rule: QuadratureRule):
-    """Closure theta -> l2 loss, with the smoothed mean evaluated once: a
-    float for one theta (p,), a (c,) array for a batch (c, p)."""
-    nodes, w, mu = l2_loss_terms(mu_like, model, rule)
-
-    def loss(theta):
-        theta = np.asarray(theta, dtype=float)
-        resid = mu - model.eta(theta, nodes)
-        val = (w * resid * resid).sum(axis=-1)
-        return float(val) if theta.ndim == 1 else val
-
-    return loss
+def ols_loss_terms(data: Dataset, model: MathModel) -> LossTerms:
+    return LossTerms(model, data.design, np.full(data.n, 1.0 / data.n),
+                     data.responses)
 
 
-def l2_loss(theta, mu_like, model: MathModel, rule: QuadratureRule) -> float:
-    return l2_loss_fn(mu_like, model, rule)(theta)
+def l2_loss_fn(mu_like, model: MathModel, rule: QuadratureRule, *,
+               terms: LossTerms | None = None):
+    """Closure theta -> l2 loss (see ``LossTerms.value``); pass ``terms``
+    to reuse an ``l2_loss_terms`` result."""
+    if terms is None:
+        terms = l2_loss_terms(mu_like, model, rule)
+    return terms.value
 
 
 def l2_loss_grad(theta, mu_like, model: MathModel, rule: QuadratureRule) -> np.ndarray:
-    nodes, w, mu = l2_loss_terms(mu_like, model, rule)
-    theta = np.asarray(theta, dtype=float)
-    resid = mu - model.eta(theta, nodes)
-    g = model.grad_eta(theta, nodes)
-    return -2.0 * g.T @ (w * resid)
+    return l2_loss_terms(mu_like, model, rule).grad(theta)
 
 
 def l2_loss_hess(theta, mu_like, model: MathModel, rule: QuadratureRule) -> np.ndarray:
-    nodes, w, mu = l2_loss_terms(mu_like, model, rule)
-    theta = np.asarray(theta, dtype=float)
-    resid = mu - model.eta(theta, nodes)
-    g = model.grad_eta(theta, nodes)
-    h = model.hess_eta(theta, nodes)
-    gram = (g * w[:, None]).T @ g
-    curve = np.einsum("m,mij->ij", w * resid, h)
-    return 2.0 * (gram - curve)
+    return l2_loss_terms(mu_like, model, rule).hess(theta)
 
 
-def ols_loss_fn(data: Dataset, model: MathModel):
-    x, y = data.design, data.responses
-
-    def loss(theta):
-        theta = np.asarray(theta, dtype=float)
-        r = y - model.eta(theta, x)
-        return float(np.mean(r * r))
-
-    return loss
-
-
-def ols_loss(theta, data: Dataset, model: MathModel) -> float:
-    return ols_loss_fn(data, model)(theta)
+def ols_loss_fn(data: Dataset, model: MathModel, *, terms: LossTerms | None = None):
+    """Closure theta -> mean squared residual; ``terms`` as in ``l2_loss_fn``."""
+    if terms is None:
+        terms = ols_loss_terms(data, model)
+    return terms.value
 
 
 def ols_loss_grad(theta, data: Dataset, model: MathModel) -> np.ndarray:
-    theta = np.asarray(theta, dtype=float)
-    r = data.responses - model.eta(theta, data.design)
-    g = model.grad_eta(theta, data.design)
-    return (-2.0 / data.n) * g.T @ r
+    return ols_loss_terms(data, model).grad(theta)
 
 
 def ols_loss_hess(theta, data: Dataset, model: MathModel) -> np.ndarray:
-    theta = np.asarray(theta, dtype=float)
-    r = data.responses - model.eta(theta, data.design)
-    g = model.grad_eta(theta, data.design)
-    h = model.hess_eta(theta, data.design)
-    gram = g.T @ g
-    curve = np.einsum("m,mij->ij", r, h)
-    return (2.0 / data.n) * (gram - curve)
+    return ols_loss_terms(data, model).hess(theta)
 
 
 @dataclass
@@ -136,21 +147,21 @@ def estimate_theta(source, model: MathModel, rule: QuadratureRule | None = None,
     if method == "l2":
         if rule is None:
             raise ValueError("the l2 method needs a quadrature rule")
-        loss = l2_loss_fn(source, model, rule)
-        hess = lambda th: l2_loss_hess(th, source, model, rule)
+        terms = l2_loss_terms(source, model, rule)
+        loss = l2_loss_fn(source, model, rule, terms=terms)
     elif method == "ols":
         data = source.data if isinstance(source, SmootherFit) else source
         if not isinstance(data, Dataset):
             raise TypeError("the ols method needs a Dataset or SmootherFit")
-        loss = ols_loss_fn(data, model)
-        hess = lambda th: ols_loss_hess(th, data, model)
+        terms = ols_loss_terms(data, model)
+        loss = ols_loss_fn(data, model, terms=terms)
     else:
         raise ValueError(f"unknown method {method!r}; choose 'l2' or 'ols'")
 
-    res = minimize_box(loss, model.theta_box.lower, model.theta_box.upper,
-                       seed=seed, n_starts=n_starts)
+    res = minimize_box(loss, terms.grad, terms.hess, model.theta_box.lower,
+                       model.theta_box.upper, seed=seed, n_starts=n_starts)
     return CalibrationEstimate(theta=res.x, value=res.value, method=method,
-                               hessian=hess(res.x), converged=res.converged,
+                               hessian=terms.hess(res.x), converged=res.converged,
                                n_starts=res.n_starts)
 
 

@@ -322,10 +322,6 @@ _SCENARIOS = {
 SCENARIO_NAMES = tuple(sorted(_SCENARIOS))
 
 
-def scenario_names() -> list[str]:
-    return list(SCENARIO_NAMES)
-
-
 def make_scenario(name: str):
     """Return (model, system, defaults) for a named scenario.
 
@@ -335,6 +331,6 @@ def make_scenario(name: str):
         factory = _SCENARIOS[name]
     except KeyError:
         raise ValueError(
-            f"unknown scenario {name!r}; available: {', '.join(scenario_names())}"
+            f"unknown scenario {name!r}; available: {', '.join(SCENARIO_NAMES)}"
         ) from None
     return factory()

@@ -1,6 +1,6 @@
 """Deterministic quadrature, box-constrained optimisation and matrix factors.
 
-Everything downstream funnels its integrals and minimisations through this
+Everything downstream takes its quadrature rules and minimisations from this
 module so that results are reproducible bit-for-bit for a given seed.
 """
 
@@ -9,8 +9,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize
-from scipy.stats import qmc
 
 DEFAULT_QUAD_ORDER = 64
 
@@ -66,47 +64,96 @@ def build_rule(lower, upper, order: int = DEFAULT_QUAD_ORDER) -> QuadratureRule:
     return QuadratureRule(nodes=nodes, weights=weights, lower=lower, upper=upper)
 
 
-def integrate(f, rule: QuadratureRule):
-    """Integrate a scalar- or array-valued function over the rule's box.
-
-    ``f`` is called once per node with a (k,) point and must return a finite
-    float or array of fixed shape.
-    """
-    total = None
-    for i, (x, w) in enumerate(zip(rule.nodes, rule.weights)):
-        val = np.asarray(f(x), dtype=float)
-        if not np.all(np.isfinite(val)):
-            raise ValueError(f"integrand returned a non-finite value at node {i}: x={x}")
-        total = w * val if total is None else total + w * val
-    if total is None:
-        raise ValueError("empty quadrature rule")
-    return float(total) if total.ndim == 0 else total
-
-
 @dataclass
 class MinimizeResult:
     x: np.ndarray
     value: float
     converged: bool
     n_starts: int
+    n_evals: int        # calls to f over all starts
+    best_start: int     # index of the winning start; 0 is the box centre
+
+
+GTOL = 1e-10        # stop once the projected gradient is this small
+FTOL = 1e-12        # ... or once a Newton step promises less than FTOL |f|
+MAX_NEWTON_ITER = 100
 
 
 def _latin_starts(lower, upper, n, seed):
-    # scrambled LHS keeps multistart coverage even for small n
-    sampler = qmc.LatinHypercube(d=lower.size, seed=seed)
-    u = sampler.random(n)
+    """Latin hypercube points in the box.
+
+    Bit for bit ``scipy.stats.qmc.LatinHypercube(d, seed=seed).random(n)``:
+    uniform jitter first, then one permutation of 1..n per axis.
+    """
+    rng = np.random.default_rng(seed)
+    jitter = rng.uniform(size=(n, lower.size))
+    perms = np.column_stack([rng.permutation(np.arange(1, n + 1))
+                             for _ in range(lower.size)])
+    u = (perms - jitter) / n
     return lower + u * (upper - lower)
 
 
-def minimize_box(f, lower, upper, seed: int = 0, n_starts: int = 10,
-                 polish: bool = True) -> MinimizeResult:
-    """Multistart Nelder-Mead over a box, followed by a quasi-Newton polish.
+def _newton_descent(f, grad, hess, x, lower, upper):
+    """Damped projected Newton from x; returns (x, value, converged, evals).
 
-    Starts are the box centre plus ``n_starts - 1`` Latin hypercube draws.
-    The polish uses L-BFGS-B with central finite differences. Determinism:
-    the same (f, box, seed, n_starts) always returns bit-identical output.
-    Ties between starts are broken by loss value, then by lexicographically
-    smallest argmin.
+    A coordinate on a bound whose gradient points out of the box is held
+    fixed. On the free coordinates the step solves (H + mu I) s = -g with
+    the smallest shift mu that makes the matrix positive definite and keeps
+    the step within the box diameter; the trial point is clipped to the box
+    and accepted only if f does not rise (a non-finite f is a rise), and
+    each rejection raises mu. Converged means a small projected gradient
+    with no negative curvature, or an undamped Newton step that is too small
+    to move x or that f, at its rounding level, cannot tell from no step.
+    """
+    fx, evals = f(x), 1
+    for _ in range(MAX_NEWTON_ITER):
+        if not np.isfinite(fx):
+            break
+        g, h = grad(x), hess(x)
+        if not (np.isfinite(g).all() and np.isfinite(h).all()):
+            break
+        free = ~(((x <= lower) & (g > 0)) | ((x >= upper) & (g < 0)))
+        if not free.any():
+            return x, fx, True, evals
+        gf = g[free]
+        eig, vec = np.linalg.eigh(h[free][:, free])
+        if np.abs(gf).max() <= GTOL and eig[0] >= 0.0:
+            return x, fx, True, evals
+        gv = vec.T @ gf
+        diam = np.linalg.norm(upper[free] - lower[free])
+        shift = max(0.0, np.linalg.norm(gf) / diam - eig[0])
+        while True:
+            trial = x.copy()
+            trial[free] = np.clip(x[free] - vec @ (gv / (eig + shift)),
+                                  lower[free], upper[free])
+            if np.array_equal(trial, x):
+                return x, fx, shift == 0.0, evals
+            ft = f(trial)
+            evals += 1
+            if ft <= fx:
+                break
+            if shift == 0.0:
+                # the Newton step promised less than f can resolve
+                if 0.5 * np.sum(gv * gv / eig) <= FTOL * abs(fx):
+                    return x, fx, True, evals
+                shift = np.abs(eig).max()
+            else:
+                shift *= 4.0
+        x, fx = trial, ft
+    return x, fx, False, evals
+
+
+def minimize_box(f, grad, hess, lower, upper, seed: int = 0,
+                 n_starts: int = 10) -> MinimizeResult:
+    """Multistart damped Newton over a box, for any smooth f.
+
+    ``grad`` and ``hess`` give the gradient (p,) and Hessian (p, p) of f.
+    Starts are the box centre plus ``n_starts - 1`` Latin hypercube draws;
+    each descends by ``_newton_descent``. Determinism: the same (f, box,
+    seed, n_starts) always returns bit-identical output. Among starts with a
+    finite value the lowest value wins, ties going to the lexicographically
+    smallest point; ``converged`` is the winner's flag, and it is False when
+    no start reaches a finite value.
     """
     lower = np.atleast_1d(np.asarray(lower, dtype=float))
     upper = np.atleast_1d(np.asarray(upper, dtype=float))
@@ -119,26 +166,17 @@ def minimize_box(f, lower, upper, seed: int = 0, n_starts: int = 10,
     if n_starts > 1:
         starts.extend(_latin_starts(lower, upper, n_starts - 1, seed))
 
-    bounds = list(zip(lower, upper))
-    best = None
-    for x0 in starts:
-        res = optimize.minimize(f, x0, method="Nelder-Mead", bounds=bounds,
-                                options={"xatol": 1e-10, "fatol": 1e-12,
-                                         "maxiter": 2000 * lower.size})
-        x, val, ok = np.clip(res.x, lower, upper), float(res.fun), bool(res.success)
-        if polish:
-            res2 = optimize.minimize(f, x, method="L-BFGS-B", jac="3-point",
-                                     bounds=bounds,
-                                     options={"ftol": 1e-15, "gtol": 1e-10,
-                                              "maxiter": 500})
-            if np.isfinite(res2.fun) and res2.fun <= val:
-                x, val = np.clip(res2.x, lower, upper), float(res2.fun)
-                ok = ok or bool(res2.success)
-        cand = (val, tuple(x), ok)
-        if best is None or cand[:2] < best[:2]:
+    best, n_evals = None, 0
+    for i, x0 in enumerate(starts):
+        x, val, ok, evals = _newton_descent(f, grad, hess, x0, lower, upper)
+        n_evals += evals
+        cand = (float(val), tuple(x), ok, i)
+        if np.isfinite(cand[0]) and (best is None or cand[:2] < best[:2]):
             best = cand
-    return MinimizeResult(x=np.array(best[1]), value=best[0],
-                          converged=best[2], n_starts=n_starts)
+    if best is None:
+        best = (float("nan"), tuple(starts[0]), False, 0)
+    return MinimizeResult(x=np.array(best[1]), value=best[0], converged=bool(best[2]),
+                          n_starts=n_starts, n_evals=n_evals, best_start=best[3])
 
 
 def sym_psd_factor(a: np.ndarray, tol: float = 1e-10) -> np.ndarray:

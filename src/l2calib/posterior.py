@@ -16,9 +16,9 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, field
+from statistics import NormalDist
 
 import numpy as np
-from scipy.special import ndtri
 
 from .calibration import CalibrationEstimate, linear_theta_hat
 from .models import DomainBox
@@ -284,10 +284,6 @@ def conjugate_posterior(fit: SmootherFit, n: int, tau2: float, gamma: float,
 # intervals and Monte Carlo error
 # ---------------------------------------------------------------------------
 
-def _normal_quantile(q: float) -> float:
-    return float(ndtri(q))
-
-
 def _hpd_from_draws(x: np.ndarray, level: float) -> tuple[float, float]:
     xs = np.sort(x)
     m = xs.size
@@ -311,7 +307,7 @@ def credible_interval(obj, level: float = 0.95, mode: str = "quantile") -> np.nd
     if not 0.0 < level < 1.0:
         raise ValueError("level must be in (0, 1)")
     if isinstance(obj, LaplaceApprox):
-        z = _normal_quantile(0.5 + level / 2.0)
+        z = NormalDist().inv_cdf(0.5 + level / 2.0)
         sd = obj.sd
         return np.column_stack([obj.mean - z * sd, obj.mean + z * sd])
     if isinstance(obj, PosteriorSample):

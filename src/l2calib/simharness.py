@@ -16,9 +16,9 @@ import json
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
 from functools import partial
+from statistics import NormalDist
 
 import numpy as np
-from scipy.special import ndtri
 
 from . import __version__
 from .asymptotics import conditional_matrices, marginal_matrices
@@ -220,11 +220,11 @@ def run_replicate(index: int, config: StudyConfig, model, system, rule,
     return record
 
 
-def _study_slice(config_dict: dict, indices: list[int]) -> list[dict]:
+def _study_slice(config_dict: dict, theta_star: np.ndarray,
+                 indices: list[int]) -> list[dict]:
     config = StudyConfig(**{**config_dict, "analyses": tuple(config_dict["analyses"])})
     model, system, defaults = make_scenario(config.scenario)
     rule = build_rule(model.x_box.lower, model.x_box.upper, config.quad_order)
-    theta_star = oracle_theta(config.scenario, config.quad_order)
     n = config.n if config.n is not None else defaults["n"]
     grid = None
     if system.design.kind == "equidistant":
@@ -344,9 +344,11 @@ def _map_slices(slice_fn, workers: int, replicates: int, *args) -> list[dict]:
 
 def run_study(config: StudyConfig) -> SimulationReport:
     cd = config.to_dict()
-    records = _map_slices(_study_slice, config.workers, config.replicates, cd)
-    records.sort(key=lambda r: r["index"])
+    # once, in this process: pool workers receive theta* instead of re-deriving it
     theta_star = oracle_theta(config.scenario, config.quad_order)
+    records = _map_slices(_study_slice, config.workers, config.replicates, cd,
+                          theta_star)
+    records.sort(key=lambda r: r["index"])
     analyses = aggregate_records(records, config.analyses)
     flag_counts: dict = {}
     for r in records:
@@ -438,7 +440,7 @@ def _closed_form_slice(config_dict: dict, n: int, indices: list[int]) -> list[di
 
 
 def run_closed_form_study(cfg: ClosedFormStudyConfig) -> SimulationReport:
-    z = float(ndtri(0.5 + cfg.level / 2.0))
+    z = NormalDist().inv_cdf(0.5 + cfg.level / 2.0)
     theta_star = float(oracle_theta("simple-linear", cfg.quad_order)[0])
     cd = cfg.to_dict()
     tables = {}

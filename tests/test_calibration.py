@@ -1,12 +1,14 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from l2calib.calibration import (estimate_theta, l2_loss, l2_loss_fn,
-                                 l2_loss_grad, l2_loss_hess, linear_theta_hat,
-                                 ols_loss, ols_loss_grad, ols_loss_hess)
+from l2calib.calibration import (estimate_theta, l2_loss_fn, l2_loss_grad,
+                                 l2_loss_hess, linear_theta_hat, ols_loss_fn,
+                                 ols_loss_grad, ols_loss_hess)
 from l2calib.models import SCENARIO_NAMES, make_scenario
 from l2calib.numerics import build_rule
 from l2calib.simharness import generate_replicate
@@ -21,7 +23,7 @@ def test_l2_loss_zero_when_mean_equals_model():
     model, _, _ = make_scenario("simple-linear")
     rule = _rule(model)
     mu = lambda pts: 4.0 * pts[:, 0]
-    assert l2_loss([4.0], mu, model, rule) == pytest.approx(0.0, abs=1e-15)
+    assert l2_loss_fn(mu, model, rule)([4.0]) == pytest.approx(0.0, abs=1e-15)
 
 
 def test_l2_loss_linear_closed_form():
@@ -29,8 +31,8 @@ def test_l2_loss_linear_closed_form():
     model, _, _ = make_scenario("simple-linear")
     rule = _rule(model)
     mu = lambda pts: 4.0 * pts[:, 0]
-    assert_allclose(l2_loss([1.0], mu, model, rule), 3.0, atol=1e-12)
-    assert_allclose(l2_loss([-2.0], mu, model, rule), 12.0, atol=1e-12)
+    assert_allclose(l2_loss_fn(mu, model, rule)([1.0]), 3.0, atol=1e-12)
+    assert_allclose(l2_loss_fn(mu, model, rule)([-2.0]), 12.0, atol=1e-12)
 
 
 def test_l2_loss_quadratic_in_theta_for_linear_model():
@@ -50,7 +52,7 @@ def test_l2_loss_dense_grid_cross_check():
     model, system, _ = make_scenario("scenario2")
     rule = _rule(model)
     theta = np.array([1.3])
-    val = l2_loss(theta, system.mu, model, rule)
+    val = l2_loss_fn(system.mu, model, rule)(theta)
     xs = np.linspace(0.0, 1.0, 200_001).reshape(-1, 1)
     integrand = (np.asarray(system.mu(xs)) - model.eta(theta, xs)) ** 2
     dense = np.trapezoid(integrand, xs[:, 0])
@@ -105,13 +107,13 @@ def test_discrepancy_term_shifts_hessian():
 def test_ols_loss_values():
     model, _, _ = make_scenario("simple-linear")
     one = Dataset(design=np.array([[1.0]]), responses=np.array([2.0]))
-    assert ols_loss([1.0], one, model) == pytest.approx(1.0)
+    assert ols_loss_fn(one, model)([1.0]) == pytest.approx(1.0)
     x = np.linspace(0.1, 1.0, 5).reshape(-1, 1)
     exact = Dataset(design=x, responses=3.0 * x[:, 0])
-    assert ols_loss([3.0], exact, model) == pytest.approx(0.0, abs=1e-15)
+    assert ols_loss_fn(exact, model)([3.0]) == pytest.approx(0.0, abs=1e-15)
     rng = np.random.default_rng(1)
     noisy = Dataset(design=x, responses=rng.standard_normal(5))
-    assert ols_loss([2.0], noisy, model) >= 0.0
+    assert ols_loss_fn(noisy, model)([2.0]) >= 0.0
 
 
 def test_ols_derivatives_linear_model():
@@ -177,7 +179,7 @@ def test_loss_rejects_rule_outside_model_box():
     model, system, _ = make_scenario("scenario3")  # x box is [0, 1]
     wide = build_rule([0.0], [1.5], 16)
     with pytest.raises(ValueError, match="outside"):
-        l2_loss([3.0], system.mu, model, wide)
+        l2_loss_fn(system.mu, model, wide)([3.0])
 
 
 @settings(max_examples=40, deadline=None)
@@ -193,3 +195,49 @@ def test_l2_loss_batch_rows_equal_single_theta(name, chains, seed):
     assert batch.shape == (chains,)
     for i in range(chains):
         assert batch[i] == loss(thetas[i])
+
+
+def _linear_model_nan_above(cut):
+    """simple-linear's model, with eta NaN wherever theta > cut."""
+    base, system, _ = make_scenario("simple-linear")
+
+    def eta(theta, x):
+        theta = np.asarray(theta, dtype=float)
+        return np.where(theta[..., :1] > cut, np.nan, base.eta(theta, x))
+
+    return dataclasses.replace(base, eta=eta), system
+
+
+def test_estimate_survives_non_finite_loss_on_part_of_box():
+    # NaN loss on theta > 6; the minimiser (about 3.57) lies in the finite part
+    model, system = _linear_model_nan_above(6.0)
+    clean, _, _ = make_scenario("simple-linear")
+    rule = _rule(model)
+    est = estimate_theta(system.mu, model, rule, seed=4)
+    ref = estimate_theta(system.mu, clean, rule, seed=4)
+    assert est.converged
+    assert_allclose(est.theta, ref.theta, atol=1e-10)
+
+
+def test_estimate_not_converged_when_minimiser_is_non_finite():
+    # NaN loss on theta > 3 hides the minimiser: the descent stalls at the
+    # edge of the finite region, which is no stationary point
+    model, system = _linear_model_nan_above(3.0)
+    est = estimate_theta(system.mu, model, _rule(model), seed=4)
+    assert not est.converged
+    assert np.isfinite(est.value) and 2.9 < est.theta[0] <= 3.0
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.sampled_from([n for n in SCENARIO_NAMES
+                        if make_scenario(n)[0].n_params == 1]),
+       st.integers(0, 2**31 - 1))
+def test_estimate_loss_at_most_grid_minimum(name, seed):
+    model, system, defaults = make_scenario(name)
+    rule = _rule(model)
+    data = generate_replicate(system, defaults["n"], seed)
+    fit = fit_smoother(data)
+    est = estimate_theta(fit, model, rule, seed=seed)
+    grid = np.linspace(model.theta_box.lower[0], model.theta_box.upper[0], 2001)
+    assert est.converged
+    assert est.value <= l2_loss_fn(fit, model, rule)(grid[:, None]).min()

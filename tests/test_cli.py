@@ -1,7 +1,11 @@
 import argparse
 import csv
 import json
+import os
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,6 +19,8 @@ from l2calib.scaling import curvature_adjustment, magnitude_gamma
 from l2calib.simharness import generate_replicate
 from l2calib.models import make_scenario
 from l2calib.smoother import fit_smoother, write_dataset_csv
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
 def test_fit_generated_data(tmp_path, capsys):
@@ -314,3 +320,11 @@ def test_io_failure(tmp_path, capsys):
                "--out", str(tmp_path / "no-such-dir" / "fit.json")])
     assert rc == 3
     assert "I/O failure" in capsys.readouterr().err
+
+
+def test_cli_import_loads_no_scipy():
+    code = ("import sys, l2calib.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, env={**os.environ, "PYTHONPATH": SRC})
+    assert out.stdout.strip() == "[]"

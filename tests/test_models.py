@@ -6,7 +6,7 @@ from numpy.testing import assert_allclose
 
 from l2calib.models import (SCENARIO_NAMES, DesignRule, DomainBox,
                             PhysicalSystem, eval_bias, make_scenario,
-                            scenario_names, validate_derivatives)
+                            validate_derivatives)
 
 
 def test_domain_box_basics():
@@ -43,7 +43,6 @@ def test_physical_system_rejects_negative_sigma():
 def test_registry_names():
     assert SCENARIO_NAMES == ("scenario1", "scenario2", "scenario3",
                               "simple-linear")
-    assert scenario_names() == list(SCENARIO_NAMES)
     with pytest.raises(ValueError, match="scenario1"):
         make_scenario("nope")
 

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -10,7 +11,7 @@ from l2calib.numerics import build_rule
 from l2calib.simharness import (ClosedFormStudyConfig, StudyConfig,
                                 brute_force_theta, generate_replicate,
                                 oracle_theta, parse_analysis,
-                                run_closed_form_study, run_study)
+                                run_closed_form_study, run_replicate, run_study)
 from l2calib.smoother import GcvGrid
 
 
@@ -240,3 +241,24 @@ def test_closed_form_study_prior_in_interval():
     flat = run_closed_form_study(ClosedFormStudyConfig(replicates=40, seed=2))
     assert abs(report.analyses["n=4,gamma=1"]["mean_post_mean"]) < \
         abs(flat.analyses["n=4,gamma=1"]["mean_post_mean"])
+
+
+def test_replicate_flags_estimate_not_converged_on_non_finite_model():
+    # eta is NaN for theta > 3 while the loss minimiser sits near 3.57: the
+    # estimate stalls on the edge of the finite region, and the replicate is
+    # flagged instead of crashing
+    base, system, defaults = make_scenario("simple-linear")
+
+    def eta(theta, x):
+        theta = np.asarray(theta, dtype=float)
+        return np.where(theta[..., :1] > 3.0, np.nan, base.eta(theta, x))
+
+    model = dataclasses.replace(base, eta=eta)
+    rule = build_rule(model.x_box.lower, model.x_box.upper, 32)
+    config = StudyConfig(scenario="simple-linear", replicates=1,
+                         analyses=("marginal-magnitude",))
+    record = run_replicate(0, config, model, system, rule, np.array([3.5]),
+                           defaults["n"], grid=None)
+    assert "estimate-not-converged" in record["flags"]
+    assert record["theta_hat"][0] <= 3.0
+    assert "post_mean" in record["analyses"]["marginal-magnitude"]
