@@ -10,70 +10,26 @@ random-walk Metropolis, or in closed form for straight-line models.
 
 __version__ = "0.1.0"
 
-from .numerics import (DEFAULT_QUAD_ORDER, FactorError, MinimizeResult,
-                       QuadratureRule, build_rule, gauss_legendre_01,
-                       minimize_box, sym_psd_factor)
-from .models import (SCENARIO_NAMES, DesignRule, DomainBox, MathModel,
-                     PhysicalSystem, eval_bias, make_scenario,
-                     validate_derivatives)
-from .smoother import (DEFAULT_LAMBDA_GRID, Dataset, DegenerateSmootherError,
-                       GcvGrid, KernelSpec, SmootherFit, default_rho_grid,
-                       fit_smoother, fit_smoother_fixed, gcv_score,
-                       kernel_matrix, read_dataset_csv, write_dataset_csv)
-from .calibration import (CalibrationEstimate, estimate_theta, l2_loss_fn,
-                          l2_loss_grad, l2_loss_hess, linear_theta_hat,
-                          ols_loss_fn, ols_loss_grad, ols_loss_hess)
-from .asymptotics import (CONDITIONAL_FORMS, SandwichMatrices,
-                          SingularCurvatureError, conditional_matrices,
-                          marginal_matrices, ols_matrices,
-                          weight_decay_diagnostic)
-from .scaling import (ScalingAdjustment, ScalingError, curvature_adjustment,
-                      fixed_gamma, linear_estimator_variance,
-                      magnitude_adjustment, magnitude_gamma, no_scaling,
-                      scaled_loss, variance_matching_gamma)
-from .posterior import (LaplaceApprox, PosteriorSample, Prior,
-                        SamplerSettings, batch_mcse, conjugate_posterior,
-                        credible_interval, laplace_approx, log_gen_posterior,
-                        sample_posterior, split_rhat, write_draws_csv)
-from .simharness import (DEFAULT_ANALYSES, ClosedFormStudyConfig,
-                         SimulationReport, StudyConfig, brute_force_theta,
-                         generate_replicate, oracle_theta,
+from .numerics import build_rule
+from .models import make_scenario
+from .smoother import fit_smoother
+from .calibration import estimate_theta, l2_loss_fn
+from .asymptotics import conditional_matrices, marginal_matrices
+from .scaling import curvature_adjustment, magnitude_adjustment, scaled_loss
+from .posterior import (Prior, SamplerSettings, credible_interval,
+                        laplace_approx, sample_posterior)
+from .simharness import (ClosedFormStudyConfig, StudyConfig, generate_replicate,
                          run_closed_form_study, run_study)
 
+# the README quickstart and the study entry points; import anything else
+# from its module
 __all__ = [
     "__version__",
-    # numerics
-    "DEFAULT_QUAD_ORDER", "FactorError", "MinimizeResult", "QuadratureRule",
-    "build_rule", "gauss_legendre_01", "minimize_box",
-    "sym_psd_factor",
-    # models
-    "SCENARIO_NAMES", "DesignRule", "DomainBox", "MathModel",
-    "PhysicalSystem", "eval_bias", "make_scenario", "validate_derivatives",
-    # smoother
-    "DEFAULT_LAMBDA_GRID", "Dataset", "DegenerateSmootherError", "GcvGrid",
-    "KernelSpec", "SmootherFit", "default_rho_grid", "fit_smoother",
-    "fit_smoother_fixed", "gcv_score", "kernel_matrix", "read_dataset_csv",
-    "write_dataset_csv",
-    # calibration
-    "CalibrationEstimate", "estimate_theta", "l2_loss_fn", "l2_loss_grad",
-    "l2_loss_hess", "linear_theta_hat", "ols_loss_fn", "ols_loss_grad",
-    "ols_loss_hess",
-    # asymptotics
-    "CONDITIONAL_FORMS", "SandwichMatrices", "SingularCurvatureError",
-    "conditional_matrices", "marginal_matrices", "ols_matrices",
-    "weight_decay_diagnostic",
-    # scaling
-    "ScalingAdjustment", "ScalingError", "curvature_adjustment",
-    "fixed_gamma", "linear_estimator_variance", "magnitude_adjustment",
-    "magnitude_gamma", "no_scaling", "scaled_loss",
-    "variance_matching_gamma",
-    # posterior
-    "LaplaceApprox", "PosteriorSample", "Prior", "SamplerSettings",
-    "batch_mcse", "conjugate_posterior", "credible_interval",
-    "laplace_approx", "log_gen_posterior", "sample_posterior", "split_rhat",
-    "write_draws_csv",
-    # simulation harness
-    "DEFAULT_ANALYSES", "ClosedFormStudyConfig", "SimulationReport",
-    "StudyConfig", "brute_force_theta", "generate_replicate", "oracle_theta",
-    "run_closed_form_study", "run_study",
+    "build_rule", "make_scenario", "generate_replicate", "fit_smoother",
+    "estimate_theta", "l2_loss_fn", "marginal_matrices",
+    "conditional_matrices", "magnitude_adjustment", "curvature_adjustment",
+    "scaled_loss", "laplace_approx", "credible_interval", "Prior",
+    "SamplerSettings", "sample_posterior",
+    "StudyConfig", "run_study", "ClosedFormStudyConfig",
+    "run_closed_form_study",
 ]

@@ -143,16 +143,3 @@ def conditional_matrices(est: CalibrationEstimate, fit: SmootherFit, model: Math
         w = 4.0 * s2 * _weighted_gram(model, est.theta, rule, extra=gnorm2)
     w = _check_psd(w, "W")
     return SandwichMatrices(V=v, W=w, variant=f"conditional-{form}", n=n, sigma2=s2)
-
-
-def weight_decay_diagnostic(fit: SmootherFit, rule: QuadratureRule) -> float:
-    """Average over x of sum_i g_i(x)^2 / i^2, reported as a health check.
-
-    Small values indicate the smoother weights decay with the observation
-    index, which the conditional asymptotics implicitly assume. Never
-    enforced, only reported.
-    """
-    g = fit.weights(rule.nodes)
-    idx2 = (np.arange(1, fit.data.n + 1, dtype=float)) ** 2
-    per_node = np.sum(g * g / idx2[None, :], axis=1)
-    return float(np.sum(rule.weights * per_node) / np.sum(rule.weights))

@@ -11,7 +11,8 @@ Two losses are supported:
 Both are weighted sums of squares, sum_i w_i (y_i - eta(theta, x_i))^2, so
 one ``LossTerms`` object gives either loss, its gradient and its Hessian in
 theta; a shared multistart Newton estimator minimises them over the
-parameter box.
+parameter box. ``StraightLine`` and the two functions after it hold the
+closed forms of the straight-line model.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import numpy as np
 
 from .models import MathModel
 from .numerics import QuadratureRule, minimize_box
-from .smoother import Dataset, SmootherFit
+from .smoother import Dataset, KernelSpec, SmootherFit, kernel_matrix
 
 
 def _mu_at(mu_like, x: np.ndarray) -> np.ndarray:
@@ -165,13 +166,57 @@ def estimate_theta(source, model: MathModel, rule: QuadratureRule | None = None,
                                n_starts=res.n_starts)
 
 
-def linear_theta_hat(fit: SmootherFit, rule: QuadratureRule) -> float:
-    """Closed-form minimiser for scalar_linear models on one input.
+class StraightLine:
+    """Minimiser and sampling variance for eta(theta, x) = theta x on one input.
 
-    For eta(theta, x) = theta x the l2 loss is quadratic in theta with
-    unconstrained minimiser  int x mu_hat(x) dx / int x^2 dx.
+    With den = int x^2 dx, q = int x k(x, .) dx over the design and
+    Phi = K + lam I = Q diag(d + lam) Q' (jitter folded into d), at fixed
+    smoother settings
+        theta_hat = q' Phi^-1 y / den = (Q'q) . (Q'y / (d + lam)) / den,
+        var = sigma^2 ||Phi^-1 q||^2 / den^2 = sigma^2 ||Q'q / (d + lam)||^2 / den^2.
+    Q'q depends on the bandwidth only, so a fixed design can cache it.
     """
-    x = rule.nodes[:, 0]
-    num = float(np.sum(rule.weights * x * fit.predict(rule.nodes)))
-    den = float(np.sum(rule.weights * x * x))
-    return num / den
+
+    def __init__(self, rule: QuadratureRule):
+        x = rule.nodes[:, 0]
+        self.nodes = rule.nodes
+        self.wx = rule.weights * x
+        self.den = float(np.sum(self.wx * x))
+
+    def qt_q(self, spec: KernelSpec, design, qmat) -> np.ndarray:
+        """Q'q for one bandwidth, Q the eigenvectors of its kernel matrix."""
+        return qmat.T @ (kernel_matrix(spec, self.nodes, design).T @ self.wx)
+
+    def theta_hat(self, qt_q, z, d, lam) -> float:
+        """The minimiser from Q'q, z = Q'y and the eigenvalues d."""
+        return float(qt_q @ (z / (d + lam))) / self.den
+
+    def variance(self, qt_q, d, lam, sigma2: float) -> float:
+        return sigma2 * float(np.sum((qt_q / (d + lam)) ** 2)) / self.den**2
+
+    def fit_terms(self, fit: SmootherFit):
+        """(Q'q, Q'y, d, lam) of a fitted smoother."""
+        q = fit.eig_vectors
+        return (self.qt_q(fit.kernel, fit.data.design, q), q.T @ fit.data.responses,
+                fit.eig_values, fit.lam)
+
+
+def matched_gamma(var: float, n: int, den: float, tau2: float) -> float:
+    """The gamma with posterior variance (2 n gamma den + 1/tau2)^-1 = var."""
+    return (1.0 / (2.0 * n * den)) * (1.0 / var - 1.0 / tau2)
+
+
+def normal_posterior(theta_hat: float, n: int, gamma: float, den: float,
+                     prior_prec: float) -> tuple[float, float]:
+    """(precision, mean) of the straight-line posterior under the gamma-scaled
+    loss and a N(0, 1/prior_prec) prior (prior_prec = 0: flat prior)."""
+    loss_prec = 2.0 * n * gamma * den
+    prec = loss_prec + prior_prec
+    return prec, loss_prec * theta_hat / prec
+
+
+def linear_theta_hat(fit: SmootherFit, rule: QuadratureRule) -> float:
+    """Closed-form l2 minimiser int x mu_hat(x) dx / int x^2 dx for
+    eta(theta, x) = theta x on one input (see ``StraightLine``)."""
+    line = StraightLine(rule)
+    return line.theta_hat(*line.fit_terms(fit))

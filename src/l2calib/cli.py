@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 from .asymptotics import (CONDITIONAL_FORMS, conditional_matrices,
                           marginal_matrices, ols_matrices)
-from .calibration import estimate_theta, l2_loss_fn
+from .calibration import estimate_theta, l2_loss_fn, linear_theta_hat
 from .models import SCENARIO_NAMES, make_scenario
 from .numerics import DEFAULT_QUAD_ORDER, build_rule
 from .posterior import (INTERVAL_MODES, Prior, SamplerSettings,
@@ -304,24 +304,19 @@ def cmd_calibrate(cfg: dict) -> int:
                 post = sample_posterior(loss, Prior.uniform(model.theta_box),
                                         data.n, seed=cfg["seed"],
                                         settings=settings)
-                entry["flags"].extend(post.flags)
                 entry["acceptance_rate"] = post.acceptance_rate
                 entry["rhat"] = post.rhat.tolist()
-                mean = post.draws.mean(axis=0)
-                sd = post.draws.std(axis=0, ddof=1)
                 samples[name] = post
             elif cfg["engine"] == "conjugate":
-                post = conjugate_posterior(fit, data.n, tau2=float("inf"),
-                                           gamma=adj.scalar_gamma, rule=rule)
-                mean, sd = post.mean, post.sd
+                post = conjugate_posterior(linear_theta_hat(fit, rule), data.n,
+                                           float("inf"), adj.scalar_gamma, rule)
             else:
                 post = laplace_approx(est, adj, data.n)
-                mean, sd = post.mean, post.sd
-                entry["flags"].extend(post.flags)
+            entry["flags"].extend(post.flags)
             ci = credible_interval(post, level=cfg["level"],
                                    mode=cfg["interval"])
-            entry.update({"post_mean": mean.tolist(), "post_sd": sd.tolist(),
-                          "interval": ci.tolist()})
+            entry.update({"post_mean": post.mean.tolist(),
+                          "post_sd": post.sd.tolist(), "interval": ci.tolist()})
         except (ScalingError, ValueError) as exc:
             entry["failed"] = True
             entry["flags"].append(f"analysis-failed: {exc}")

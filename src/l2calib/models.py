@@ -127,17 +127,6 @@ class PhysicalSystem:
             raise ValueError("sigma must be nonnegative")
 
 
-def eval_bias(model: MathModel, system: PhysicalSystem, theta, x) -> np.ndarray:
-    """Pointwise discrepancy mu(x) - eta(theta, x)."""
-    theta = np.atleast_1d(np.asarray(theta, dtype=float))
-    if not model.theta_box.contains(theta):
-        raise ValueError("theta outside the model's parameter box")
-    pts = _as_points(x, model.x_box.dim)
-    if not model.x_box.contains(pts):
-        raise ValueError("x outside the model's input box")
-    return np.asarray(system.mu(pts), dtype=float) - model.eta(theta, pts)
-
-
 def validate_derivatives(model: MathModel, seed: int = 0, n_points: int = 100,
                          rel_tol: float = 1e-5) -> dict:
     """Central finite-difference check of grad_eta and hess_eta.

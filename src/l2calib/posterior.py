@@ -20,11 +20,10 @@ from statistics import NormalDist
 
 import numpy as np
 
-from .calibration import CalibrationEstimate, linear_theta_hat
+from .calibration import CalibrationEstimate, StraightLine, normal_posterior
 from .models import DomainBox
 from .numerics import QuadratureRule, build_rule
 from .scaling import ScalingAdjustment
-from .smoother import SmootherFit
 
 MIN_INTERVAL_DRAWS = 100
 INTERVAL_MODES = ("quantile", "hpd")
@@ -119,6 +118,14 @@ class PosteriorSample:
     @property
     def n_draws(self) -> int:
         return self.draws.shape[0]
+
+    @property
+    def mean(self) -> np.ndarray:
+        return self.draws.mean(axis=0)
+
+    @property
+    def sd(self) -> np.ndarray:
+        return self.draws.std(axis=0, ddof=1)
 
 
 def split_rhat(per_chain: list[np.ndarray]) -> np.ndarray:
@@ -254,29 +261,23 @@ def laplace_approx(est: CalibrationEstimate, adj: ScalingAdjustment,
     return LaplaceApprox(mean=est.theta.copy(), cov=0.5 * (cov + cov.T), flags=flags)
 
 
-def conjugate_posterior(fit: SmootherFit, n: int, tau2: float, gamma: float,
+def conjugate_posterior(theta_hat: float, n: int, tau2: float, gamma: float,
                         rule: QuadratureRule | None = None) -> LaplaceApprox:
     """Exact normal posterior for eta(theta, x) = theta x on [0, 1].
 
-    The scaled loss is quadratic in theta, so with a N(0, tau2) prior the
-    posterior is normal with
-        precision = 2 n gamma int x^2 dx + 1/tau2,
-        mean = 2 n gamma int x^2 dx * theta_hat / precision.
+    The gamma-scaled loss is quadratic in theta about its minimiser
+    ``theta_hat`` (``calibration.linear_theta_hat``), so with a N(0, tau2)
+    prior the posterior is normal (``calibration.normal_posterior``).
     ``tau2 = inf`` gives the flat-prior (pure loss) posterior.
     """
-    if gamma <= 0:
-        raise ValueError("gamma must be positive")
+    if not 0.0 < gamma < np.inf:
+        raise ValueError("gamma must be positive and finite")
+    if not tau2 > 0.0:
+        raise ValueError("tau2 must be positive or infinite")
     if rule is None:
         rule = build_rule([0.0], [1.0])
-    theta_hat = linear_theta_hat(fit, rule)
-    x = rule.nodes[:, 0]
-    den = float(np.sum(rule.weights * x * x))
-    prior_prec = 0.0 if np.isinf(tau2) else 1.0 / tau2
-    if prior_prec < 0:
-        raise ValueError("tau2 must be positive or infinite")
-    loss_prec = 2.0 * n * gamma * den
-    prec = loss_prec + prior_prec
-    mean = loss_prec * theta_hat / prec
+    prec, mean = normal_posterior(theta_hat, n, gamma, StraightLine(rule).den,
+                                  1.0 / tau2)
     return LaplaceApprox(mean=np.array([mean]), cov=np.array([[1.0 / prec]]))
 
 

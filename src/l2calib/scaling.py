@@ -27,10 +27,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .asymptotics import SandwichMatrices
-from .calibration import linear_theta_hat
+from .calibration import StraightLine, matched_gamma
 from .models import DomainBox, MathModel
 from .numerics import QuadratureRule, sym_psd_factor
-from .smoother import SmootherFit, kernel_matrix
+from .smoother import SmootherFit
 
 
 class ScalingError(ValueError):
@@ -45,14 +45,12 @@ class ScalingAdjustment:
     gamma   : scalar multiplier (magnitude; 1.0 otherwise)
     Gamma   : (p, p) argument remap (curvature; None otherwise)
     anchor  : expansion point for the curvature remap
-    source  : sandwich matrices the adjustment was derived from, if any
     """
 
     kind: str
     gamma: float = 1.0
     Gamma: np.ndarray | None = None
     anchor: np.ndarray | None = None
-    source: SandwichMatrices | None = None
 
     def __post_init__(self):
         if self.kind not in ("none", "magnitude", "curvature"):
@@ -86,7 +84,7 @@ def magnitude_gamma(sw: SandwichMatrices) -> float:
 
 
 def magnitude_adjustment(sw: SandwichMatrices) -> ScalingAdjustment:
-    return ScalingAdjustment(kind="magnitude", gamma=magnitude_gamma(sw), source=sw)
+    return ScalingAdjustment(kind="magnitude", gamma=magnitude_gamma(sw))
 
 
 def curvature_adjustment(sw: SandwichMatrices, anchor) -> ScalingAdjustment:
@@ -101,7 +99,7 @@ def curvature_adjustment(sw: SandwichMatrices, anchor) -> ScalingAdjustment:
     f2 = sym_psd_factor(0.5 * (target + target.T))
     f1 = sym_psd_factor(sw.V)
     gamma_mat = np.linalg.solve(f1, f2)
-    return ScalingAdjustment(kind="curvature", Gamma=gamma_mat, anchor=anchor, source=sw)
+    return ScalingAdjustment(kind="curvature", Gamma=gamma_mat, anchor=anchor)
 
 
 def scaled_loss(adj: ScalingAdjustment, base_loss, theta_box: DomainBox | None = None):
@@ -143,44 +141,27 @@ def variance_matching_gamma(fit: SmootherFit, model: MathModel, rule: Quadrature
                             tau2: float, sigma2=None) -> float:
     """Scalar gamma equating posterior and sampling variance, eta = theta x.
 
-    The sampling variance of the closed-form estimator is
-        var = sigma^2 q^T Phi^-2 q / (int x^2 dx)^2,   q = int x k(x) dx,
-    and with a N(0, tau2) prior the posterior variance under gamma-scaled
-    loss is (2 n gamma int x^2 dx + 1/tau2)^-1. Matching the two gives
-        gamma = (1 / (2 n int x^2 dx)) (1/var - 1/tau2).
+    With a N(0, tau2) prior the posterior variance under the gamma-scaled
+    loss is (2 n gamma int x^2 dx + 1/tau2)^-1; gamma makes it equal the
+    estimator's sampling variance (``linear_estimator_variance``).
     """
     if not model.scalar_linear:
         raise ScalingError("variance matching is defined for scalar linear models only")
     if tau2 <= 0:
         raise ScalingError("prior variance tau2 must be positive")
     var = linear_estimator_variance(fit, rule, sigma2)
-    x = rule.nodes[:, 0]
-    den = float(np.sum(rule.weights * x * x))
     if var >= tau2:
         raise ScalingError(
             f"estimator variance {var:.3g} is not below the prior variance {tau2:.3g}; "
             "variance matching undefined")
-    n = fit.data.n
-    return (1.0 / (2.0 * n * den)) * (1.0 / var - 1.0 / tau2)
+    return matched_gamma(var, fit.data.n, StraightLine(rule).den, tau2)
 
 
 def linear_estimator_variance(fit: SmootherFit, rule: QuadratureRule,
                               sigma2=None) -> float:
-    """Closed-form sampling variance of the straight-line estimator.
-
-    var( int x mu_hat dx / int x^2 dx ) at fixed smoother settings.
-    """
+    """Sampling variance of the straight-line estimator at fixed smoother
+    settings; sigma2 defaults to the fit's noise estimate."""
     s2 = fit.sigma2_hat if sigma2 is None else float(sigma2)
-    x = rule.nodes[:, 0]
-    den = float(np.sum(rule.weights * x * x))
-    kq = kernel_matrix(fit.kernel, rule.nodes, fit.data.design)
-    q = kq.T @ (rule.weights * x)
-    phi_inv_q = fit.solve_phi(q)
-    return s2 * float(phi_inv_q @ phi_inv_q) / den**2
-
-
-__all__ = [
-    "ScalingAdjustment", "ScalingError", "no_scaling", "fixed_gamma",
-    "magnitude_gamma", "magnitude_adjustment", "curvature_adjustment",
-    "scaled_loss", "variance_matching_gamma", "linear_estimator_variance",
-]
+    line = StraightLine(rule)
+    qt_q, _, d, lam = line.fit_terms(fit)
+    return line.variance(qt_q, d, lam, s2)

@@ -22,14 +22,15 @@ import numpy as np
 
 from . import __version__
 from .asymptotics import conditional_matrices, marginal_matrices
-from .calibration import estimate_theta, l2_loss_fn
+from .calibration import (StraightLine, estimate_theta, l2_loss_fn,
+                          linear_theta_hat, matched_gamma, normal_posterior)
 from .models import make_scenario
 from .numerics import DEFAULT_QUAD_ORDER, build_rule
 from .posterior import (Prior, SamplerSettings, conjugate_posterior,
                         credible_interval, laplace_approx, sample_posterior)
 from .scaling import (ScalingError, curvature_adjustment, fixed_gamma,
                       magnitude_adjustment, no_scaling, scaled_loss)
-from .smoother import Dataset, GcvGrid, kernel_matrix
+from .smoother import Dataset, GcvGrid
 
 VARIANTS = ("marginal", "conditional")
 SCALINGS = ("magnitude", "curvature")
@@ -183,13 +184,11 @@ def run_replicate(index: int, config: StudyConfig, model, system, rule,
                        else curvature_adjustment(sw, est.theta))
             if config.engine == "laplace":
                 post = laplace_approx(est, adj, n)
-                mean, sd = post.mean, post.sd
             elif config.engine == "conjugate":
                 if not model.scalar_linear:
                     raise ValueError("conjugate engine needs a scalar linear model")
-                post = conjugate_posterior(fit, n, tau2=np.inf,
+                post = conjugate_posterior(linear_theta_hat(fit, rule), n, tau2=np.inf,
                                            gamma=adj.scalar_gamma, rule=rule)
-                mean, sd = post.mean, post.sd
             else:
                 loss = scaled_loss(adj, base_loss, model.theta_box)
                 prior = Prior.uniform(model.theta_box)
@@ -201,12 +200,10 @@ def run_replicate(index: int, config: StudyConfig, model, system, rule,
                 post = sample_posterior(loss, prior, n, seed=seed_i,
                                         settings=settings)
                 out["flags"].extend(post.flags)
-                mean = post.draws.mean(axis=0)
-                sd = post.draws.std(axis=0, ddof=1)
             ci = credible_interval(post, level=config.level, mode=config.interval)
             out.update({
-                "post_mean": mean.tolist(),
-                "post_sd": sd.tolist(),
+                "post_mean": post.mean.tolist(),
+                "post_sd": post.sd.tolist(),
                 "interval": ci.tolist(),
                 "length": (ci[:, 1] - ci[:, 0]).tolist(),
                 "covers": [bool(lo <= t <= hi) for (lo, hi), t in zip(ci, theta_star)],
@@ -305,21 +302,13 @@ class SimulationReport:
                              "coverage": "", "mean_length": "",
                              "n_used": agg.get("n_used", 0)})
                 continue
-            cov = agg["coverage"]
-            if np.isscalar(cov):
-                rows.append({"analysis": name, "coordinate": 1,
-                             "mean_post_mean": agg["mean_post_mean"],
-                             "mean_post_sd": "",
-                             "coverage": cov, "mean_length": agg["mean_length"],
-                             "n_used": agg["n_used"]})
-                continue
-            for j in range(len(cov)):
+            for j in range(len(agg["coverage"])):
                 rows.append({
                     "analysis": name,
                     "coordinate": j + 1,
                     "mean_post_mean": agg["mean_post_mean"][j],
                     "mean_post_sd": agg["mean_post_sd"][j],
-                    "coverage": cov[j],
+                    "coverage": agg["coverage"][j],
                     "mean_length": agg["mean_length"][j],
                     "n_used": agg["n_used"],
                 })
@@ -401,38 +390,32 @@ def _closed_form_slice(config_dict: dict, n: int, indices: list[int]) -> list[di
                                    "sample_sizes": tuple(config_dict["sample_sizes"]),
                                    "gamma_fixed": tuple(config_dict["gamma_fixed"])})
     model, system, _ = make_scenario("simple-linear")
-    rule = build_rule(model.x_box.lower, model.x_box.upper, cfg.quad_order)
-    xq, wq = rule.nodes[:, 0], rule.weights
-    den = float(np.sum(wq * xq * xq))
+    line = StraightLine(build_rule(model.x_box.lower, model.x_box.upper, cfg.quad_order))
     xs = np.linspace(0.0, 1.0, n)
     grid = GcvGrid(xs.reshape(-1, 1), family=cfg.kernel_family)
-    # per-bandwidth pieces for the closed-form estimator and its variance
-    qvecs = [kernel_matrix(spec, rule.nodes, grid.design).T @ (wq * xq)
-             for spec, _, _ in grid.bandwidths]
+    # the response-free part of the estimator and its variance, per bandwidth
+    qt_qs = [line.qt_q(spec, grid.design, qmat) for spec, _, qmat in grid.bandwidths]
     y0 = np.asarray(system.mu(xs.reshape(-1, 1)), dtype=float)
     sigma = system.sigma
+    prior_prec = 1.0 / cfg.tau2 if cfg.prior_in_interval else 0.0
     out = []
     for i in indices:
         rng = np.random.default_rng(cfg.seed + i)
         y = y0 + sigma * rng.standard_normal(n)
-        idx, lam, score, rss, trm = grid.select(y)
-        spec, d, qmat = grid.bandwidths[idx]
-        q = qvecs[idx]
-        qt_q = qmat.T @ q
-        theta_hat = float(qt_q @ ((qmat.T @ y) / (d + lam))) / den
-        var_hat = sigma**2 * float(np.sum((qt_q / (d + lam)) ** 2)) / den**2
+        idx, lam = grid.select(y)[:2]
+        _, d, qmat = grid.bandwidths[idx]
+        theta_hat = line.theta_hat(qt_qs[idx], qmat.T @ y, d, lam)
+        var_hat = line.variance(qt_qs[idx], d, lam, sigma**2)
         rec = {"index": i, "theta_hat": theta_hat, "var_hat": var_hat,
                "lambda": lam, "flags": []}
         gammas = {f"gamma={g:g}": g for g in cfg.gamma_fixed}
         if var_hat < cfg.tau2:
-            gammas["gamma=matched"] = (1.0 / (2.0 * n * den)) * (1.0 / var_hat - 1.0 / cfg.tau2)
+            gammas["gamma=matched"] = matched_gamma(var_hat, n, line.den, cfg.tau2)
         else:
             rec["flags"].append("variance-matching-undefined")
         rec["posteriors"] = {}
         for label, g in gammas.items():
-            loss_prec = 2.0 * n * g * den
-            prec = loss_prec + (1.0 / cfg.tau2 if cfg.prior_in_interval else 0.0)
-            mean = loss_prec * theta_hat / prec
+            prec, mean = normal_posterior(theta_hat, n, g, line.den, prior_prec)
             rec["posteriors"][label] = {"mean": mean, "sd": float(np.sqrt(1.0 / prec)),
                                         "gamma": g}
         out.append(rec)

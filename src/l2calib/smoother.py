@@ -271,15 +271,6 @@ class GcvGrid:
         return _eigen_fit(Dataset(design=self.design, responses=y), lam, *self.bandwidths[idx])
 
 
-def gcv_score(data: Dataset, kernel: KernelSpec, lam: float) -> float:
-    """GCV score for one (kernel, lam) pair."""
-    score = fit_smoother_fixed(data, kernel, lam).gcv_value
-    if not np.isfinite(score):
-        raise DegenerateSmootherError(
-            "tr(I - A) below 1e-12; the smoother interpolates and GCV is undefined")
-    return score
-
-
 def fit_smoother(data: Dataset, family: str = "gaussian", lambda_grid=None,
                  rho_grid=None) -> SmootherFit:
     """Fit the smoother with (lam, rho) chosen by grid GCV."""

@@ -3,8 +3,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from l2calib.asymptotics import (SingularCurvatureError, conditional_matrices,
-                                 marginal_matrices, ols_matrices,
-                                 weight_decay_diagnostic)
+                                 marginal_matrices, ols_matrices)
 from l2calib.calibration import estimate_theta
 from l2calib.models import make_scenario
 from l2calib.numerics import build_rule
@@ -139,9 +138,3 @@ def test_singular_curvature_raises():
         marginal_matrices(bad, fit, model, rule)
     with pytest.raises(ValueError, match="noise variance"):
         marginal_matrices(est, fit, model, rule, sigma2=-1.0)
-
-
-def test_weight_decay_diagnostic_finite():
-    model, system, rule, data, fit, est = _pipeline("simple-linear", 8, 3)
-    val = weight_decay_diagnostic(fit, rule)
-    assert np.isfinite(val) and val >= 0.0

@@ -6,13 +6,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from l2calib.calibration import (estimate_theta, l2_loss_fn, l2_loss_grad,
-                                 l2_loss_hess, linear_theta_hat, ols_loss_fn,
-                                 ols_loss_grad, ols_loss_hess)
+from l2calib.calibration import (StraightLine, estimate_theta, l2_loss_fn,
+                                 l2_loss_grad, l2_loss_hess, linear_theta_hat,
+                                 ols_loss_fn, ols_loss_grad, ols_loss_hess)
 from l2calib.models import SCENARIO_NAMES, make_scenario
 from l2calib.numerics import build_rule
+from l2calib.scaling import linear_estimator_variance
 from l2calib.simharness import generate_replicate
-from l2calib.smoother import Dataset, fit_smoother
+from l2calib.smoother import Dataset, fit_smoother, kernel_matrix
 
 
 def _rule(model, order=64):
@@ -241,3 +242,30 @@ def test_estimate_loss_at_most_grid_minimum(name, seed):
     grid = np.linspace(model.theta_box.lower[0], model.theta_box.upper[0], 2001)
     assert est.converged
     assert est.value <= l2_loss_fn(fit, model, rule)(grid[:, None]).min()
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(["simple-linear", "scenario3"]), st.integers(4, 50),
+       st.sampled_from([16, 64]), st.integers(0, 2**32 - 1))
+def test_straight_line_closed_form_matches_quadrature_definition(name, n, order, seed):
+    model, system, _ = make_scenario(name)
+    rule = _rule(model, order)
+    fit = fit_smoother(generate_replicate(system, n, seed))
+    x, w = rule.nodes[:, 0], rule.weights
+    den = float(np.sum(w * x * x))
+    # the definitions: int x mu_hat dx / int x^2 dx, sigma^2 ||Phi^-1 q||^2 / den^2
+    theta_ref = float(np.sum(w * x * fit.predict(rule.nodes))) / den
+    q = kernel_matrix(fit.kernel, rule.nodes, fit.data.design).T @ (w * x)
+    phi_inv_q = fit.solve_phi(q)
+    var_ref = 0.3 * float(phi_inv_q @ phi_inv_q) / den**2
+    assert_allclose(linear_estimator_variance(fit, rule, sigma2=0.3), var_ref,
+                    rtol=1e-8)
+    # Both routes round Q'q and Q'y, and 1 / (d + lam) scales that error by
+    # up to 1e8 at the smallest ridge: each is eps * kappa from the exact
+    # value (checked against 50-digit arithmetic), so neither is the better
+    # reference where kappa * eps passes 1e-8.
+    line = StraightLine(rule)
+    qt_q, z, d, lam = line.fit_terms(fit)
+    kappa = np.linalg.norm(qt_q) * np.linalg.norm(z / (d + lam)) / abs(theta_ref * den)
+    rel = abs(linear_theta_hat(fit, rule) - theta_ref) / abs(theta_ref)
+    assert rel <= max(1e-8, 8 * np.finfo(float).eps * kappa)

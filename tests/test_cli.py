@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from l2calib.asymptotics import conditional_matrices, marginal_matrices
-from l2calib.calibration import estimate_theta
+from l2calib.calibration import estimate_theta, linear_theta_hat
 from l2calib.cli import build_parser, main
 from l2calib.numerics import DEFAULT_QUAD_ORDER, build_rule
 from l2calib.posterior import conjugate_posterior
@@ -111,7 +111,8 @@ def test_calibrate_conjugate_engine_uses_closed_form(tmp_path):
         sw = sandwiches[variant]
         gamma = (magnitude_gamma(sw) if kind == "magnitude"
                  else float(curvature_adjustment(sw, est.theta).Gamma[0, 0]) ** 2)
-        exact = conjugate_posterior(fit, data.n, tau2=np.inf, gamma=gamma, rule=rule)
+        exact = conjugate_posterior(linear_theta_hat(fit, rule), data.n,
+                                    tau2=np.inf, gamma=gamma, rule=rule)
         assert entry["post_mean"] == exact.mean.tolist()
         assert entry["post_sd"] == exact.sd.tolist()
 

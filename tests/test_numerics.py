@@ -209,6 +209,17 @@ def test_sym_psd_factor_random_psd():
         assert_allclose(f.T @ f, a, atol=1e-10 * max(1.0, np.abs(a).max()))
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 5), st.integers(0, 5), st.integers(0, 2**32 - 1))
+def test_sym_psd_factor_reconstructs_any_psd(p, rank, seed):
+    # full rank and rank-deficient (down to the zero matrix)
+    b = np.random.default_rng(seed).standard_normal((p, min(rank, p)))
+    a = b @ b.T
+    f = sym_psd_factor(a)
+    assert f.shape == (p, p)
+    assert_allclose(f.T @ f, a, atol=1e-9 * max(1.0, np.abs(a).max()))
+
+
 def test_sym_psd_factor_rejects_asymmetric_and_indefinite():
     with pytest.raises(FactorError):
         sym_psd_factor(np.array([[1.0, 2.0], [0.0, 1.0]]))

@@ -20,20 +20,10 @@ from l2calib.asymptotics import SandwichMatrices
 Z975 = 1.959963984540054
 
 
-class _LineFit:
-    """Stand-in smoother whose mean function is exactly slope * x."""
-
-    def __init__(self, slope):
-        self.slope = slope
-
-    def predict(self, x):
-        return self.slope * np.asarray(x, dtype=float)[:, 0]
-
-
 def test_conjugate_frozen_values():
     # theta_hat = 3.5, n = 4, tau2 = 1, gamma = 1:
     # precision = 2*4*(1/3) + 1 = 11/3, mean = (8/3)*3.5/(11/3) = 28/11
-    post = conjugate_posterior(_LineFit(3.5), n=4, tau2=1.0, gamma=1.0)
+    post = conjugate_posterior(3.5, n=4, tau2=1.0, gamma=1.0)
     assert_allclose(post.mean, [28.0 / 11.0], rtol=1e-12)
     assert_allclose(post.mean, [2.5454545454545454], rtol=1e-12)
     assert_allclose(post.cov, [[3.0 / 11.0]], rtol=1e-12)
@@ -41,39 +31,45 @@ def test_conjugate_frozen_values():
 
 
 def test_conjugate_variance_ignores_the_estimate():
-    a = conjugate_posterior(_LineFit(3.5), n=4, tau2=1.0, gamma=1.0)
-    b = conjugate_posterior(_LineFit(-1.2), n=4, tau2=1.0, gamma=1.0)
+    a = conjugate_posterior(3.5, n=4, tau2=1.0, gamma=1.0)
+    b = conjugate_posterior(-1.2, n=4, tau2=1.0, gamma=1.0)
     assert_allclose(a.cov, b.cov, rtol=1e-14)
     assert not np.allclose(a.mean, b.mean)
 
 
 def test_conjugate_flat_prior():
     # tau2 = inf: mean is the estimator itself, variance 3 / (2 n)
-    post = conjugate_posterior(_LineFit(3.5), n=8, tau2=np.inf, gamma=1.0)
+    post = conjugate_posterior(3.5, n=8, tau2=np.inf, gamma=1.0)
     assert_allclose(post.mean, [3.5], rtol=1e-12)
     assert_allclose(post.cov, [[3.0 / 16.0]], rtol=1e-12)
     assert_allclose(post.sd, [0.4330127018922193], rtol=1e-12)
-    half = conjugate_posterior(_LineFit(3.5), n=4, tau2=np.inf, gamma=1.0)
+    half = conjugate_posterior(3.5, n=4, tau2=np.inf, gamma=1.0)
     assert_allclose(half.cov, 2.0 * post.cov, rtol=1e-12)
 
 
 def test_conjugate_large_gamma_collapses_to_point_mass():
-    post = conjugate_posterior(_LineFit(3.5), n=4, tau2=1.0, gamma=1e12)
+    post = conjugate_posterior(3.5, n=4, tau2=1.0, gamma=1e12)
     assert post.cov[0, 0] < 1e-11
     assert abs(post.mean[0] - 3.5) < 1e-11
 
 
 def test_conjugate_rejects_bad_arguments():
     with pytest.raises(ValueError, match="gamma"):
-        conjugate_posterior(_LineFit(3.5), n=4, tau2=1.0, gamma=0.0)
+        conjugate_posterior(3.5, n=4, tau2=1.0, gamma=0.0)
     with pytest.raises(ValueError, match="gamma"):
-        conjugate_posterior(_LineFit(3.5), n=4, tau2=1.0, gamma=-2.0)
+        conjugate_posterior(3.5, n=4, tau2=1.0, gamma=-2.0)
     with pytest.raises(ValueError, match="tau2"):
-        conjugate_posterior(_LineFit(3.5), n=4, tau2=-1.0, gamma=1.0)
+        conjugate_posterior(3.5, n=4, tau2=-1.0, gamma=1.0)
+    for gamma in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="gamma"):
+            conjugate_posterior(3.5, n=4, tau2=1.0, gamma=gamma)
+    for tau2 in (0.0, np.nan, -np.inf):
+        with pytest.raises(ValueError, match="tau2"):
+            conjugate_posterior(3.5, n=4, tau2=tau2, gamma=1.0)
 
 
 def test_conjugate_interval_length():
-    post = conjugate_posterior(_LineFit(3.5), n=4, tau2=1.0, gamma=1.0)
+    post = conjugate_posterior(3.5, n=4, tau2=1.0, gamma=1.0)
     iv = credible_interval(post, level=0.95)
     length = iv[0, 1] - iv[0, 0]
     assert_allclose(length, 2.0 * Z975 * np.sqrt(3.0 / 11.0), rtol=1e-9)
@@ -98,7 +94,7 @@ def test_log_gen_posterior_matches_conjugate_density():
     n, den = 4, 1.0 / 3.0
     loss = lambda th: den * (3.5 - th[:, 0]) ** 2
     prior = Prior.normal([0.0], [1.0])
-    post = conjugate_posterior(_LineFit(3.5), n=n, tau2=1.0, gamma=1.0)
+    post = conjugate_posterior(3.5, n=n, tau2=1.0, gamma=1.0)
     m, v = post.mean[0], post.cov[0, 0]
     grid = np.linspace(0.0, 5.0, 23)
     lhs = np.array([log_gen_posterior([t], loss, prior, n) for t in grid])

@@ -260,3 +260,16 @@ def test_scaled_loss_batch_rows_equal_single_theta(name, chains, seed):
         assert batch.shape == (chains + 1,)
         for i in range(chains + 1):
             assert batch[i] == loss(thetas[i])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 4), st.integers(1, 500), st.integers(0, 2**32 - 1))
+def test_curvature_gamma_solves_its_defining_equation(p, n, seed):
+    # Gamma^T V Gamma = V (n W)^-1 V for random SPD V and W
+    rng = np.random.default_rng(seed)
+    v, w = (b @ b.T + 0.1 * np.eye(p) for b in rng.standard_normal((2, p, p)))
+    sw = SandwichMatrices(V=v, W=w, variant="marginal", n=n, sigma2=1.0)
+    gamma_mat = curvature_adjustment(sw, anchor=np.zeros(p)).Gamma
+    target = v @ np.linalg.inv(n * w) @ v
+    assert_allclose(gamma_mat.T @ v @ gamma_mat, target,
+                    atol=1e-9 * np.abs(target).max())

@@ -3,15 +3,19 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from l2calib.calibration import estimate_theta
+from l2calib.calibration import estimate_theta, linear_theta_hat
 from l2calib.models import PhysicalSystem, make_scenario
 from l2calib.numerics import build_rule
+from l2calib.scaling import linear_estimator_variance
 from l2calib.simharness import (ClosedFormStudyConfig, StudyConfig,
-                                brute_force_theta, generate_replicate,
-                                oracle_theta, parse_analysis,
-                                run_closed_form_study, run_replicate, run_study)
+                                _closed_form_slice, brute_force_theta,
+                                generate_replicate, oracle_theta,
+                                parse_analysis, run_closed_form_study,
+                                run_replicate, run_study)
 from l2calib.smoother import GcvGrid
 
 
@@ -139,6 +143,7 @@ def test_run_study_report_structure():
     rows = report.summary_rows()
     assert len(rows) == len(report.config["analyses"])
     assert {r["analysis"] for r in rows} == set(report.config["analyses"])
+    assert all(r["coordinate"] in ("", 1) for r in rows)
 
 
 def test_run_study_single_replicate_aggregation_identity():
@@ -216,8 +221,26 @@ def test_closed_form_study_tables():
         exp_len = 2 * 1.959963984540054 * np.sqrt(3.0 / (2.0 * n))
         assert_allclose(report.analyses[f"n={n},gamma=1"]["mean_length"],
                         exp_len, rtol=1e-9)
-    rows = report.summary_rows()
-    assert all(r["coordinate"] in ("", 1) for r in rows)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.sampled_from([4, 8]), st.integers(0, 2**32 - 1))
+def test_closed_form_slice_matches_linear_estimator(n, seed):
+    # the study's cached per-bandwidth closed form against the per-fit functions
+    cfg = ClosedFormStudyConfig(replicates=4, seed=seed)
+    records = _closed_form_slice(cfg.to_dict(), n, [0, 1, 2, 3])
+    model, system, _ = make_scenario("simple-linear")
+    rule = build_rule(model.x_box.lower, model.x_box.upper, cfg.quad_order)
+    xs = np.linspace(0.0, 1.0, n).reshape(-1, 1)
+    grid = GcvGrid(xs)
+    for rec in records:
+        rng = np.random.default_rng(seed + rec["index"])
+        y = np.asarray(system.mu(xs), dtype=float) + system.sigma * rng.standard_normal(n)
+        fit = grid.fit(y)
+        assert rec["lambda"] == fit.lam
+        assert rec["theta_hat"] == linear_theta_hat(fit, rule)
+        assert rec["var_hat"] == linear_estimator_variance(fit, rule,
+                                                           sigma2=system.sigma**2)
 
 
 def test_closed_form_study_deterministic_and_partition_invariant():

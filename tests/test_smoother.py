@@ -10,7 +10,7 @@ from l2calib.models import make_scenario
 from l2calib.simharness import generate_replicate
 from l2calib.smoother import (JITTER, Dataset, DegenerateSmootherError,
                               GcvGrid, KernelSpec, default_rho_grid,
-                              fit_smoother, fit_smoother_fixed, gcv_score,
+                              fit_smoother, fit_smoother_fixed,
                               kernel_matrix, read_dataset_csv,
                               write_dataset_csv)
 
@@ -94,10 +94,14 @@ def test_csv_errors(tmp_path):
         read_dataset_csv(p)
 
 
+def _gcv_score(data, spec, lam):
+    return fit_smoother_fixed(data, spec, lam).gcv_value
+
+
 def test_gcv_score_zero_response():
     data = _line_data(n=5, slope=0.0)
     spec = KernelSpec("gaussian", np.array([0.5]))
-    assert gcv_score(data, spec, 1e-3) == 0.0
+    assert _gcv_score(data, spec, 1e-3) == 0.0
 
 
 def test_gcv_score_matches_direct_hat_matrix_formula():
@@ -110,7 +114,7 @@ def test_gcv_score_matches_direct_hat_matrix_formula():
         a = kmat @ np.linalg.inv(kmat + lam * np.eye(n))
         resid = (np.eye(n) - a) @ data.responses
         direct = n * float(resid @ resid) / np.trace(np.eye(n) - a) ** 2
-        assert_allclose(gcv_score(data, spec, lam), direct, rtol=1e-9)
+        assert_allclose(_gcv_score(data, spec, lam), direct, rtol=1e-9)
 
 
 def test_sigma2_hat_matches_direct_hat_matrix_formula():
@@ -129,7 +133,7 @@ def test_gcv_score_large_lambda_limit():
     data = _line_data(n=7, noise=0.2, seed=1)
     spec = KernelSpec("gaussian", np.array([0.5]))
     y = data.responses
-    assert_allclose(gcv_score(data, spec, 1e12), float(y @ y) / data.n, rtol=1e-6)
+    assert_allclose(_gcv_score(data, spec, 1e12), float(y @ y) / data.n, rtol=1e-6)
 
 
 def test_gcv_minimum_interior_on_seeded_small_sample():
@@ -137,7 +141,7 @@ def test_gcv_minimum_interior_on_seeded_small_sample():
     data = generate_replicate(system, 4, seed=0)
     spec = KernelSpec("gaussian", np.array([0.8]))
     lams = np.logspace(-8, 1, 19)
-    scores = np.array([gcv_score(data, spec, l) for l in lams])
+    scores = np.array([_gcv_score(data, spec, l) for l in lams])
     k = int(np.argmin(scores))
     assert 0 < k < lams.size - 1
     assert scores[k] < scores[0] and scores[k] < scores[-1]
@@ -258,12 +262,13 @@ def test_gcv_grid_rejects_bad_grids():
         GcvGrid(x, rho_grid=np.ones((3, 2)))
 
 
-def test_degenerate_gcv_raises():
-    # lam = 0 makes A the identity, so tr(I - A) vanishes
+def test_degenerate_gcv_is_flagged():
+    # lam = 0 makes A the identity, so tr(I - A) vanishes and GCV is undefined
     data = _line_data(n=5, noise=0.1, seed=3)
     spec = KernelSpec("gaussian", np.array([0.5]))
-    with pytest.raises(DegenerateSmootherError):
-        gcv_score(data, spec, 0.0)
+    fit = fit_smoother_fixed(data, spec, 0.0)
+    assert fit.gcv_value == np.inf
+    assert fit.flags == ("degenerate-smoother",)
 
 
 def _loop_select(grid, y):
