@@ -42,8 +42,8 @@ class LossTerms:
 
     The l2 loss uses the quadrature nodes and weights and the smoothed mean
     at the nodes; the OLS loss uses the design, weights 1/n and the
-    responses. ``value`` takes one theta (p,) or a batch (c, p); ``grad`` and
-    ``hess`` take one theta.
+    responses. ``value`` takes one theta (p,) or a batch (c, p); ``grad``,
+    ``hess`` and ``grad_hess`` take one theta.
     """
 
     model: MathModel
@@ -62,18 +62,20 @@ class LossTerms:
         return float(val) if theta.ndim == 1 else val
 
     def grad(self, theta) -> np.ndarray:
-        theta = np.asarray(theta, dtype=float)
-        g = self.model.grad_eta(theta, self.points)
-        return -2.0 * g.T @ (self.weights * self._resid(theta))
+        return self.grad_hess(theta)[0]
 
     def hess(self, theta) -> np.ndarray:
+        return self.grad_hess(theta)[1]
+
+    def grad_hess(self, theta) -> tuple[np.ndarray, np.ndarray]:
+        """Gradient and Hessian from one residual and one grad_eta."""
         theta = np.asarray(theta, dtype=float)
-        w = self.weights
         g = self.model.grad_eta(theta, self.points)
+        wr = self.weights * self._resid(theta)
         h = self.model.hess_eta(theta, self.points)
-        gram = (g * w[:, None]).T @ g
-        curve = np.einsum("m,mij->ij", w * self._resid(theta), h)
-        return 2.0 * (gram - curve)
+        gram = (g * self.weights[:, None]).T @ g
+        curve = np.einsum("m,mij->ij", wr, h)
+        return -2.0 * g.T @ wr, 2.0 * (gram - curve)
 
 
 def l2_loss_terms(mu_like, model: MathModel, rule: QuadratureRule) -> LossTerms:
@@ -159,7 +161,7 @@ def estimate_theta(source, model: MathModel, rule: QuadratureRule | None = None,
     else:
         raise ValueError(f"unknown method {method!r}; choose 'l2' or 'ols'")
 
-    res = minimize_box(loss, terms.grad, terms.hess, model.theta_box.lower,
+    res = minimize_box(loss, terms.grad_hess, model.theta_box.lower,
                        model.theta_box.upper, seed=seed, n_starts=n_starts)
     return CalibrationEstimate(theta=res.x, value=res.value, method=method,
                                hessian=terms.hess(res.x), converged=res.converged,

@@ -1,12 +1,14 @@
 """Deterministic quadrature, box-constrained optimisation and matrix factors.
 
 Everything downstream takes its quadrature rules and minimisations from this
-module so that results are reproducible bit-for-bit for a given seed.
+module so that results are reproducible bit-for-bit for a given seed. It also
+holds the switch that sets the thread count of numpy's BLAS.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -64,6 +66,38 @@ def build_rule(lower, upper, order: int = DEFAULT_QUAD_ORDER) -> QuadratureRule:
     return QuadratureRule(nodes=nodes, weights=weights, lower=lower, upper=upper)
 
 
+def _openblas_path() -> Path | None:
+    """numpy's bundled OpenBLAS (``numpy.libs/`` beside the package), or None."""
+    found = sorted((Path(np.__file__).parent.parent / "numpy.libs")
+                   .glob("libscipy_openblas*.so"))
+    return found[0] if found else None
+
+
+def set_blas_threads(n: int) -> int | None:
+    """Run numpy's OpenBLAS on ``n`` threads in this process only.
+
+    Returns the previous count, or None (and changes nothing) when the
+    library or its thread functions are not found. ``simharness`` starts
+    each pool worker with ``n = 1``: with one worker per CPU, BLAS threads
+    in every worker would oversubscribe the CPUs.
+    """
+    path = _openblas_path()
+    if path is None:
+        return None
+    import ctypes
+    try:
+        lib = ctypes.CDLL(str(path))   # the copy numpy already loaded
+        get = lib.scipy_openblas_get_num_threads64_
+        put = lib.scipy_openblas_set_num_threads64_
+    except (OSError, AttributeError):
+        return None
+    get.argtypes, get.restype = [], ctypes.c_int
+    put.argtypes, put.restype = [ctypes.c_int], None
+    previous = get()
+    put(n)
+    return previous
+
+
 @dataclass
 class MinimizeResult:
     x: np.ndarray
@@ -93,7 +127,7 @@ def _latin_starts(lower, upper, n, seed):
     return lower + u * (upper - lower)
 
 
-def _newton_descent(f, grad, hess, x, lower, upper):
+def _newton_descent(f, grad_hess, x, lower, upper):
     """Damped projected Newton from x; returns (x, value, converged, evals).
 
     A coordinate on a bound whose gradient points out of the box is held
@@ -109,7 +143,7 @@ def _newton_descent(f, grad, hess, x, lower, upper):
     for _ in range(MAX_NEWTON_ITER):
         if not np.isfinite(fx):
             break
-        g, h = grad(x), hess(x)
+        g, h = grad_hess(x)
         if not (np.isfinite(g).all() and np.isfinite(h).all()):
             break
         free = ~(((x <= lower) & (g > 0)) | ((x >= upper) & (g < 0)))
@@ -143,11 +177,11 @@ def _newton_descent(f, grad, hess, x, lower, upper):
     return x, fx, False, evals
 
 
-def minimize_box(f, grad, hess, lower, upper, seed: int = 0,
+def minimize_box(f, grad_hess, lower, upper, seed: int = 0,
                  n_starts: int = 10) -> MinimizeResult:
     """Multistart damped Newton over a box, for any smooth f.
 
-    ``grad`` and ``hess`` give the gradient (p,) and Hessian (p, p) of f.
+    ``grad_hess`` gives the gradient (p,) and Hessian (p, p) of f together.
     Starts are the box centre plus ``n_starts - 1`` Latin hypercube draws;
     each descends by ``_newton_descent``. Determinism: the same (f, box,
     seed, n_starts) always returns bit-identical output. Among starts with a
@@ -168,7 +202,7 @@ def minimize_box(f, grad, hess, lower, upper, seed: int = 0,
 
     best, n_evals = None, 0
     for i, x0 in enumerate(starts):
-        x, val, ok, evals = _newton_descent(f, grad, hess, x0, lower, upper)
+        x, val, ok, evals = _newton_descent(f, grad_hess, x0, lower, upper)
         n_evals += evals
         cand = (float(val), tuple(x), ok, i)
         if np.isfinite(cand[0]) and (best is None or cand[:2] < best[:2]):

@@ -25,7 +25,7 @@ from .asymptotics import conditional_matrices, marginal_matrices
 from .calibration import (StraightLine, estimate_theta, l2_loss_fn,
                           linear_theta_hat, matched_gamma, normal_posterior)
 from .models import make_scenario
-from .numerics import DEFAULT_QUAD_ORDER, build_rule
+from .numerics import DEFAULT_QUAD_ORDER, build_rule, set_blas_threads
 from .posterior import (Prior, SamplerSettings, conjugate_posterior,
                         credible_interval, laplace_approx, sample_posterior)
 from .scaling import (ScalingError, curvature_adjustment, fixed_gamma,
@@ -319,14 +319,16 @@ def _map_slices(slice_fn, workers: int, replicates: int, *args) -> list[dict]:
     """Records of ``slice_fn(*args, indices)`` over replicates 0..replicates-1.
 
     With more than one worker the indices are cut into one contiguous chunk
-    per worker and the chunks run in a process pool.
+    per worker and the chunks run in a process pool whose workers each run
+    BLAS on one thread, whatever the start method.
     """
     indices = list(range(replicates))
     if workers <= 1 or replicates <= 1:
         return slice_fn(*args, indices)
     size = (replicates + workers - 1) // workers
     chunks = [indices[i:i + size] for i in range(0, replicates, size)]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
+    with ProcessPoolExecutor(max_workers=workers, initializer=set_blas_threads,
+                             initargs=(1,)) as pool:
         parts = pool.map(partial(slice_fn, *args), chunks)
         return [r for part in parts for r in part]
 

@@ -265,11 +265,18 @@ def test_reports_reproducible_across_runs_and_workers():
     a = run_study(StudyConfig(workers=1, **kw)).to_json(include_records=True)
     b = run_study(StudyConfig(workers=1, **kw)).to_json(include_records=True)
     c = run_study(StudyConfig(workers=3, **kw)).to_json(include_records=True)
+    # scenario1 is the one uniform design, so its per-replicate eigh is the
+    # one that could see the BLAS thread count: this process keeps the
+    # default count, pool workers run on one thread
+    s1 = dict(scenario="scenario1", replicates=4, seed=3)
+    f = run_study(StudyConfig(workers=1, **s1)).to_json(include_records=True)
+    g = run_study(StudyConfig(workers=2, **s1)).to_json(include_records=True)
     t_kw = dict(replicates=100, seed=2)
     d = run_closed_form_study(ClosedFormStudyConfig(workers=1, **t_kw)).to_json()
     e = run_closed_form_study(ClosedFormStudyConfig(workers=2, **t_kw)).to_json()
     elapsed = time.time() - t0
-    ok = (a == b == c) and (d == e) and elapsed < 120.0
+    ok = (a == b == c) and (d == e) and (f == g) and elapsed < 120.0
     _report("byte-identical-reports", ok,
-            f"study {len(a)} bytes, closed-form {len(d)} bytes; {elapsed:.1f}s")
+            f"study {len(a)} + {len(f)} bytes, closed-form {len(d)} bytes; "
+            f"{elapsed:.1f}s")
     assert ok

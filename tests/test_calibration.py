@@ -7,8 +7,9 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from l2calib.calibration import (StraightLine, estimate_theta, l2_loss_fn,
-                                 l2_loss_grad, l2_loss_hess, linear_theta_hat,
-                                 ols_loss_fn, ols_loss_grad, ols_loss_hess)
+                                 l2_loss_grad, l2_loss_hess, l2_loss_terms,
+                                 linear_theta_hat, ols_loss_fn, ols_loss_grad,
+                                 ols_loss_hess)
 from l2calib.models import SCENARIO_NAMES, make_scenario
 from l2calib.numerics import build_rule
 from l2calib.scaling import linear_estimator_variance
@@ -92,6 +93,23 @@ def test_hessian_matches_finite_differences_of_gradient():
         col = (l2_loss_grad(theta + d, system.mu, model, rule)
                - l2_loss_grad(theta - d, system.mu, model, rule)) / (2 * h)
         assert_allclose(col, hmat[:, j], rtol=1e-5, atol=1e-7)
+
+
+def test_grad_hess_evaluates_the_model_once_and_matches_grad_and_hess():
+    model, system, _ = make_scenario("scenario1")
+    calls = {"eta": 0, "grad_eta": 0, "hess_eta": 0}
+
+    def counted(name):
+        fn = getattr(model, name)
+        return lambda *a: calls.__setitem__(name, calls[name] + 1) or fn(*a)
+
+    model = dataclasses.replace(model, **{k: counted(k) for k in calls})
+    terms = l2_loss_terms(system.mu, model, _rule(model))
+    theta = np.array([0.12, 0.34])
+    g, h = terms.grad_hess(theta)
+    assert calls == {"eta": 1, "grad_eta": 1, "hess_eta": 1}
+    assert np.array_equal(g, terms.grad(theta))
+    assert np.array_equal(h, terms.hess(theta))
 
 
 def test_discrepancy_term_shifts_hessian():

@@ -10,10 +10,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from l2calib import cli
 from l2calib.asymptotics import conditional_matrices, marginal_matrices
 from l2calib.calibration import estimate_theta, linear_theta_hat
 from l2calib.cli import build_parser, main
-from l2calib.numerics import DEFAULT_QUAD_ORDER, build_rule
+from l2calib.numerics import DEFAULT_QUAD_ORDER, build_rule, set_blas_threads
 from l2calib.posterior import conjugate_posterior
 from l2calib.scaling import curvature_adjustment, magnitude_gamma
 from l2calib.simharness import generate_replicate
@@ -329,3 +330,19 @@ def test_cli_import_loads_no_scipy():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True, env={**os.environ, "PYTHONPATH": SRC})
     assert out.stdout.strip() == "[]"
+
+
+def test_commands_keep_the_host_blas_thread_count(monkeypatch):
+    # only pool workers are pinned; a command in this process keeps every
+    # BLAS thread, which large fits (n in the thousands) need
+    previous = set_blas_threads(2)
+    if previous is None:
+        pytest.skip("numpy's bundled OpenBLAS not found")
+    seen = []
+    monkeypatch.setitem(cli.HANDLERS, "fit",
+                        lambda cfg: seen.append(set_blas_threads(2)) or 0)
+    try:
+        assert main(["fit", "--scenario", "simple-linear"]) == 0
+        assert seen == [2]
+    finally:
+        set_blas_threads(previous)

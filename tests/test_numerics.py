@@ -5,8 +5,10 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy.stats import qmc
 
+from l2calib import numerics
 from l2calib.numerics import (FactorError, _latin_starts, build_rule,
-                              gauss_legendre_01, minimize_box, sym_psd_factor)
+                              gauss_legendre_01, minimize_box, set_blas_threads,
+                              sym_psd_factor)
 
 # antiderivative of x sin 5x is (sin 5x - 5x cos 5x) / 25
 INT_X_SIN5X = (np.sin(5.0) - 5.0 * np.cos(5.0)) / 25.0
@@ -76,15 +78,14 @@ def test_integrate_matrix_valued():
 
 
 def _quadratic(centre, curv, cross=0.0):
-    """f, grad, hess of sum_j curv_j (t_j - centre_j)^2 + cross t_0 t_1."""
+    """f and grad_hess of sum_j curv_j (t_j - centre_j)^2 + cross t_0 t_1."""
     centre, curv = np.asarray(centre, float), np.asarray(curv, float)
     mix = np.zeros((centre.size, centre.size))
     if centre.size == 2:
         mix[0, 1] = mix[1, 0] = cross
     f = lambda t: float(np.sum(curv * (t - centre) ** 2) + 0.5 * t @ mix @ t)
     grad = lambda t: 2.0 * curv * (t - centre) + mix @ t
-    hess = lambda t: np.diag(2.0 * curv) + mix
-    return f, grad, hess
+    return f, lambda t: (grad(t), np.diag(2.0 * curv) + mix)
 
 
 def test_minimize_box_quadratic():
@@ -102,18 +103,18 @@ def test_minimize_box_boundary_argmin():
 def test_minimize_box_boundary_argmin_two_dim():
     # unconstrained minimiser (1.7, 0.4): the first coordinate stops on its
     # upper bound, the second stays interior and still converges
-    f, grad, hess = _quadratic([1.7, 0.4], [1.0, 3.0], cross=0.2)
-    res = minimize_box(f, grad, hess, [0.0, 0.0], [1.0, 1.0], seed=2, n_starts=6)
+    f, grad_hess = _quadratic([1.7, 0.4], [1.0, 3.0], cross=0.2)
+    res = minimize_box(f, grad_hess, [0.0, 0.0], [1.0, 1.0], seed=2, n_starts=6)
     assert res.converged
     assert res.x[0] == 1.0
     # interior coordinate solves its own first-order condition on the face
     assert_allclose(res.x[1], 0.4 - 0.2 / 6.0, atol=1e-10)
-    assert grad(res.x)[0] < 0
+    assert grad_hess(res.x)[0][0] < 0
 
 
 def test_minimize_box_two_dim_with_coupling():
-    f, grad, hess = _quadratic([0.3, 0.7], [1.0, 2.0], cross=0.1)
-    res = minimize_box(f, grad, hess, [0.0, 0.0], [1.0, 1.0], seed=1, n_starts=5)
+    f, grad_hess = _quadratic([0.3, 0.7], [1.0, 2.0], cross=0.1)
+    res = minimize_box(f, grad_hess, [0.0, 0.0], [1.0, 1.0], seed=1, n_starts=5)
     g = np.array([2.0 * (res.x[0] - 0.3) + 0.1 * res.x[1],
                   4.0 * (res.x[1] - 0.7) + 0.1 * res.x[0]])
     assert np.max(np.abs(g)) < 1e-6
@@ -123,9 +124,9 @@ def test_minimize_box_two_dim_with_coupling():
 def test_minimize_box_multimodal_finds_global():
     # a bimodal curve with the deeper well near t = -2
     f = lambda t: float(np.cos(3.0 * t[0]) + 0.05 * (t[0] + 2.0) ** 2)
-    grad = lambda t: np.array([-3.0 * np.sin(3.0 * t[0]) + 0.1 * (t[0] + 2.0)])
-    hess = lambda t: np.array([[-9.0 * np.cos(3.0 * t[0]) + 0.1]])
-    res = minimize_box(f, grad, hess, [-4.0, ], [4.0], seed=0, n_starts=12)
+    grad_hess = lambda t: (np.array([-3.0 * np.sin(3.0 * t[0]) + 0.1 * (t[0] + 2.0)]),
+                           np.array([[-9.0 * np.cos(3.0 * t[0]) + 0.1]]))
+    res = minimize_box(f, grad_hess, [-4.0, ], [4.0], seed=0, n_starts=12)
     grid = np.linspace(-4, 4, 20001)
     brute = grid[np.argmin([f([t]) for t in grid])]
     assert_allclose(res.x[0], brute, atol=1e-4)
@@ -134,19 +135,19 @@ def test_minimize_box_multimodal_finds_global():
 
 def test_minimize_box_deterministic():
     f = lambda t: float(np.sin(7 * t[0]) + t[0] ** 2)
-    grad = lambda t: np.array([7 * np.cos(7 * t[0]) + 2 * t[0]])
-    hess = lambda t: np.array([[-49 * np.sin(7 * t[0]) + 2.0]])
-    a = minimize_box(f, grad, hess, [-3.0], [3.0], seed=5, n_starts=8)
-    b = minimize_box(f, grad, hess, [-3.0], [3.0], seed=5, n_starts=8)
+    grad_hess = lambda t: (np.array([7 * np.cos(7 * t[0]) + 2 * t[0]]),
+                           np.array([[-49 * np.sin(7 * t[0]) + 2.0]]))
+    a = minimize_box(f, grad_hess, [-3.0], [3.0], seed=5, n_starts=8)
+    b = minimize_box(f, grad_hess, [-3.0], [3.0], seed=5, n_starts=8)
     assert np.array_equal(a.x, b.x) and a.value == b.value
     assert (a.n_evals, a.best_start) == (b.n_evals, b.best_start)
 
 
 def test_minimize_box_counts_evaluations():
     calls = []
-    f, grad, hess = _quadratic([0.2, 0.6], [1.0, 1.0])
+    f, grad_hess = _quadratic([0.2, 0.6], [1.0, 1.0])
     counted = lambda t: calls.append(1) or f(t)
-    res = minimize_box(counted, grad, hess, [0.0, 0.0], [1.0, 1.0], seed=3,
+    res = minimize_box(counted, grad_hess, [0.0, 0.0], [1.0, 1.0], seed=3,
                        n_starts=4)
     assert res.n_evals == len(calls) >= 4
 
@@ -154,7 +155,7 @@ def test_minimize_box_counts_evaluations():
 def test_minimize_box_ties_go_to_smallest_point():
     # a flat f: every start is stationary where it begins, all values tie
     zero = lambda t: 0.0
-    res = minimize_box(zero, lambda t: np.zeros(2), lambda t: np.zeros((2, 2)),
+    res = minimize_box(zero, lambda t: (np.zeros(2), np.zeros((2, 2))),
                        [0.0, 0.0], [1.0, 1.0], seed=7, n_starts=6)
     starts = [np.array([0.5, 0.5]), *_latin_starts(np.zeros(2), np.ones(2), 5, 7)]
     first = min(range(6), key=lambda i: tuple(starts[i]))
@@ -166,16 +167,16 @@ def test_minimize_box_iteration_cap_is_not_converged():
     # a Hessian that overstates the curvature a million-fold makes every
     # accepted step 1e-6 long, so the descent runs out of iterations far
     # from the bound where f = -t has its minimum
-    res = minimize_box(lambda t: float(-t[0]), lambda t: np.array([-1.0]),
-                       lambda t: np.array([[1e6]]), [0.0], [1.0], seed=0,
-                       n_starts=1)
+    res = minimize_box(lambda t: float(-t[0]),
+                       lambda t: (np.array([-1.0]), np.array([[1e6]])),
+                       [0.0], [1.0], seed=0, n_starts=1)
     assert not res.converged
     assert 0.5 < res.x[0] < 0.51
 
 
 def test_minimize_box_no_finite_start():
     f = lambda t: float("nan")
-    res = minimize_box(f, lambda t: np.zeros(1), lambda t: np.eye(1),
+    res = minimize_box(f, lambda t: (np.zeros(1), np.eye(1)),
                        [0.0], [1.0], seed=0, n_starts=3)
     assert not res.converged and np.isnan(res.value)
     assert res.n_evals == 3
@@ -227,3 +228,24 @@ def test_sym_psd_factor_rejects_asymmetric_and_indefinite():
         sym_psd_factor(np.array([[1.0, 0.0], [0.0, -1.0]]))
     with pytest.raises(FactorError):
         sym_psd_factor(np.zeros((2, 3)))
+
+
+def test_set_blas_threads_returns_the_previous_count():
+    outer = set_blas_threads(2)
+    if outer is None:
+        pytest.skip("numpy's bundled OpenBLAS not found")
+    try:
+        assert set_blas_threads(1) == 2
+        assert set_blas_threads(3) == 1
+        assert set_blas_threads(2) == 3
+    finally:
+        set_blas_threads(outer)
+
+
+@pytest.mark.parametrize("found", ["nothing", "missing-file", "no-symbols"])
+def test_set_blas_threads_fails_soft_without_the_library(monkeypatch, tmp_path,
+                                                         found):
+    path = {"nothing": None, "missing-file": tmp_path / "missing.so",
+            "no-symbols": "libm.so.6"}[found]
+    monkeypatch.setattr(numerics, "_openblas_path", lambda: path)
+    assert set_blas_threads(1) is None

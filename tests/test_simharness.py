@@ -9,13 +9,13 @@ from numpy.testing import assert_allclose
 
 from l2calib.calibration import estimate_theta, linear_theta_hat
 from l2calib.models import PhysicalSystem, make_scenario
-from l2calib.numerics import build_rule
+from l2calib.numerics import build_rule, set_blas_threads
 from l2calib.scaling import linear_estimator_variance
 from l2calib.simharness import (ClosedFormStudyConfig, StudyConfig,
-                                _closed_form_slice, brute_force_theta,
-                                generate_replicate, oracle_theta,
-                                parse_analysis, run_closed_form_study,
-                                run_replicate, run_study)
+                                _closed_form_slice, _map_slices,
+                                brute_force_theta, generate_replicate,
+                                oracle_theta, parse_analysis,
+                                run_closed_form_study, run_replicate, run_study)
 from l2calib.smoother import GcvGrid
 
 
@@ -285,3 +285,19 @@ def test_replicate_flags_estimate_not_converged_on_non_finite_model():
     assert "estimate-not-converged" in record["flags"]
     assert record["theta_hat"][0] <= 3.0
     assert "post_mean" in record["analyses"]["marginal-magnitude"]
+
+
+def _blas_threads_of_worker(indices):
+    # setting the count the initializer should already have set returns it
+    return [set_blas_threads(1) for _ in indices]
+
+
+def test_pool_workers_run_blas_on_one_thread():
+    previous = set_blas_threads(2)
+    if previous is None:
+        pytest.skip("numpy's bundled OpenBLAS not found")
+    try:
+        assert _map_slices(_blas_threads_of_worker, 2, 4) == [1, 1, 1, 1]
+        assert set_blas_threads(2) == 2        # the parent keeps its count
+    finally:
+        set_blas_threads(previous)

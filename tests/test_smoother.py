@@ -1,8 +1,10 @@
+import os
+import tempfile
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
@@ -76,6 +78,34 @@ def test_csv_round_trip(tmp_path):
     back = read_dataset_csv(path)
     assert_allclose(back.design, data.design, atol=0)
     assert_allclose(back.responses, data.responses, atol=0)
+
+
+@st.composite
+def _finite_datasets(draw):
+    n, k = draw(st.integers(1, 6)), draw(st.integers(1, 3))
+    value = st.floats(allow_nan=False, allow_infinity=False)
+    design = draw(st.lists(st.lists(value, min_size=k, max_size=k),
+                           min_size=n, max_size=n))
+    responses = draw(st.lists(value, min_size=n, max_size=n))
+    try:
+        return Dataset(design=np.array(design), responses=np.array(responses))
+    except ValueError:      # duplicate rows
+        assume(False)
+
+
+# the duplicate-row check squares row gaps, which overflow (harmlessly, to
+# inf) for coordinates beyond about 1e154
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@settings(max_examples=200, deadline=None)
+@given(_finite_datasets())
+def test_csv_round_trip_is_bit_exact(data):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "d.csv")
+        write_dataset_csv(path, data)
+        back = read_dataset_csv(path)
+    assert back.design.shape == data.design.shape
+    assert back.design.tobytes() == data.design.tobytes()
+    assert back.responses.tobytes() == data.responses.tobytes()
 
 
 def test_csv_errors(tmp_path):
