@@ -29,6 +29,8 @@ MIN_INTERVAL_DRAWS = 100
 INTERVAL_MODES = ("quantile", "hpd")
 ACCEPT_BAND = (0.1, 0.6)
 RHAT_LIMIT = 1.05
+BURNIN_FRAC = 0.5       # leading share of each chain spent adapting, then dropped
+TARGET_ACCEPT = 0.35    # acceptance rate the burn-in step-size adaptation aims at
 
 
 @dataclass(frozen=True)
@@ -89,17 +91,13 @@ def log_gen_posterior(theta, loss, prior: Prior, n: int):
 class SamplerSettings:
     chains: int = 4
     iterations: int = 20_000
-    burnin_frac: float = 0.5
     thin: int = 4
-    target_accept: float = 0.35
     init: np.ndarray | None = None
     init_cov: np.ndarray | None = None
 
     def __post_init__(self):
         if self.chains < 1 or self.iterations < 10:
             raise ValueError("need at least 1 chain and 10 iterations")
-        if not 0.0 < self.burnin_frac < 1.0:
-            raise ValueError("burnin_frac must be in (0, 1)")
         if self.thin < 1:
             raise ValueError("thin must be >= 1")
 
@@ -177,7 +175,7 @@ def sample_posterior(loss, prior: Prior, n: int, seed: int = 0,
         chol = np.eye(p)
 
     chains, iters = st.chains, st.iterations
-    burn = int(st.burnin_frac * iters)
+    burn = int(BURNIN_FRAC * iters)
     x = np.empty((chains, p))
     steps = np.empty((iters, chains, p))     # L z, before the step size s
     log_u = np.empty((iters, chains))
@@ -204,7 +202,7 @@ def sample_posterior(loss, prior: Prior, n: int, seed: int = 0,
         lp = np.where(accept, lp_prop, lp)
         if t < burn:
             alpha = np.exp(np.minimum(delta, 0.0))
-            log_s += (alpha - st.target_accept) / (t + 1) ** 0.6
+            log_s += (alpha - TARGET_ACCEPT) / (t + 1) ** 0.6
             s = np.exp(log_s)[:, None]
         else:
             accepted_post += accept

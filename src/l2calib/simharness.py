@@ -13,6 +13,7 @@ across reruns and across worker counts.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
 from functools import partial
@@ -58,22 +59,32 @@ class StudyConfig:
     mcmc_thin: int = SamplerSettings.thin
 
     def __post_init__(self):
-        if self.replicates < 1:
-            raise ValueError("replicates must be >= 1")
+        _check_shared_fields(self)
         if self.engine not in ENGINES:
             raise ValueError(f"unknown engine {self.engine!r}; choose from {ENGINES}")
-        if not 0.0 < self.level < 1.0:
-            raise ValueError("level must be in (0, 1)")
-        if self.workers < 1:
-            raise ValueError("workers must be >= 1")
         self.analyses = tuple(self.analyses)
         for a in self.analyses:
             parse_analysis(a)
 
-    def to_dict(self) -> dict:
-        d = asdict(self)
-        d["analyses"] = list(self.analyses)
-        return d
+
+def _check_shared_fields(config) -> None:
+    """Validate the fields both study configs have."""
+    if config.replicates < 1:
+        raise ValueError("replicates must be >= 1")
+    if not 0.0 < config.level < 1.0:
+        raise ValueError("level must be in (0, 1)")
+    if config.workers < 1:
+        raise ValueError("workers must be >= 1")
+
+
+def _report_config(config) -> dict:
+    """A report's config block: every field but the partition-only ``workers``."""
+    return {k: v for k, v in asdict(config).items() if k != "workers"}
+
+
+def _tally(flags) -> dict:
+    """Occurrences of each flag, in flag order."""
+    return dict(sorted(Counter(flags).items()))
 
 
 def parse_analysis(name: str):
@@ -138,22 +149,14 @@ def brute_force_theta(scenario: str, quad_order: int = DEFAULT_QUAD_ORDER,
     return np.array([grid[int(np.argmin(vals))]])
 
 
-def _sandwich_for(variant: str, form: str, est, fit, model, rule):
-    if variant == "marginal":
-        return marginal_matrices(est, fit, model, rule)
-    return conditional_matrices(est, fit, model, rule, form=form)
-
-
 def run_replicate(index: int, config: StudyConfig, model, system, rule,
                   theta_star: np.ndarray, n: int, grid: GcvGrid | None) -> dict:
     """One complete replicate; returns a plain-dict record."""
     seed_i = config.seed + index
     data = generate_replicate(system, n, seed_i)
-    if grid is not None and system.design.kind == "equidistant":
-        fit = grid.fit(data.responses)
-    else:
-        local = GcvGrid(data.design, family=config.kernel_family)
-        fit = local.fit(data.responses)
+    if grid is None:
+        grid = GcvGrid(data.design, family=config.kernel_family)
+    fit = grid.fit(data.responses)
     est = estimate_theta(fit, model, rule, method="l2", seed=seed_i,
                          n_starts=config.n_starts)
     base_loss = l2_loss_fn(fit, model, rule)
@@ -169,6 +172,7 @@ def run_replicate(index: int, config: StudyConfig, model, system, rule,
                                           if not est.converged else set())),
         "analyses": {},
     }
+    sandwiches = {}     # one per variant, shared by its scalings
     for name in config.analyses:
         variant, kind, gval = parse_analysis(name)
         out = {"flags": []}
@@ -178,8 +182,12 @@ def run_replicate(index: int, config: StudyConfig, model, system, rule,
             elif kind == "fixed":
                 adj = fixed_gamma(gval)
             else:
-                sw = _sandwich_for(variant, config.conditional_form, est, fit,
-                                   model, rule)
+                if variant not in sandwiches:
+                    sandwiches[variant] = (
+                        marginal_matrices(est, fit, model, rule) if variant == "marginal"
+                        else conditional_matrices(est, fit, model, rule,
+                                                  form=config.conditional_form))
+                sw = sandwiches[variant]
                 adj = (magnitude_adjustment(sw) if kind == "magnitude"
                        else curvature_adjustment(sw, est.theta))
             if config.engine == "laplace":
@@ -199,7 +207,7 @@ def run_replicate(index: int, config: StudyConfig, model, system, rule,
                                            init=est.theta, init_cov=init_cov)
                 post = sample_posterior(loss, prior, n, seed=seed_i,
                                         settings=settings)
-                out["flags"].extend(post.flags)
+            out["flags"].extend(post.flags)
             ci = credible_interval(post, level=config.level, mode=config.interval)
             out.update({
                 "post_mean": post.mean.tolist(),
@@ -217,9 +225,8 @@ def run_replicate(index: int, config: StudyConfig, model, system, rule,
     return record
 
 
-def _study_slice(config_dict: dict, theta_star: np.ndarray,
+def _study_slice(config: StudyConfig, theta_star: np.ndarray,
                  indices: list[int]) -> list[dict]:
-    config = StudyConfig(**{**config_dict, "analyses": tuple(config_dict["analyses"])})
     model, system, defaults = make_scenario(config.scenario)
     rule = build_rule(model.x_box.lower, model.x_box.upper, config.quad_order)
     n = config.n if config.n is not None else defaults["n"]
@@ -240,24 +247,12 @@ def aggregate_records(records: list[dict], analyses) -> dict:
         agg = {"n_replicates": len(rows), "n_used": n_ok,
                "n_failed": len(rows) - n_ok}
         if n_ok:
-            means = np.array([r["post_mean"] for r in ok])
-            sds = np.array([r["post_sd"] for r in ok])
-            lens = np.array([r["length"] for r in ok])
-            cov = np.array([r["covers"] for r in ok], dtype=float)
-            coverage = cov.mean(axis=0)
-            agg.update({
-                "mean_post_mean": means.mean(axis=0).tolist(),
-                "mean_post_sd": sds.mean(axis=0).tolist(),
-                "mean_length": lens.mean(axis=0).tolist(),
-                "coverage": coverage.tolist(),
-                "coverage_se": np.sqrt(coverage * (1 - coverage) / n_ok).tolist(),
-            })
-        flag_counts: dict = {}
-        for r in rows:
-            for fl in r["flags"]:
-                key = fl.split(":", 1)[0]
-                flag_counts[key] = flag_counts.get(key, 0) + 1
-        agg["flag_counts"] = dict(sorted(flag_counts.items()))
+            agg.update({f"mean_{f}": np.mean([r[f] for r in ok], axis=0).tolist()
+                        for f in ("post_mean", "post_sd", "length")})
+            coverage = np.mean([r["covers"] for r in ok], axis=0, dtype=float)
+            agg["coverage"] = coverage.tolist()
+            agg["coverage_se"] = np.sqrt(coverage * (1 - coverage) / n_ok).tolist()
+        agg["flag_counts"] = _tally(f.split(":", 1)[0] for r in rows for f in r["flags"])
         out[name] = agg
     return out
 
@@ -320,7 +315,9 @@ def _map_slices(slice_fn, workers: int, replicates: int, *args) -> list[dict]:
 
     With more than one worker the indices are cut into one contiguous chunk
     per worker and the chunks run in a process pool whose workers each run
-    BLAS on one thread, whatever the start method.
+    BLAS on one thread, whatever the start method. Records come back in index
+    order either way: the chunks are contiguous and ``pool.map`` yields their
+    results in the order they were submitted.
     """
     indices = list(range(replicates))
     if workers <= 1 or replicates <= 1:
@@ -334,22 +331,14 @@ def _map_slices(slice_fn, workers: int, replicates: int, *args) -> list[dict]:
 
 
 def run_study(config: StudyConfig) -> SimulationReport:
-    cd = config.to_dict()
     # once, in this process: pool workers receive theta* instead of re-deriving it
     theta_star = oracle_theta(config.scenario, config.quad_order)
-    records = _map_slices(_study_slice, config.workers, config.replicates, cd,
+    records = _map_slices(_study_slice, config.workers, config.replicates, config,
                           theta_star)
-    records.sort(key=lambda r: r["index"])
-    analyses = aggregate_records(records, config.analyses)
-    flag_counts: dict = {}
-    for r in records:
-        for fl in r["flags"]:
-            flag_counts[fl] = flag_counts.get(fl, 0) + 1
-    # worker count must not leak into the report: bytes are partition-invariant
-    cd_report = {k: v for k, v in cd.items() if k != "workers"}
-    return SimulationReport(config=cd_report, oracle_theta=theta_star.tolist(),
-                            analyses=analyses, replicate_flags=dict(sorted(flag_counts.items())),
-                            records=records)
+    flags = _tally(f for r in records for f in r["flags"])
+    return SimulationReport(config=_report_config(config), oracle_theta=theta_star.tolist(),
+                            analyses=aggregate_records(records, config.analyses),
+                            replicate_flags=flags, records=records)
 
 
 # ---------------------------------------------------------------------------
@@ -380,17 +369,14 @@ class ClosedFormStudyConfig:
     prior_in_interval: bool = False
     workers: int = 1
 
-    def to_dict(self) -> dict:
-        d = asdict(self)
-        d["sample_sizes"] = list(self.sample_sizes)
-        d["gamma_fixed"] = list(self.gamma_fixed)
-        return d
+    def __post_init__(self):
+        _check_shared_fields(self)
+        if not self.tau2 > 0.0:     # also refuses NaN; inf is the flat prior
+            raise ValueError("tau2 must be > 0")
 
 
-def _closed_form_slice(config_dict: dict, n: int, indices: list[int]) -> list[dict]:
-    cfg = ClosedFormStudyConfig(**{**config_dict,
-                                   "sample_sizes": tuple(config_dict["sample_sizes"]),
-                                   "gamma_fixed": tuple(config_dict["gamma_fixed"])})
+def _closed_form_slice(cfg: ClosedFormStudyConfig, n: int,
+                       indices: list[int]) -> list[dict]:
     model, system, _ = make_scenario("simple-linear")
     line = StraightLine(build_rule(model.x_box.lower, model.x_box.upper, cfg.quad_order))
     xs = np.linspace(0.0, 1.0, n)
@@ -427,13 +413,11 @@ def _closed_form_slice(config_dict: dict, n: int, indices: list[int]) -> list[di
 def run_closed_form_study(cfg: ClosedFormStudyConfig) -> SimulationReport:
     z = NormalDist().inv_cdf(0.5 + cfg.level / 2.0)
     theta_star = float(oracle_theta("simple-linear", cfg.quad_order)[0])
-    cd = cfg.to_dict()
     tables = {}
-    all_flags: dict = {}
+    flags = []
     records = []
     for n in cfg.sample_sizes:
-        recs = _map_slices(_closed_form_slice, cfg.workers, cfg.replicates, cd, n)
-        recs.sort(key=lambda r: r["index"])
+        recs = _map_slices(_closed_form_slice, cfg.workers, cfg.replicates, cfg, n)
         labels = [f"gamma={g:g}" for g in cfg.gamma_fixed] + ["gamma=matched"]
         for label in labels:
             rows = [r["posteriors"][label] for r in recs if label in r["posteriors"]]
@@ -453,12 +437,8 @@ def run_closed_form_study(cfg: ClosedFormStudyConfig) -> SimulationReport:
                 "mean_post_mean": float(means.mean()),
                 "mean_gamma": float(np.mean([r["gamma"] for r in rows])),
             }
-        for r in recs:
-            for fl in r["flags"]:
-                key = f"n={n}:{fl}"
-                all_flags[key] = all_flags.get(key, 0) + 1
+        flags.extend(f"n={n}:{fl}" for r in recs for fl in r["flags"])
         records.extend([{**r, "n": n} for r in recs])
-    cd_report = {k: v for k, v in cd.items() if k != "workers"}
-    return SimulationReport(config=cd_report, oracle_theta=[theta_star], analyses=tables,
-                            replicate_flags=dict(sorted(all_flags.items())),
+    return SimulationReport(config=_report_config(cfg), oracle_theta=[theta_star],
+                            analyses=tables, replicate_flags=_tally(flags),
                             records=records, kind="closed-form-study")

@@ -82,7 +82,8 @@ class Dataset:
         if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
             raise ValueError("dataset contains non-finite values")
         order = np.lexsort(x.T[::-1])
-        gaps = np.linalg.norm(np.diff(x[order], axis=0), axis=1)
+        # hypot, unlike a sum of squares, cannot overflow for large coordinates
+        gaps = np.hypot.reduce(np.diff(x[order], axis=0), axis=1)
         if gaps.size and gaps.min() < 1e-12:
             raise ValueError("design contains duplicate rows (within 1e-12)")
         object.__setattr__(self, "design", x)

@@ -1,14 +1,19 @@
 import argparse
+import contextlib
 import csv
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 from collections import Counter
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from l2calib import cli
 from l2calib.asymptotics import conditional_matrices, marginal_matrices
@@ -225,6 +230,35 @@ def test_config_file_merge_and_flag_override(tmp_path, capsys):
     cfg = json.loads(capsys.readouterr().out)
     assert cfg["level"] == 0.95       # flag beats file
     assert cfg["replicates"] == 2     # file beats default
+
+
+# simulate settings with a file value and a flag value, both unlike the default
+_LAYERED = {"seed": (5, 7), "n": (20, 25), "level": (0.9, 0.8),
+            "quad_order": (32, 16), "workers": (2, 3),
+            "variant": ("marginal", "conditional"),
+            "scaling": ("magnitude", "curvature")}
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sets(st.sampled_from(sorted(_LAYERED))),
+       st.sets(st.sampled_from(sorted(_LAYERED))))
+def test_config_precedence_flag_over_file_over_default(in_file, on_flags):
+    argv = ["simulate", "--scenario", "scenario2", "--replicates", "2",
+            "--print-config"]
+    for key in sorted(on_flags):
+        argv += ["--" + key.replace("_", "-"), str(_LAYERED[key][1])]
+    out = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "cfg.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump({key: _LAYERED[key][0] for key in in_file}, fh)
+        with contextlib.redirect_stdout(out):
+            assert main(argv + ["--config", path]) == 0
+    shown = json.loads(out.getvalue())
+    for key, (file_value, flag_value) in _LAYERED.items():
+        expected = (flag_value if key in on_flags else
+                    file_value if key in in_file else cli.SETTINGS[key].default)
+        assert shown[key] == expected, key
 
 
 def test_config_errors(tmp_path, capsys):

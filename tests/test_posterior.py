@@ -184,8 +184,6 @@ def test_settings_validation():
     with pytest.raises(ValueError):
         SamplerSettings(iterations=5)
     with pytest.raises(ValueError):
-        SamplerSettings(burnin_frac=1.5)
-    with pytest.raises(ValueError):
         SamplerSettings(thin=0)
 
 

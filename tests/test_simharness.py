@@ -30,6 +30,19 @@ def test_parse_analysis():
             parse_analysis(bad)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("replicates", 0), ("level", 0.0), ("level", 1.5), ("tau2", 0.0),
+    ("tau2", -1.0), ("tau2", float("nan")), ("workers", 0)])
+def test_closed_form_config_validation(field, value):
+    with pytest.raises(ValueError, match=field):
+        ClosedFormStudyConfig(**{"replicates": 5, "prior_in_interval": True,
+                                 field: value})
+
+
+def test_closed_form_config_accepts_flat_prior():
+    assert ClosedFormStudyConfig(tau2=float("inf")).tau2 == float("inf")
+
+
 def test_study_config_validation():
     ok = StudyConfig(scenario="scenario2", replicates=3)
     assert ok.analyses == ("marginal-magnitude", "marginal-curvature",
@@ -228,7 +241,7 @@ def test_closed_form_study_tables():
 def test_closed_form_slice_matches_linear_estimator(n, seed):
     # the study's cached per-bandwidth closed form against the per-fit functions
     cfg = ClosedFormStudyConfig(replicates=4, seed=seed)
-    records = _closed_form_slice(cfg.to_dict(), n, [0, 1, 2, 3])
+    records = _closed_form_slice(cfg, n, [0, 1, 2, 3])
     model, system, _ = make_scenario("simple-linear")
     rule = build_rule(model.x_box.lower, model.x_box.upper, cfg.quad_order)
     xs = np.linspace(0.0, 1.0, n).reshape(-1, 1)
@@ -284,7 +297,21 @@ def test_replicate_flags_estimate_not_converged_on_non_finite_model():
                            defaults["n"], grid=None)
     assert "estimate-not-converged" in record["flags"]
     assert record["theta_hat"][0] <= 3.0
-    assert "post_mean" in record["analyses"]["marginal-magnitude"]
+    analysis = record["analyses"]["marginal-magnitude"]
+    assert "post_mean" in analysis
+    # the Laplace analysis carries the estimate's flag, as calibrate's does
+    assert "estimate-not-converged" in analysis["flags"]
+
+
+def _index_records(indices):
+    return [{"index": i} for i in indices]
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+def test_map_slices_keeps_index_order_on_uneven_chunks(workers):
+    # 5 replicates cut into chunks of 3 + 2 (two workers) or 2 + 2 + 1 (three)
+    records = _map_slices(_index_records, workers, 5)
+    assert [r["index"] for r in records] == [0, 1, 2, 3, 4]
 
 
 def _blas_threads_of_worker(indices):

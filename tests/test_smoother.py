@@ -71,6 +71,15 @@ def test_dataset_validation():
     assert one.n == 1 and one.k == 1
 
 
+def test_dataset_duplicate_check_does_not_overflow():
+    design = np.array([[1e200, 3e200], [2e200, -1e200]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert Dataset(design=design, responses=np.array([0.0, 1.0])).n == 2
+        with pytest.raises(ValueError, match="duplicate"):
+            Dataset(design=np.vstack([design, design[:1]]), responses=np.zeros(3))
+
+
 def test_csv_round_trip(tmp_path):
     data = _line_data(n=6, noise=0.1, seed=2)
     path = tmp_path / "d.csv"
@@ -93,8 +102,8 @@ def _finite_datasets(draw):
         assume(False)
 
 
-# the duplicate-row check squares row gaps, which overflow (harmlessly, to
-# inf) for coordinates beyond about 1e154
+# row differences overflow (harmlessly, to inf) for coordinates of opposite
+# sign beyond about 9e307
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 @settings(max_examples=200, deadline=None)
 @given(_finite_datasets())
@@ -194,6 +203,32 @@ def test_fit_smoother_selection_invariant_to_grid_order(tmp_path):
                         rho_grid=rho[rng.permutation(rho.shape[0])])
     assert fit1.lam == fit2.lam
     assert_allclose(fit1.kernel.rho, fit2.kernel.rho, atol=0)
+
+
+@st.composite
+def _permuted_designs(draw):
+    n, k = draw(st.integers(3, 40)), draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x = rng.random((n, k))
+    # without signal GCV is often flat across cells, which makes exact ties
+    signal = draw(st.sampled_from([0.0, 1.0])) * np.sin(3.0 * x).sum(axis=1)
+    y = signal + rng.standard_normal(n)
+    return x, y, draw(st.permutations(range(n)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_permuted_designs())
+def test_gcv_choice_invariant_to_row_permutation(case):
+    x, y, perm = case
+    grid = GcvGrid(x)
+    idx, lam, best = grid.select(y)[:3]
+    p_idx, p_lam = GcvGrid(x[perm]).select(y[perm])[:2]
+    if (p_idx, p_lam) != (idx, lam):
+        # rounding may break an exact tie the other way; the permuted choice
+        # must then score the minimum on the unpermuted design too
+        spec = grid.bandwidths[p_idx][0]
+        score = fit_smoother_fixed(Dataset(x, y), spec, p_lam).gcv_value
+        assert abs(score - best) <= 1e-12 * best
 
 
 def test_sigma2_hat_order_of_magnitude():
