@@ -51,6 +51,10 @@ class DomainBox:
     def contains(self, x, atol: float = 1e-12) -> bool:
         return bool(np.all(self.inside(x, atol)))
 
+    def strictly_contains(self, x) -> bool:
+        """Whether every point of x lies strictly inside the box, with no tolerance."""
+        return bool((x > self.lower).all() and (x < self.upper).all())
+
     def clip(self, x) -> np.ndarray:
         return np.clip(np.asarray(x, dtype=float), self.lower, self.upper)
 

@@ -31,6 +31,8 @@ ACCEPT_BAND = (0.1, 0.6)
 RHAT_LIMIT = 1.05
 BURNIN_FRAC = 0.5       # leading share of each chain spent adapting, then dropped
 TARGET_ACCEPT = 0.35    # acceptance rate the burn-in step-size adaptation aims at
+MAX_PREFETCH_DEPTH = 4  # post-burn-in steps one loss call can cover
+PREFETCH_ROWS = 64      # proposal rows one prefetching loss call may carry
 
 
 @dataclass(frozen=True)
@@ -62,7 +64,10 @@ class Prior:
         """Log prior density up to a constant: float for theta (p,), (c,) for (c, p)."""
         theta = np.asarray(theta, dtype=float)
         if self.kind == "uniform":
-            lp = np.where(self.box.inside(theta), 0.0, -np.inf)
+            if self.box.strictly_contains(theta):
+                lp = np.zeros(theta.shape[:-1])
+            else:
+                lp = np.where(self.box.inside(theta), 0.0, -np.inf)
         else:
             d = theta - self.mean
             lp = -0.5 * (d * d / self.var).sum(axis=-1)
@@ -81,6 +86,9 @@ def log_gen_posterior(theta, loss, prior: Prior, n: int):
         return float(log_gen_posterior(np.atleast_1d(theta)[None], loss, prior, n)[0])
     lp = prior.log_density(theta)
     inside = np.isfinite(lp)
+    if inside.all():
+        val = loss(theta)
+        return np.where(np.isfinite(val), -n * val + lp, -np.inf)
     if inside.any():
         val = loss(theta[inside])
         lp[inside] = np.where(np.isfinite(val), -n * val + lp[inside], -np.inf)
@@ -146,18 +154,33 @@ def split_rhat(per_chain: list[np.ndarray]) -> np.ndarray:
     return np.where(w > 0, r, 1.0)
 
 
+def prefetch_depth(chains: int) -> int:
+    """Steps taken per loss call after burn-in: the largest d, at most
+    ``MAX_PREFETCH_DEPTH``, with chains * (2^d - 1) <= ``PREFETCH_ROWS``;
+    1 (the plain step) when no d fits."""
+    fits = (PREFETCH_ROWS // chains + 1).bit_length() - 1
+    return min(MAX_PREFETCH_DEPTH, max(1, fits))
+
+
 def sample_posterior(loss, prior: Prior, n: int, seed: int = 0,
                      settings: SamplerSettings | None = None) -> PosteriorSample:
     """Adaptive random-walk Metropolis on the generalised posterior.
 
     ``loss`` maps a batch (c, p) to (c,) values, as the losses of
-    ``calibration`` and ``scaling`` do: the chains advance in lockstep, with one
-    loss call per step on the proposals inside the prior. Chain c draws its
+    ``calibration`` and ``scaling`` do: the chains advance in lockstep, and
+    each loss call sees only proposals inside the prior. Chain c draws its
     start jitter, all its proposal normals, then all its log-uniforms from a
     stream seeded by (seed, c), so results are reproducible and independent of
     the chain count. The proposal is x + s L z with L a Cholesky factor of
     ``init_cov`` (identity if absent) and each chain's s adapted by
     Robbins-Monro during burn-in only.
+
+    Burn-in takes one loss call per step. After it, s is fixed, so one call
+    evaluates every state the next ``prefetch_depth(chains)`` steps can
+    propose (pre-fetching; Brockwell, 2006) and the steps then walk that tree.
+    Each node is formed by the same addition as a plain step and a loss row
+    does not depend on its batch, so the draws equal those of plain steps bit
+    for bit.
     """
     st = settings if settings is not None else SamplerSettings()
     p = prior.dim
@@ -190,9 +213,8 @@ def sample_posterior(loss, prior: Prior, n: int, seed: int = 0,
 
     log_s = np.full(chains, np.log(2.38 / np.sqrt(p)))
     s = np.exp(log_s)[:, None]
-    kept = np.empty((chains, len(range(burn, iters, st.thin)), p))
-    accepted_post = np.zeros(chains)
-    for t in range(iters):
+    for t in range(burn):
+        # one step at a time: Robbins-Monro moves s after every step
         prop = x + s * steps[t]
         lp_prop = log_gen_posterior(prop, loss, prior, n)
         delta = lp_prop - lp
@@ -200,14 +222,33 @@ def sample_posterior(loss, prior: Prior, n: int, seed: int = 0,
         accept = log_u[t] < delta
         x = np.where(accept[:, None], prop, x)
         lp = np.where(accept, lp_prop, lp)
-        if t < burn:
-            alpha = np.exp(np.minimum(delta, 0.0))
-            log_s += (alpha - TARGET_ACCEPT) / (t + 1) ** 0.6
-            s = np.exp(log_s)[:, None]
-        else:
+        alpha = np.exp(np.minimum(delta, 0.0))
+        log_s += (alpha - TARGET_ACCEPT) / (t + 1) ** 0.6
+        s = np.exp(log_s)[:, None]
+
+    kept = np.empty((chains, len(range(burn, iters, st.thin)), p))
+    accepted_post = np.zeros(chains)
+    depth = prefetch_depth(chains)
+    for t0 in range(burn, iters, depth):
+        # with s frozen, the states the next d steps can reach form a tree:
+        # node 0 is x and node h + 2^j is node h moved by step j's proposal
+        d = min(depth, iters - t0)
+        nodes = np.empty((2 ** d, chains, p))
+        nodes[0] = x
+        for j in range(d):
+            nodes[2 ** j:2 ** (j + 1)] = nodes[:2 ** j] + s * steps[t0 + j]
+        nodes = nodes.reshape(-1, p)        # row node * chains + chain
+        lp_nodes = np.concatenate(
+            [lp, log_gen_posterior(nodes[chains:], loss, prior, n)])
+        at = np.arange(chains)              # each chain's row, at node 0
+        for j, t in enumerate(range(t0, t0 + d)):
+            prop = at + (chains << j)
+            accept = log_u[t] < lp_nodes[prop] - lp_nodes[at]
+            at = np.where(accept, prop, at)
             accepted_post += accept
             if (t - burn) % st.thin == 0:
-                kept[:, (t - burn) // st.thin] = x
+                kept[:, (t - burn) // st.thin] = nodes[at]
+        x, lp = nodes[at], lp_nodes[at]
     accept_rates = accepted_post / max(iters - burn, 1)
 
     rhat = split_rhat(kept) if chains >= 2 else np.full(p, np.nan)

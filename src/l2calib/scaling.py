@@ -124,6 +124,8 @@ def scaled_loss(adj: ScalingAdjustment, base_loss, theta_box: DomainBox | None =
         theta = np.asarray(theta, dtype=float)
         # row-wise products and sums, so a batch row equals the single theta
         mapped = anchor + (gamma_mat * (theta - anchor)[..., None, :]).sum(axis=-1)
+        if theta_box.strictly_contains(mapped):
+            return base_loss(mapped)    # clipping is the identity, no penalty
         proj = theta_box.clip(mapped)
         over = mapped - proj
         pen = (over * over).sum(axis=-1)

@@ -22,16 +22,18 @@ from statistics import NormalDist
 import numpy as np
 
 from . import __version__
-from .asymptotics import conditional_matrices, marginal_matrices
+from .asymptotics import (CONDITIONAL_FORMS, conditional_matrices,
+                          marginal_matrices)
 from .calibration import (StraightLine, estimate_theta, l2_loss_fn,
                           linear_theta_hat, matched_gamma, normal_posterior)
 from .models import make_scenario
 from .numerics import DEFAULT_QUAD_ORDER, build_rule, set_blas_threads
-from .posterior import (Prior, SamplerSettings, conjugate_posterior,
-                        credible_interval, laplace_approx, sample_posterior)
+from .posterior import (INTERVAL_MODES, Prior, SamplerSettings,
+                        conjugate_posterior, credible_interval, laplace_approx,
+                        sample_posterior)
 from .scaling import (ScalingError, curvature_adjustment, fixed_gamma,
                       magnitude_adjustment, no_scaling, scaled_loss)
-from .smoother import Dataset, GcvGrid
+from .smoother import KERNEL_FAMILIES, Dataset, GcvGrid
 
 VARIANTS = ("marginal", "conditional")
 SCALINGS = ("magnitude", "curvature")
@@ -60,8 +62,9 @@ class StudyConfig:
 
     def __post_init__(self):
         _check_shared_fields(self)
-        if self.engine not in ENGINES:
-            raise ValueError(f"unknown engine {self.engine!r}; choose from {ENGINES}")
+        _check_choice(self, "engine", ENGINES)
+        _check_choice(self, "interval", INTERVAL_MODES)
+        _check_choice(self, "conditional_form", CONDITIONAL_FORMS)
         self.analyses = tuple(self.analyses)
         for a in self.analyses:
             parse_analysis(a)
@@ -75,6 +78,13 @@ def _check_shared_fields(config) -> None:
         raise ValueError("level must be in (0, 1)")
     if config.workers < 1:
         raise ValueError("workers must be >= 1")
+    _check_choice(config, "kernel_family", KERNEL_FAMILIES)
+
+
+def _check_choice(config, name: str, choices: tuple) -> None:
+    value = getattr(config, name)
+    if value not in choices:
+        raise ValueError(f"unknown {name} {value!r}; choose from {choices}")
 
 
 def _report_config(config) -> dict:
@@ -324,7 +334,8 @@ def _map_slices(slice_fn, workers: int, replicates: int, *args) -> list[dict]:
         return slice_fn(*args, indices)
     size = (replicates + workers - 1) // workers
     chunks = [indices[i:i + size] for i in range(0, replicates, size)]
-    with ProcessPoolExecutor(max_workers=workers, initializer=set_blas_threads,
+    # fork starts every worker up front, so start no more than there are chunks
+    with ProcessPoolExecutor(max_workers=len(chunks), initializer=set_blas_threads,
                              initargs=(1,)) as pool:
         parts = pool.map(partial(slice_fn, *args), chunks)
         return [r for part in parts for r in part]

@@ -9,10 +9,12 @@ from numpy.testing import assert_allclose
 from l2calib.calibration import CalibrationEstimate
 from l2calib.models import DomainBox
 from l2calib.numerics import build_rule
-from l2calib.posterior import (LaplaceApprox, PosteriorSample, Prior,
-                               SamplerSettings, batch_mcse, conjugate_posterior,
-                               credible_interval, laplace_approx,
-                               log_gen_posterior, sample_posterior, split_rhat,
+from l2calib.posterior import (ACCEPT_BAND, BURNIN_FRAC, RHAT_LIMIT,
+                               TARGET_ACCEPT, LaplaceApprox, PosteriorSample,
+                               Prior, SamplerSettings, batch_mcse,
+                               conjugate_posterior, credible_interval,
+                               laplace_approx, log_gen_posterior,
+                               prefetch_depth, sample_posterior, split_rhat,
                                write_draws_csv)
 from l2calib.scaling import curvature_adjustment, fixed_gamma, no_scaling
 from l2calib.asymptotics import SandwichMatrices
@@ -178,6 +180,107 @@ def test_sampler_rejects_non_finite_loss():
     assert_allclose(lp, [0.0, -np.inf, -np.inf, -0.5], rtol=0)
 
 
+def _stepwise_metropolis(loss, prior, n, seed, st):
+    """Reference sampler: one loss call per step, before and after burn-in.
+
+    Returns (kept draws (chains, m, p), per-chain acceptance, rhat, flags).
+    """
+    p = prior.dim
+    init = np.atleast_1d(np.asarray(st.init, dtype=float))
+    lp0 = log_gen_posterior(init, loss, prior, n)
+    if st.init_cov is not None:
+        cov = np.atleast_2d(np.asarray(st.init_cov, dtype=float))
+        chol = np.linalg.cholesky(cov + 1e-12 * np.trace(cov) / p * np.eye(p))
+    else:
+        chol = np.eye(p)
+    chains, iters = st.chains, st.iterations
+    burn = int(BURNIN_FRAC * iters)
+    x = np.empty((chains, p))
+    steps = np.empty((iters, chains, p))
+    log_u = np.empty((iters, chains))
+    for c in range(chains):
+        rng = np.random.default_rng([seed, c])
+        x[c] = init + 0.01 * (chol @ rng.standard_normal(p))
+        steps[:, c] = rng.standard_normal((iters, p)) @ chol.T
+        log_u[:, c] = np.log(rng.random(iters))
+    lp = log_gen_posterior(x, loss, prior, n)
+    stuck = ~np.isfinite(lp)
+    x[stuck], lp[stuck] = init, lp0
+    log_s = np.full(chains, np.log(2.38 / np.sqrt(p)))
+    s = np.exp(log_s)[:, None]
+    kept, accepted = [], np.zeros(chains)
+    for t in range(iters):
+        prop = x + s * steps[t]
+        lp_prop = log_gen_posterior(prop, loss, prior, n)
+        delta = lp_prop - lp
+        accept = log_u[t] < delta
+        x = np.where(accept[:, None], prop, x)
+        lp = np.where(accept, lp_prop, lp)
+        if t < burn:
+            alpha = np.exp(np.minimum(delta, 0.0))
+            log_s += (alpha - TARGET_ACCEPT) / (t + 1) ** 0.6
+            s = np.exp(log_s)[:, None]
+        else:
+            accepted += accept
+            if (t - burn) % st.thin == 0:
+                kept.append(x)
+    kept = np.stack(kept, axis=1)
+    rates = accepted / (iters - burn)
+    rhat = split_rhat(kept) if chains >= 2 else np.full(p, np.nan)
+    flags = []
+    if not ACCEPT_BAND[0] <= float(rates.mean()) <= ACCEPT_BAND[1]:
+        flags.append("acceptance-outside-band")
+    if chains >= 2 and np.any(rhat > RHAT_LIMIT):
+        flags.append("rhat-high")
+    return kept, rates, rhat, tuple(flags)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 70), st.integers(10, 300), st.integers(1, 5),
+       st.integers(1, 2), st.integers(0, 2**32 - 1))
+def test_sampler_equals_stepwise_reference(chains, iterations, thin, p, seed):
+    # chains 1-70 reach every prefetch depth, and the post-burn-in length is
+    # often not a multiple of it; the loss is NaN or inf on part of a prior
+    # box that cuts proposals
+    rng = np.random.default_rng(seed)
+    lower = rng.uniform(-2.0, 0.0, p)
+    box = DomainBox(lower, lower + rng.uniform(0.5, 2.0, p))
+    width = box.upper - box.lower
+    centre = box.lower + (0.3 + 0.4 * rng.random(p)) * width
+    nan_above = centre[0] + rng.uniform(0.05, 0.5) * width[0]
+    inf_below = centre[-1] - rng.uniform(0.05, 0.5) * width[-1]
+
+    def loss(th):
+        assert box.inside(th).all()    # the loss sees rows inside the prior only
+        val = (((th - centre) / width) ** 2).sum(axis=-1)
+        val = np.where(th[:, 0] > nan_above, np.nan, val)
+        return np.where(th[:, -1] < inf_below, np.inf, val)
+
+    a = rng.standard_normal((p, p))
+    init_cov = None if rng.random() < 0.3 else 0.1 * (a @ a.T + 0.1 * np.eye(p))
+    opts = SamplerSettings(chains=chains, iterations=iterations, thin=thin,
+                           init=centre, init_cov=init_cov)
+    n = int(rng.integers(1, 50))
+    prior = Prior.uniform(box)
+    try:
+        kept, rates, rhat, flags = _stepwise_metropolis(loss, prior, n, seed, opts)
+    except ValueError as exc:          # too few kept draws for split R-hat
+        with pytest.raises(ValueError, match=str(exc)):
+            sample_posterior(loss, prior, n, seed=seed, settings=opts)
+        return
+    post = sample_posterior(loss, prior, n, seed=seed, settings=opts)
+    assert post.draws.tobytes() == kept.reshape(-1, p).tobytes()
+    assert np.array_equal(post.chain_ids, np.repeat(np.arange(chains), kept.shape[1]))
+    assert post.per_chain_accept.tobytes() == rates.tobytes()
+    assert post.rhat.tobytes() == rhat.tobytes()
+    assert post.flags == flags
+
+
+def test_prefetch_depth_keeps_calls_within_the_row_budget():
+    assert [prefetch_depth(c) for c in (1, 4, 5, 9, 10, 21, 22, 64)] == [
+        4, 4, 3, 3, 2, 2, 1, 1]
+
+
 def test_settings_validation():
     with pytest.raises(ValueError):
         SamplerSettings(chains=0)
@@ -326,11 +429,22 @@ def test_prior_log_density_batch_rows_equal_single_theta(p, chains, seed):
     box = DomainBox(lower, lower + rng.uniform(0.1, 2.0, p))
     priors = (Prior.uniform(box),
               Prior.normal(rng.normal(size=p), rng.uniform(0.1, 3.0, p)))
-    # rows from three times the box: some inside the uniform prior, some not
+    # rows from three times the box: some inside the uniform prior, some not;
+    # rows all inside it; rows within 1e-12 of a face, on either side
     width = box.upper - box.lower
-    thetas = box.lower - width + 3.0 * rng.random((chains, p)) * width
-    for prior in priors:
-        batch = prior.log_density(thetas)
-        assert batch.shape == (chains,)
-        for i in range(chains):
-            assert batch[i] == prior.log_density(thetas[i])
+    mixed = box.lower - width + 3.0 * rng.random((chains, p)) * width
+    inside = box.lower + rng.random((chains, p)) * width
+    near_face = inside.copy()
+    j = rng.integers(p, size=chains)
+    face = np.where(rng.random(chains) < 0.5, box.lower[j], box.upper[j])
+    near_face[np.arange(chains), j] = face + rng.uniform(-1e-12, 1e-12, chains)
+    for thetas in (mixed, inside, near_face):
+        for prior in priors:
+            batch = prior.log_density(thetas)
+            assert batch.shape == (chains,)
+            # with a row outside appended no batch is wholly inside the box
+            outside = box.upper + width
+            assert np.array_equal(prior.log_density(np.vstack([thetas, outside]))[:-1],
+                                  batch)
+            for i in range(chains):
+                assert batch[i] == prior.log_density(thetas[i])

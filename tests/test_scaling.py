@@ -254,12 +254,23 @@ def test_scaled_loss_batch_rows_equal_single_theta(name, chains, seed):
     thetas = np.vstack([thetas, anchor + 1e6 * width])
     mapped = anchor + (thetas - anchor) @ gamma_mat.T
     assert not box.contains(mapped[-1])
-    for adj in (no_scaling(), fixed_gamma(rng.uniform(0.1, 10.0)), curvature):
-        loss = scaled_loss(adj, base, box)
-        batch = loss(thetas)
-        assert batch.shape == (chains + 1,)
-        for i in range(chains + 1):
-            assert batch[i] == loss(thetas[i])
+    # rows the remap keeps inside the box, near the anchor; rows it sends to
+    # within about 1e-12 of a face, on either side
+    inside = anchor + 1e-6 * width * rng.uniform(-1.0, 1.0, (chains, p))
+    face_pts = box.lower + rng.random((chains, p)) * width
+    j = rng.integers(p, size=chains)
+    face = np.where(rng.random(chains) < 0.5, box.lower[j], box.upper[j])
+    face_pts[np.arange(chains), j] = face + rng.uniform(-1e-12, 1e-12, chains)
+    near_face = anchor + np.linalg.solve(gamma_mat, (face_pts - anchor).T).T
+    for rows in (thetas, inside, near_face):
+        for adj in (no_scaling(), fixed_gamma(rng.uniform(0.1, 10.0)), curvature):
+            loss = scaled_loss(adj, base, box)
+            batch = loss(rows)
+            assert batch.shape == (rows.shape[0],)
+            # with the far row appended no batch is wholly inside the box
+            assert np.array_equal(loss(np.vstack([rows, thetas[-1]]))[:-1], batch)
+            for i in range(rows.shape[0]):
+                assert batch[i] == loss(rows[i])
 
 
 @settings(max_examples=60, deadline=None)

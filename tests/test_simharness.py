@@ -1,5 +1,6 @@
 import dataclasses
 import json
+from functools import partial
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from numpy.testing import assert_allclose
 from l2calib.calibration import estimate_theta, linear_theta_hat
 from l2calib.models import PhysicalSystem, make_scenario
 from l2calib.numerics import build_rule, set_blas_threads
+from l2calib import simharness as sh
 from l2calib.scaling import linear_estimator_variance
 from l2calib.simharness import (ClosedFormStudyConfig, StudyConfig,
                                 _closed_form_slice, _map_slices,
@@ -57,6 +59,18 @@ def test_study_config_validation():
         StudyConfig(scenario="scenario2", replicates=1, workers=0)
     with pytest.raises(ValueError, match="analysis"):
         StudyConfig(scenario="scenario2", replicates=1, analyses=("bogus",))
+
+
+@pytest.mark.parametrize("make, field", [
+    (partial(StudyConfig, scenario="scenario2"), "conditional_form"),
+    (partial(StudyConfig, scenario="scenario2"), "interval"),
+    (partial(StudyConfig, scenario="scenario2"), "kernel_family"),
+    (ClosedFormStudyConfig, "kernel_family")],
+    ids=["study-conditional_form", "study-interval", "study-kernel_family",
+         "closed_form-kernel_family"])
+def test_configs_reject_unknown_choices(make, field):
+    with pytest.raises(ValueError, match=f"unknown {field} 'bogus'"):
+        make(replicates=2, **{field: "bogus"})
 
 
 def test_generate_replicate_deterministic():
@@ -312,6 +326,21 @@ def test_map_slices_keeps_index_order_on_uneven_chunks(workers):
     # 5 replicates cut into chunks of 3 + 2 (two workers) or 2 + 2 + 1 (three)
     records = _map_slices(_index_records, workers, 5)
     assert [r["index"] for r in records] == [0, 1, 2, 3, 4]
+
+
+def test_pool_starts_no_more_workers_than_chunks(monkeypatch):
+    started = []
+
+    class Recording(sh.ProcessPoolExecutor):
+        def __init__(self, max_workers=None, **kw):
+            started.append(max_workers)
+            super().__init__(max_workers=max_workers, **kw)
+
+    one = run_study(_tiny_study(replicates=2)).to_json(include_records=True)
+    monkeypatch.setattr(sh, "ProcessPoolExecutor", Recording)
+    six = run_study(_tiny_study(replicates=2, workers=6)).to_json(include_records=True)
+    assert started == [2]
+    assert six == one
 
 
 def _blas_threads_of_worker(indices):
