@@ -42,8 +42,9 @@ class LossTerms:
 
     The l2 loss uses the quadrature nodes and weights and the smoothed mean
     at the nodes; the OLS loss uses the design, weights 1/n and the
-    responses. ``value`` takes one theta (p,) or a batch (c, p); ``grad``,
-    ``hess`` and ``grad_hess`` take one theta.
+    responses. ``value`` and ``grad_hess`` take one theta (p,) or a batch
+    (c, p), and each batch row equals the single-theta call bit for bit;
+    ``grad`` and ``hess`` take one theta.
     """
 
     model: MathModel
@@ -68,14 +69,20 @@ class LossTerms:
         return self.grad_hess(theta)[1]
 
     def grad_hess(self, theta) -> tuple[np.ndarray, np.ndarray]:
-        """Gradient and Hessian from one residual and one grad_eta."""
+        """Gradient and Hessian from one residual and one grad_eta: (p,) and
+        (p, p) for one theta, (c, p) and (c, p, p) for a batch (c, p).
+
+        Stacked matmul and einsum repeat the single-theta BLAS calls and
+        summation order on every row; a broadcast sum over the points for
+        the curvature term would not."""
         theta = np.asarray(theta, dtype=float)
         g = self.model.grad_eta(theta, self.points)
         wr = self.weights * self._resid(theta)
         h = self.model.hess_eta(theta, self.points)
-        gram = (g * self.weights[:, None]).T @ g
-        curve = np.einsum("m,mij->ij", wr, h)
-        return -2.0 * g.T @ wr, 2.0 * (gram - curve)
+        gt = np.swapaxes(g, -1, -2)
+        gram = np.swapaxes(g * self.weights[:, None], -1, -2) @ g
+        curve = np.einsum("...m,...mij->...ij", wr, h)
+        return -2.0 * (gt @ wr[..., None])[..., 0], 2.0 * (gram - curve)
 
 
 def l2_loss_terms(mu_like, model: MathModel, rule: QuadratureRule) -> LossTerms:

@@ -183,6 +183,12 @@ def validate_config(cfg: dict) -> None:
             raise ConfigError(f"config key '{key}': required")
     if cfg.get("data") and cfg.get("n") is not None:
         raise ConfigError("n and data are exclusive: a dataset has its own size")
+    if cfg.get("engine") == "mcmc" and "iterations" in cfg:
+        try:
+            SamplerSettings(chains=cfg["chains"], iterations=cfg["iterations"],
+                            thin=cfg["thin"]).check_kept_draws()
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
     if cfg.get("engine") == "conjugate" and cfg.get("scenario") is not None:
         model, _, _ = make_scenario(cfg["scenario"])
         if not model.scalar_linear:

@@ -76,10 +76,13 @@ def _as_points(x, dim: int) -> np.ndarray:
 class MathModel:
     """Simulator with analytic theta-derivatives.
 
-    eta(theta, x)      -> (m,) model output at each row of x; a batch theta
-                          of shape (c, p) gives (c, m), one row per theta
+    eta(theta, x)      -> (m,) model output at each row of x
     grad_eta(theta, x) -> (m, p) gradient in theta
     hess_eta(theta, x) -> (m, p, p) Hessian in theta
+
+    Each also takes a batch theta of shape (c, p) and then returns one
+    leading row per theta, (c, m), (c, m, p) and (c, m, p, p), equal bit for
+    bit to the single-theta call on that row.
 
     ``scalar_linear`` marks single-parameter models of the form
     eta(theta, x) = theta * x, for which closed-form shortcuts exist.
@@ -186,11 +189,11 @@ def _linear_model(name: str, theta_lo: float, theta_hi: float) -> MathModel:
 
     def grad(theta, x):
         pts = _as_points(x, 1)
-        return pts[:, 0].reshape(-1, 1)
+        return np.broadcast_to(pts, theta.shape[:-1] + pts.shape)
 
     def hess(theta, x):
         pts = _as_points(x, 1)
-        return np.zeros((pts.shape[0], 1, 1))
+        return np.zeros(theta.shape[:-1] + pts.shape + (1,))
 
     return MathModel(
         name=name,
@@ -229,23 +232,22 @@ def _make_scenario1():
 
     def grad(theta, x):
         pts = _as_points(x, 1)
-        m = pts.shape[0]
-        u = two_pi * theta[0] - np.pi
-        b = two_pi * theta[1] - np.pi
+        th = _coords(theta)
+        u = two_pi * th[0] - np.pi
+        b = two_pi * th[1] - np.pi
         s = np.sin(two_pi * pts[:, 0] - np.pi)
-        g = np.empty((m, 2))
-        g[:, 0] = 14.0 * two_pi * np.sin(u) * np.cos(u)
-        g[:, 1] = 4.0 * two_pi * b * s
+        g = np.empty(theta.shape[:-1] + (pts.shape[0], 2))
+        g[..., 0] = 14.0 * two_pi * np.sin(u) * np.cos(u)
+        g[..., 1] = 4.0 * two_pi * b * s
         return g
 
     def hess(theta, x):
         pts = _as_points(x, 1)
-        m = pts.shape[0]
-        u = two_pi * theta[0] - np.pi
+        u = two_pi * _coords(theta)[0] - np.pi
         s = np.sin(two_pi * pts[:, 0] - np.pi)
-        h = np.zeros((m, 2, 2))
-        h[:, 0, 0] = 14.0 * two_pi**2 * np.cos(2.0 * u)
-        h[:, 1, 1] = 4.0 * two_pi**2 * s
+        h = np.zeros(theta.shape[:-1] + (pts.shape[0], 2, 2))
+        h[..., 0, 0] = 14.0 * two_pi**2 * np.cos(2.0 * u)
+        h[..., 1, 1] = 4.0 * two_pi**2 * s
         return h
 
     theta0 = np.array([0.2, 0.3])
@@ -271,12 +273,13 @@ def _make_scenario2():
 
     def grad(theta, x):
         pts = _as_points(x, 1)
-        return (5.0 * pts[:, 0] * np.cos(5.0 * theta[0] * pts[:, 0])).reshape(-1, 1)
+        x0 = pts[:, 0]
+        return (5.0 * x0 * np.cos(5.0 * _coords(theta)[0] * x0))[..., None]
 
     def hess(theta, x):
         pts = _as_points(x, 1)
-        v = -25.0 * pts[:, 0] ** 2 * np.sin(5.0 * theta[0] * pts[:, 0])
-        return v.reshape(-1, 1, 1)
+        x0 = pts[:, 0]
+        return (-25.0 * x0 ** 2 * np.sin(5.0 * _coords(theta)[0] * x0))[..., None, None]
 
     model = MathModel(
         name="scenario2",

@@ -104,7 +104,7 @@ class MinimizeResult:
     value: float
     converged: bool
     n_starts: int
-    n_evals: int        # calls to f over all starts
+    n_evals: int        # points f evaluated, over all starts
     best_start: int     # index of the winning start; 0 is the box centre
 
 
@@ -127,8 +127,14 @@ def _latin_starts(lower, upper, n, seed):
     return lower + u * (upper - lower)
 
 
-def _newton_descent(f, grad_hess, x, lower, upper):
-    """Damped projected Newton from x; returns (x, value, converged, evals).
+def minimize_box(f, grad_hess, lower, upper, seed: int = 0,
+                 n_starts: int = 10) -> MinimizeResult:
+    """Multistart damped projected Newton over a box, for any smooth f.
+
+    ``f`` maps points (c, p) to values (c,), and ``grad_hess`` maps them to
+    gradients (c, p) and Hessians (c, p, p); each row must equal a call on
+    that row alone. Starts are the box centre plus ``n_starts - 1`` Latin
+    hypercube draws, and each descends on its own.
 
     A coordinate on a bound whose gradient points out of the box is held
     fixed. On the free coordinates the step solves (H + mu I) s = -g with
@@ -137,57 +143,19 @@ def _newton_descent(f, grad_hess, x, lower, upper):
     and accepted only if f does not rise (a non-finite f is a rise), and
     each rejection raises mu. Converged means a small projected gradient
     with no negative curvature, or an undamped Newton step that is too small
-    to move x or that f, at its rounding level, cannot tell from no step.
-    """
-    fx, evals = f(x), 1
-    for _ in range(MAX_NEWTON_ITER):
-        if not np.isfinite(fx):
-            break
-        g, h = grad_hess(x)
-        if not (np.isfinite(g).all() and np.isfinite(h).all()):
-            break
-        free = ~(((x <= lower) & (g > 0)) | ((x >= upper) & (g < 0)))
-        if not free.any():
-            return x, fx, True, evals
-        gf = g[free]
-        eig, vec = np.linalg.eigh(h[free][:, free])
-        if np.abs(gf).max() <= GTOL and eig[0] >= 0.0:
-            return x, fx, True, evals
-        gv = vec.T @ gf
-        diam = np.linalg.norm(upper[free] - lower[free])
-        shift = max(0.0, np.linalg.norm(gf) / diam - eig[0])
-        while True:
-            trial = x.copy()
-            trial[free] = np.clip(x[free] - vec @ (gv / (eig + shift)),
-                                  lower[free], upper[free])
-            if np.array_equal(trial, x):
-                return x, fx, shift == 0.0, evals
-            ft = f(trial)
-            evals += 1
-            if ft <= fx:
-                break
-            if shift == 0.0:
-                # the Newton step promised less than f can resolve
-                if 0.5 * np.sum(gv * gv / eig) <= FTOL * abs(fx):
-                    return x, fx, True, evals
-                shift = np.abs(eig).max()
-            else:
-                shift *= 4.0
-        x, fx = trial, ft
-    return x, fx, False, evals
+    to move x or that f, at its rounding level, cannot tell from no step. A
+    start stops unconverged at a non-finite value or derivative, or after
+    ``MAX_NEWTON_ITER`` accepted steps.
 
-
-def minimize_box(f, grad_hess, lower, upper, seed: int = 0,
-                 n_starts: int = 10) -> MinimizeResult:
-    """Multistart damped Newton over a box, for any smooth f.
-
-    ``grad_hess`` gives the gradient (p,) and Hessian (p, p) of f together.
-    Starts are the box centre plus ``n_starts - 1`` Latin hypercube draws;
-    each descends by ``_newton_descent``. Determinism: the same (f, box,
-    seed, n_starts) always returns bit-identical output. Among starts with a
-    finite value the lowest value wins, ties going to the lexicographically
-    smallest point; ``converged`` is the winner's flag, and it is False when
-    no start reaches a finite value.
+    The starts advance in lockstep rounds: one ``grad_hess`` call, one
+    stacked ``eigh`` per pattern of free coordinates and one ``f`` call for
+    every trial point. The stacked calls repeat each start's own arithmetic,
+    so each start ends bit for bit where a descent on its own would.
+    ``n_evals`` counts rows passed to f. The same (f, box, seed, n_starts)
+    always returns bit-identical output. Among starts with a finite value
+    the lowest value wins, ties going to the lexicographically smallest
+    point; ``converged`` is the winner's flag, and it is False when no start
+    reaches a finite value.
     """
     lower = np.atleast_1d(np.asarray(lower, dtype=float))
     upper = np.atleast_1d(np.asarray(upper, dtype=float))
@@ -195,20 +163,77 @@ def minimize_box(f, grad_hess, lower, upper, seed: int = 0,
         raise ValueError("box must have positive side lengths")
     if n_starts < 1:
         raise ValueError("n_starts must be >= 1")
+    if lower.size > 62:
+        raise ValueError("at most 62 parameters: free patterns are int64 bit codes")
 
-    starts = [0.5 * (lower + upper)]
-    if n_starts > 1:
-        starts.extend(_latin_starts(lower, upper, n_starts - 1, seed))
+    x = np.vstack([0.5 * (lower + upper),
+                   _latin_starts(lower, upper, n_starts - 1, seed)])
+    c, p = x.shape
+    fx = np.array(f(x), dtype=float)
+    n_evals, steps = c, np.zeros(c, dtype=int)
+    conv, shift, fresh = np.zeros(c, dtype=bool), np.zeros(c), np.ones(c, dtype=bool)
+    # diam: the box diameter over each pattern of free coordinates
+    live, bits, diam = np.flatnonzero(np.isfinite(fx)), 1 << np.arange(p), {}
+    while live.size:
+        # a start whose last trial was rejected gets the same gradient and
+        # eigenpairs again, bit for bit; only its shift carries over
+        xl = x[live]
+        g, h = grad_hess(xl)
+        free = ~(((xl <= lower) & (g > 0)) | ((xl >= upper) & (g < 0)))
+        finite = np.isfinite(g).all(axis=1) & np.isfinite(h).all(axis=(1, 2))
+        codes = np.where(finite, free @ bits, -1)
+        done = codes <= 0       # a non-finite derivative, or no free coordinate
+        ok = codes == 0         # done and converged
+        s = shift[live]         # a fresh start's shift is set in its group
+        step, dec, big = np.zeros_like(xl), np.zeros(live.size), np.zeros(live.size)
+        for code in set(codes[~done].tolist()):
+            sel = np.flatnonzero(codes == code)
+            idx = np.flatnonzero(free[sel[0]])
+            if code not in diam:
+                diam[code] = np.linalg.norm(upper[idx] - lower[idx])
+            gf = g[sel[:, None], idx]
+            e, v = np.linalg.eigh(h[sel[:, None, None], idx[:, None], idx])
+            stop = (np.abs(gf).max(axis=1) <= GTOL) & (e[:, 0] >= 0.0)
+            done[sel], ok[sel] = stop, stop
+            gv = (np.swapaxes(v, 1, 2) @ gf[:, :, None])[:, :, 0]
+            # np.linalg.norm(gf) is sqrt(gf . gf); a stacked dot keeps its bits
+            s0 = np.sqrt((gf[:, None, :] @ gf[:, :, None])[:, 0, 0]) / diam[code] - e[:, 0]
+            ss = s[sel] = np.where(fresh[live[sel]], np.where(s0 > 0.0, s0, 0.0), s[sel])
+            keep = ~stop[:, None]
+            d = np.divide(gv, e + ss[:, None], out=np.zeros_like(gv), where=keep)
+            step[sel[:, None], idx] = (v @ d[:, :, None])[:, :, 0]
+            # the decrement is needed only after an undamped step, where e > 0
+            dec[sel] = 0.5 * np.divide(gv * gv, e, out=np.zeros_like(gv),
+                                       where=keep & (ss == 0.0)[:, None]).sum(axis=1)
+            big[sel] = np.abs(e).max(axis=1)
+        trial = np.clip(xl - step, lower, upper)    # held and finished rows: x itself
+        same = ~done & (trial == xl).all(axis=1)
+        conv[live] = ok | (same & (s == 0.0))
+        go = ~(done | same)
+        pend, trial, s, dec, big = live[go], trial[go], s[go], dec[go], big[go]
+        if not pend.size:
+            break
+        ft = np.asarray(f(trial), dtype=float)
+        n_evals += pend.size
+        acc = ft <= fx[pend]
+        a = pend[acc]
+        x[a], fx[a], fresh[pend] = trial[acc], ft[acc], acc
+        steps[a] += 1
+        undamped = ~acc & (s == 0.0)
+        # the Newton step promised less than f can resolve
+        tiny = undamped & (dec <= FTOL * np.abs(fx[pend]))
+        conv[pend] = tiny
+        shift[pend] = np.where(undamped, big, 4.0 * s)
+        live = pend[(acc & (steps[pend] < MAX_NEWTON_ITER) & np.isfinite(fx[pend]))
+                    | (~acc & ~tiny)]
 
-    best, n_evals = None, 0
-    for i, x0 in enumerate(starts):
-        x, val, ok, evals = _newton_descent(f, grad_hess, x0, lower, upper)
-        n_evals += evals
-        cand = (float(val), tuple(x), ok, i)
+    best = None
+    for i in range(c):
+        cand = (float(fx[i]), tuple(x[i]), bool(conv[i]), i)
         if np.isfinite(cand[0]) and (best is None or cand[:2] < best[:2]):
             best = cand
     if best is None:
-        best = (float("nan"), tuple(starts[0]), False, 0)
+        best = (float("nan"), tuple(0.5 * (lower + upper)), False, 0)
     return MinimizeResult(x=np.array(best[1]), value=best[0], converged=bool(best[2]),
                           n_starts=n_starts, n_evals=n_evals, best_start=best[3])
 

@@ -26,6 +26,7 @@ from .numerics import QuadratureRule, build_rule
 from .scaling import ScalingAdjustment
 
 MIN_INTERVAL_DRAWS = 100
+MIN_SPLIT_DRAWS = 4     # kept draws per chain the split R-hat needs: two halves of 2
 INTERVAL_MODES = ("quantile", "hpd")
 ACCEPT_BAND = (0.1, 0.6)
 RHAT_LIMIT = 1.05
@@ -109,6 +110,24 @@ class SamplerSettings:
         if self.thin < 1:
             raise ValueError("thin must be >= 1")
 
+    @property
+    def kept_per_chain(self) -> int:
+        """Draws each chain keeps: every ``thin``-th step after burn-in."""
+        return len(range(int(BURNIN_FRAC * self.iterations), self.iterations, self.thin))
+
+    def check_kept_draws(self) -> None:
+        """Raise ValueError when the chains would keep too few draws for the
+        split R-hat or for an interval. The settings themselves allow short
+        chains; callers that report intervals check before sampling."""
+        kept = self.kept_per_chain
+        if kept < MIN_SPLIT_DRAWS:
+            raise ValueError(f"{kept} kept draw(s) per chain; the split R-hat "
+                             f"needs {MIN_SPLIT_DRAWS} (raise iterations or lower thin)")
+        if self.chains * kept < MIN_INTERVAL_DRAWS:
+            raise ValueError(f"{self.chains} chains keep {self.chains * kept} draws; an "
+                             f"interval needs {MIN_INTERVAL_DRAWS} (raise iterations or "
+                             "chains, or lower thin)")
+
 
 @dataclass
 class PosteriorSample:
@@ -138,9 +157,9 @@ def split_rhat(per_chain: list[np.ndarray]) -> np.ndarray:
     """Split-chain potential scale reduction factor, one value per coordinate."""
     halves = []
     for c in per_chain:
-        half = c.shape[0] // 2
-        if half < 2:
+        if c.shape[0] < MIN_SPLIT_DRAWS:
             raise ValueError("chains too short for the split diagnostic")
+        half = c.shape[0] // 2
         halves.extend([c[:half], c[half:2 * half]])
     seqs = np.stack(halves)                      # (m, L, p)
     m, length = seqs.shape[0], seqs.shape[1]
@@ -226,7 +245,7 @@ def sample_posterior(loss, prior: Prior, n: int, seed: int = 0,
         log_s += (alpha - TARGET_ACCEPT) / (t + 1) ** 0.6
         s = np.exp(log_s)[:, None]
 
-    kept = np.empty((chains, len(range(burn, iters, st.thin)), p))
+    kept = np.empty((chains, st.kept_per_chain, p))
     accepted_post = np.zeros(chains)
     depth = prefetch_depth(chains)
     for t0 in range(burn, iters, depth):

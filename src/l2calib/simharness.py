@@ -65,6 +65,9 @@ class StudyConfig:
         _check_choice(self, "engine", ENGINES)
         _check_choice(self, "interval", INTERVAL_MODES)
         _check_choice(self, "conditional_form", CONDITIONAL_FORMS)
+        if self.engine == "mcmc":
+            SamplerSettings(chains=self.mcmc_chains, iterations=self.mcmc_iterations,
+                            thin=self.mcmc_thin).check_kept_draws()
         self.analyses = tuple(self.analyses)
         for a in self.analyses:
             parse_analysis(a)

@@ -207,6 +207,7 @@ def test_loss_rejects_rule_outside_model_box():
 def test_l2_loss_batch_rows_equal_single_theta(name, chains, seed):
     model, system, _ = make_scenario(name)
     loss = l2_loss_fn(system.mu, model, _rule(model))
+    grad_hess = l2_loss_terms(system.mu, model, _rule(model)).grad_hess
     box = model.theta_box
     rng = np.random.default_rng(seed)
     thetas = box.lower + rng.random((chains, box.dim)) * (box.upper - box.lower)
@@ -214,6 +215,11 @@ def test_l2_loss_batch_rows_equal_single_theta(name, chains, seed):
     assert batch.shape == (chains,)
     for i in range(chains):
         assert batch[i] == loss(thetas[i])
+    g, h = grad_hess(thetas)
+    assert (g.shape, h.shape) == ((chains, box.dim), (chains, box.dim, box.dim))
+    for i in range(chains):
+        gi, hi = grad_hess(thetas[i])
+        assert np.array_equal(g[i], gi) and np.array_equal(h[i], hi)
 
 
 def _linear_model_nan_above(cut):

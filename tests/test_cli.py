@@ -317,6 +317,23 @@ def test_validation_errors(capsys):
         assert capsys.readouterr().err.startswith("error: n and data")
 
 
+@pytest.mark.parametrize("chains, iterations, thin, message", [
+    (4, 200, 50, "split R-hat needs 4"),        # 2 kept draws per chain
+    (2, 200, 20, "interval needs 100"),          # 2 x 5 kept draws
+    (3, 1000, 16, "interval needs 100"),         # 3 x 32 kept draws
+])
+def test_calibrate_rejects_too_few_kept_draws_before_sampling(
+        monkeypatch, capsys, chains, iterations, thin, message):
+    calls = []
+    monkeypatch.setattr(cli, "sample_posterior", lambda *a, **k: calls.append(a))
+    rc = main(["calibrate", "--scenario", "scenario2", "--engine", "mcmc",
+               "--chains", str(chains), "--iterations", str(iterations),
+               "--thin", str(thin)])
+    assert rc == 2
+    assert message in capsys.readouterr().err
+    assert calls == []
+
+
 def test_simulate_refuses_data_flag(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["simulate", "--scenario", "scenario2", "--replicates", "2",

@@ -120,7 +120,10 @@ def test_eta_batch_rows_equal_single_theta(name, chains, seed):
     rng = np.random.default_rng(seed)
     thetas = _points_in(model.theta_box, rng, chains)
     x = _points_in(model.x_box, rng, 9)
-    batch = model.eta(thetas, x)
-    assert batch.shape == (chains, 9)
-    for i in range(chains):
-        assert np.array_equal(batch[i], model.eta(thetas[i], x))
+    p = model.n_params
+    for fn, shape in ((model.eta, ()), (model.grad_eta, (p,)),
+                      (model.hess_eta, (p, p))):
+        batch = fn(thetas, x)
+        assert batch.shape == (chains, 9) + shape
+        for i in range(chains):
+            assert np.array_equal(batch[i], fn(thetas[i], x))

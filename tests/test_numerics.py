@@ -6,9 +6,13 @@ from numpy.testing import assert_allclose
 from scipy.stats import qmc
 
 from l2calib import numerics
-from l2calib.numerics import (FactorError, _latin_starts, build_rule,
-                              gauss_legendre_01, minimize_box, set_blas_threads,
-                              sym_psd_factor)
+from l2calib.calibration import l2_loss_terms, ols_loss_terms
+from l2calib.models import SCENARIO_NAMES, make_scenario
+from l2calib.numerics import (FTOL, GTOL, MAX_NEWTON_ITER, FactorError,
+                              _latin_starts, build_rule, gauss_legendre_01,
+                              minimize_box, set_blas_threads, sym_psd_factor)
+from l2calib.simharness import generate_replicate
+from l2calib.smoother import fit_smoother
 
 # antiderivative of x sin 5x is (sin 5x - 5x cos 5x) / 25
 INT_X_SIN5X = (np.sin(5.0) - 5.0 * np.cos(5.0)) / 25.0
@@ -88,14 +92,20 @@ def _quadratic(centre, curv, cross=0.0):
     return f, lambda t: (grad(t), np.diag(2.0 * curv) + mix)
 
 
+def _rows(f, grad_hess):
+    """The batch forms minimize_box calls, from single-point f and grad_hess."""
+    return (lambda ts: np.array([f(t) for t in ts]),
+            lambda ts: tuple(np.array(a) for a in zip(*[grad_hess(t) for t in ts])))
+
+
 def test_minimize_box_quadratic():
-    res = minimize_box(*_quadratic([3.5], [1.0]), [2.0], [4.0], seed=0)
+    res = minimize_box(*_rows(*_quadratic([3.5], [1.0])), [2.0], [4.0], seed=0)
     assert res.converged
     assert_allclose(res.x, [3.5], atol=1e-8)
 
 
 def test_minimize_box_boundary_argmin():
-    res = minimize_box(*_quadratic([9.0], [1.0]), [0.0], [4.0], seed=0)
+    res = minimize_box(*_rows(*_quadratic([9.0], [1.0])), [0.0], [4.0], seed=0)
     assert_allclose(res.x, [4.0], atol=1e-8)
     assert res.converged
 
@@ -104,7 +114,8 @@ def test_minimize_box_boundary_argmin_two_dim():
     # unconstrained minimiser (1.7, 0.4): the first coordinate stops on its
     # upper bound, the second stays interior and still converges
     f, grad_hess = _quadratic([1.7, 0.4], [1.0, 3.0], cross=0.2)
-    res = minimize_box(f, grad_hess, [0.0, 0.0], [1.0, 1.0], seed=2, n_starts=6)
+    res = minimize_box(*_rows(f, grad_hess), [0.0, 0.0], [1.0, 1.0], seed=2,
+                       n_starts=6)
     assert res.converged
     assert res.x[0] == 1.0
     # interior coordinate solves its own first-order condition on the face
@@ -114,7 +125,8 @@ def test_minimize_box_boundary_argmin_two_dim():
 
 def test_minimize_box_two_dim_with_coupling():
     f, grad_hess = _quadratic([0.3, 0.7], [1.0, 2.0], cross=0.1)
-    res = minimize_box(f, grad_hess, [0.0, 0.0], [1.0, 1.0], seed=1, n_starts=5)
+    res = minimize_box(*_rows(f, grad_hess), [0.0, 0.0], [1.0, 1.0], seed=1,
+                       n_starts=5)
     g = np.array([2.0 * (res.x[0] - 0.3) + 0.1 * res.x[1],
                   4.0 * (res.x[1] - 0.7) + 0.1 * res.x[0]])
     assert np.max(np.abs(g)) < 1e-6
@@ -126,7 +138,7 @@ def test_minimize_box_multimodal_finds_global():
     f = lambda t: float(np.cos(3.0 * t[0]) + 0.05 * (t[0] + 2.0) ** 2)
     grad_hess = lambda t: (np.array([-3.0 * np.sin(3.0 * t[0]) + 0.1 * (t[0] + 2.0)]),
                            np.array([[-9.0 * np.cos(3.0 * t[0]) + 0.1]]))
-    res = minimize_box(f, grad_hess, [-4.0, ], [4.0], seed=0, n_starts=12)
+    res = minimize_box(*_rows(f, grad_hess), [-4.0, ], [4.0], seed=0, n_starts=12)
     grid = np.linspace(-4, 4, 20001)
     brute = grid[np.argmin([f([t]) for t in grid])]
     assert_allclose(res.x[0], brute, atol=1e-4)
@@ -137,8 +149,8 @@ def test_minimize_box_deterministic():
     f = lambda t: float(np.sin(7 * t[0]) + t[0] ** 2)
     grad_hess = lambda t: (np.array([7 * np.cos(7 * t[0]) + 2 * t[0]]),
                            np.array([[-49 * np.sin(7 * t[0]) + 2.0]]))
-    a = minimize_box(f, grad_hess, [-3.0], [3.0], seed=5, n_starts=8)
-    b = minimize_box(f, grad_hess, [-3.0], [3.0], seed=5, n_starts=8)
+    a = minimize_box(*_rows(f, grad_hess), [-3.0], [3.0], seed=5, n_starts=8)
+    b = minimize_box(*_rows(f, grad_hess), [-3.0], [3.0], seed=5, n_starts=8)
     assert np.array_equal(a.x, b.x) and a.value == b.value
     assert (a.n_evals, a.best_start) == (b.n_evals, b.best_start)
 
@@ -147,7 +159,7 @@ def test_minimize_box_counts_evaluations():
     calls = []
     f, grad_hess = _quadratic([0.2, 0.6], [1.0, 1.0])
     counted = lambda t: calls.append(1) or f(t)
-    res = minimize_box(counted, grad_hess, [0.0, 0.0], [1.0, 1.0], seed=3,
+    res = minimize_box(*_rows(counted, grad_hess), [0.0, 0.0], [1.0, 1.0], seed=3,
                        n_starts=4)
     assert res.n_evals == len(calls) >= 4
 
@@ -155,7 +167,7 @@ def test_minimize_box_counts_evaluations():
 def test_minimize_box_ties_go_to_smallest_point():
     # a flat f: every start is stationary where it begins, all values tie
     zero = lambda t: 0.0
-    res = minimize_box(zero, lambda t: (np.zeros(2), np.zeros((2, 2))),
+    res = minimize_box(*_rows(zero, lambda t: (np.zeros(2), np.zeros((2, 2)))),
                        [0.0, 0.0], [1.0, 1.0], seed=7, n_starts=6)
     starts = [np.array([0.5, 0.5]), *_latin_starts(np.zeros(2), np.ones(2), 5, 7)]
     first = min(range(6), key=lambda i: tuple(starts[i]))
@@ -167,19 +179,154 @@ def test_minimize_box_iteration_cap_is_not_converged():
     # a Hessian that overstates the curvature a million-fold makes every
     # accepted step 1e-6 long, so the descent runs out of iterations far
     # from the bound where f = -t has its minimum
-    res = minimize_box(lambda t: float(-t[0]),
-                       lambda t: (np.array([-1.0]), np.array([[1e6]])),
+    res = minimize_box(*_rows(lambda t: float(-t[0]),
+                              lambda t: (np.array([-1.0]), np.array([[1e6]]))),
                        [0.0], [1.0], seed=0, n_starts=1)
     assert not res.converged
     assert 0.5 < res.x[0] < 0.51
 
 
+@pytest.mark.parametrize("lower, upper, n_starts, match", [
+    ([0.0], [0.0], 3, "positive side lengths"),
+    ([0.0], [1.0], 0, "n_starts"),
+    (np.zeros(63), np.ones(63), 3, "at most 62 parameters"),
+])
+def test_minimize_box_rejects_bad_arguments(lower, upper, n_starts, match):
+    f, grad_hess = _quadratic(np.zeros(np.size(lower)), np.ones(np.size(lower)))
+    with pytest.raises(ValueError, match=match):
+        minimize_box(*_rows(f, grad_hess), lower, upper, n_starts=n_starts)
+
+
 def test_minimize_box_no_finite_start():
     f = lambda t: float("nan")
-    res = minimize_box(f, lambda t: (np.zeros(1), np.eye(1)),
+    res = minimize_box(*_rows(f, lambda t: (np.zeros(1), np.eye(1))),
                        [0.0], [1.0], seed=0, n_starts=3)
     assert not res.converged and np.isnan(res.value)
     assert res.n_evals == 3
+
+
+def _newton_descent(f, grad_hess, x, lower, upper):
+    """The step-by-step reference: one start, one point per call."""
+    fx, evals = f(x), 1
+    for _ in range(MAX_NEWTON_ITER):
+        if not np.isfinite(fx):
+            break
+        g, h = grad_hess(x)
+        if not (np.isfinite(g).all() and np.isfinite(h).all()):
+            break
+        free = ~(((x <= lower) & (g > 0)) | ((x >= upper) & (g < 0)))
+        if not free.any():
+            return x, fx, True, evals
+        gf = g[free]
+        eig, vec = np.linalg.eigh(h[free][:, free])
+        if np.abs(gf).max() <= GTOL and eig[0] >= 0.0:
+            return x, fx, True, evals
+        gv = vec.T @ gf
+        diam = np.linalg.norm(upper[free] - lower[free])
+        shift = max(0.0, np.linalg.norm(gf) / diam - eig[0])
+        while True:
+            trial = x.copy()
+            trial[free] = np.clip(x[free] - vec @ (gv / (eig + shift)),
+                                  lower[free], upper[free])
+            if np.array_equal(trial, x):
+                return x, fx, shift == 0.0, evals
+            ft = f(trial)
+            evals += 1
+            if ft <= fx:
+                break
+            if shift == 0.0:
+                if 0.5 * np.sum(gv * gv / eig) <= FTOL * abs(fx):
+                    return x, fx, True, evals
+                shift = np.abs(eig).max()
+            else:
+                shift *= 4.0
+        x, fx = trial, ft
+    return x, fx, False, evals
+
+
+def _reference_minimize(f, grad_hess, lower, upper, seed, n_starts):
+    """minimize_box with each start descending alone, in turn."""
+    lower, upper = np.asarray(lower, float), np.asarray(upper, float)
+    starts = [0.5 * (lower + upper)]
+    if n_starts > 1:
+        starts.extend(_latin_starts(lower, upper, n_starts - 1, seed))
+    best, n_evals = None, 0
+    for i, x0 in enumerate(starts):
+        x, val, ok, evals = _newton_descent(f, grad_hess, x0, lower, upper)
+        n_evals += evals
+        cand = (float(val), tuple(x), ok, i)
+        if np.isfinite(cand[0]) and (best is None or cand[:2] < best[:2]):
+            best = cand
+    if best is None:
+        best = (float("nan"), tuple(starts[0]), False, 0)
+    return best, n_evals
+
+
+def _quadratic_problem(rng, p, bad):
+    """An offset quadratic on [0, 1]^p. Its centre may lie outside the box,
+    so bounds hold coordinates, or on the first start, the box centre; its
+    curvature may be indefinite. A large offset leaves Newton steps near the
+    minimum below f's rounding level. Beyond a cut in the first coordinate f,
+    and sometimes its gradient, is ``bad`` (NaN or +-inf) when that is given."""
+    centre = rng.uniform(-1.0, 2.0, p) if rng.random() < 0.7 else np.full(p, 0.5)
+    a = rng.standard_normal((p, p))
+    curv = a @ a.T + rng.uniform(-1.0, 1.0) * np.eye(p)
+    offset = rng.choice([0.0, 1e4])
+    cut, bad_grad = rng.uniform(0.2, 0.9), rng.random() < 0.5
+
+    def f(t):
+        if bad is not None and t[0] > cut:
+            return bad
+        return float(offset + (t - centre) @ curv @ (t - centre))
+
+    def grad_hess(t):
+        g, h = 2.0 * curv @ (t - centre), 2.0 * curv
+        if bad is not None and bad_grad and t[0] > cut:
+            return np.full(p, bad), h
+        return g, h
+
+    return f, grad_hess, np.zeros(p), np.ones(p)
+
+
+def _scenario_problem(name, method, seed):
+    model, system, defaults = make_scenario(name)
+    data = generate_replicate(system, defaults["n"], seed)
+    if method == "l2":
+        rule = build_rule(model.x_box.lower, model.x_box.upper, 32)
+        terms = l2_loss_terms(fit_smoother(data), model, rule)
+    else:
+        terms = ols_loss_terms(data, model)
+    return terms.value, terms.grad_hess, model.theta_box.lower, model.theta_box.upper
+
+
+_PROBLEMS = ([("scenario", name, method) for name in SCENARIO_NAMES
+              for method in ("l2", "ols")]
+             + [("quadratic", p, bad) for p in (1, 2, 3)
+                for bad in (None, float("nan"), float("inf"), -float("inf"))])
+
+
+# A start on an exact saddle (zero gradient, e_0 < 0) gets the shift -e_0,
+# so both loops divide 0 / 0 along that direction and warn alike.
+@pytest.mark.filterwarnings("ignore:invalid value encountered in divide:RuntimeWarning")
+@settings(max_examples=120, deadline=None)
+@given(st.sampled_from(_PROBLEMS), st.integers(0, 2**32 - 1), st.integers(1, 20))
+def test_lockstep_equals_stepwise_reference(problem, seed, n_starts):
+    kind, a, b = problem
+    if kind == "scenario":
+        # the model's batch rows equal its single-point calls, so the
+        # lockstep sees each start's numbers exactly
+        f, grad_hess, lower, upper = _scenario_problem(a, b, seed % 1000)
+        batch_f, batch_gh = f, grad_hess
+    else:
+        f, grad_hess, lower, upper = _quadratic_problem(
+            np.random.default_rng(seed), a, b)
+        batch_f, batch_gh = _rows(f, grad_hess)
+    (value, x, ok, start), n_evals = _reference_minimize(
+        f, grad_hess, lower, upper, seed, n_starts)
+    res = minimize_box(batch_f, batch_gh, lower, upper, seed=seed, n_starts=n_starts)
+    assert np.array_equal(res.x, np.array(x))
+    assert np.array_equal(res.value, value, equal_nan=True)
+    assert (res.converged, res.n_evals, res.best_start) == (ok, n_evals, start)
 
 
 @settings(max_examples=60, deadline=None)

@@ -59,6 +59,13 @@ def test_study_config_validation():
         StudyConfig(scenario="scenario2", replicates=1, workers=0)
     with pytest.raises(ValueError, match="analysis"):
         StudyConfig(scenario="scenario2", replicates=1, analyses=("bogus",))
+    short = {"mcmc_chains": 4, "mcmc_iterations": 200, "mcmc_thin": 50}
+    with pytest.raises(ValueError, match="split R-hat"):
+        StudyConfig(scenario="scenario2", replicates=1, engine="mcmc", **short)
+    with pytest.raises(ValueError, match="interval needs"):
+        StudyConfig(scenario="scenario2", replicates=1, engine="mcmc",
+                    mcmc_chains=2, mcmc_iterations=200, mcmc_thin=20)
+    assert StudyConfig(scenario="scenario2", replicates=1, **short).mcmc_thin == 50
 
 
 @pytest.mark.parametrize("make, field", [
