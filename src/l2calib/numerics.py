@@ -198,6 +198,11 @@ def minimize_box(f, grad_hess, lower, upper, seed: int = 0,
             gv = (np.swapaxes(v, 1, 2) @ gf[:, :, None])[:, :, 0]
             # np.linalg.norm(gf) is sqrt(gf . gf); a stacked dot keeps its bits
             s0 = np.sqrt((gf[:, None, :] @ gf[:, :, None])[:, 0, 0]) / diam[code] - e[:, 0]
+            low = e[:, 0] + s0
+            if low.min() <= 0.0:
+                # a zero gradient at negative curvature leaves s0 = -e_0, and the
+                # step would be 0 / 0: doubling s0 keeps the matrix definite
+                s0 = np.where(low > 0.0, s0, 2.0 * s0)
             ss = s[sel] = np.where(fresh[live[sel]], np.where(s0 > 0.0, s0, 0.0), s[sel])
             keep = ~stop[:, None]
             d = np.divide(gv, e + ss[:, None], out=np.zeros_like(gv), where=keep)

@@ -5,7 +5,7 @@ with the loss already carrying any magnitude or curvature scaling. Three
 engines are provided:
 
 * an adaptive Gaussian random-walk Metropolis sampler (step size tuned to a
-  0.35 acceptance rate during burn-in, frozen afterwards);
+  0.35 acceptance rate once per block of burn-in steps, frozen afterwards);
 * a Laplace approximation N(theta_hat, (n H)^-1) with H the scaled loss
   Hessian at the estimate;
 * the closed-form normal posterior for the straight-line model under a
@@ -32,7 +32,8 @@ ACCEPT_BAND = (0.1, 0.6)
 RHAT_LIMIT = 1.05
 BURNIN_FRAC = 0.5       # leading share of each chain spent adapting, then dropped
 TARGET_ACCEPT = 0.35    # acceptance rate the burn-in step-size adaptation aims at
-MAX_PREFETCH_DEPTH = 4  # post-burn-in steps one loss call can cover
+ADAPT_BLOCK = 4         # burn-in steps between step-size updates
+MAX_PREFETCH_DEPTH = 4  # steps one loss call can cover
 PREFETCH_ROWS = 64      # proposal rows one prefetching loss call may carry
 
 
@@ -174,7 +175,7 @@ def split_rhat(per_chain: list[np.ndarray]) -> np.ndarray:
 
 
 def prefetch_depth(chains: int) -> int:
-    """Steps taken per loss call after burn-in: the largest d, at most
+    """Steps taken per loss call: the largest d, at most
     ``MAX_PREFETCH_DEPTH``, with chains * (2^d - 1) <= ``PREFETCH_ROWS``;
     1 (the plain step) when no d fits."""
     fits = (PREFETCH_ROWS // chains + 1).bit_length() - 1
@@ -192,14 +193,17 @@ def sample_posterior(loss, prior: Prior, n: int, seed: int = 0,
     stream seeded by (seed, c), so results are reproducible and independent of
     the chain count. The proposal is x + s L z with L a Cholesky factor of
     ``init_cov`` (identity if absent) and each chain's s adapted by
-    Robbins-Monro during burn-in only.
+    Robbins-Monro during burn-in only: every burn-in step adds its own
+    acceptance-rate error, weighted (t + 1)^-0.6, to log s, and s takes the
+    new value at the end of each block of ``ADAPT_BLOCK`` steps and of
+    burn-in. The kept steps thus use one fixed kernel (Andrieu & Thoms, 2008).
 
-    Burn-in takes one loss call per step. After it, s is fixed, so one call
-    evaluates every state the next ``prefetch_depth(chains)`` steps can
+    While s is frozen, one loss call evaluates every state the next
+    ``prefetch_depth(chains)`` steps, at most to the end of the block, can
     propose (pre-fetching; Brockwell, 2006) and the steps then walk that tree.
     Each node is formed by the same addition as a plain step and a loss row
     does not depend on its batch, so the draws equal those of plain steps bit
-    for bit.
+    for bit, and the blocks do not depend on the chain count.
     """
     st = settings if settings is not None else SamplerSettings()
     p = prior.dim
@@ -232,26 +236,15 @@ def sample_posterior(loss, prior: Prior, n: int, seed: int = 0,
 
     log_s = np.full(chains, np.log(2.38 / np.sqrt(p)))
     s = np.exp(log_s)[:, None]
-    for t in range(burn):
-        # one step at a time: Robbins-Monro moves s after every step
-        prop = x + s * steps[t]
-        lp_prop = log_gen_posterior(prop, loss, prior, n)
-        delta = lp_prop - lp
-        # log u < 0, so this accepts every delta >= 0
-        accept = log_u[t] < delta
-        x = np.where(accept[:, None], prop, x)
-        lp = np.where(accept, lp_prop, lp)
-        alpha = np.exp(np.minimum(delta, 0.0))
-        log_s += (alpha - TARGET_ACCEPT) / (t + 1) ** 0.6
-        s = np.exp(log_s)[:, None]
-
     kept = np.empty((chains, st.kept_per_chain, p))
     accepted_post = np.zeros(chains)
-    depth = prefetch_depth(chains)
-    for t0 in range(burn, iters, depth):
-        # with s frozen, the states the next d steps can reach form a tree:
-        # node 0 is x and node h + 2^j is node h moved by step j's proposal
-        d = min(depth, iters - t0)
+    depth, t0 = prefetch_depth(chains), 0
+    while t0 < iters:
+        # s is frozen until its block ends (for good after burn-in), so the
+        # states the next d steps can reach form a tree: node 0 is x and
+        # node h + 2^j is node h moved by step j's proposal
+        until = iters if t0 >= burn else min(t0 - t0 % ADAPT_BLOCK + ADAPT_BLOCK, burn)
+        d = min(depth, until - t0)
         nodes = np.empty((2 ** d, chains, p))
         nodes[0] = x
         for j in range(d):
@@ -262,12 +255,19 @@ def sample_posterior(loss, prior: Prior, n: int, seed: int = 0,
         at = np.arange(chains)              # each chain's row, at node 0
         for j, t in enumerate(range(t0, t0 + d)):
             prop = at + (chains << j)
-            accept = log_u[t] < lp_nodes[prop] - lp_nodes[at]
+            delta = lp_nodes[prop] - lp_nodes[at]
+            # log u < 0, so this accepts every delta >= 0
+            accept = log_u[t] < delta
             at = np.where(accept, prop, at)
-            accepted_post += accept
-            if (t - burn) % st.thin == 0:
-                kept[:, (t - burn) // st.thin] = nodes[at]
-        x, lp = nodes[at], lp_nodes[at]
+            if t < burn:
+                log_s += (np.exp(np.minimum(delta, 0.0)) - TARGET_ACCEPT) / (t + 1) ** 0.6
+            else:
+                accepted_post += accept
+                if (t - burn) % st.thin == 0:
+                    kept[:, (t - burn) // st.thin] = nodes[at]
+        x, lp, t0 = nodes[at], lp_nodes[at], t0 + d
+        if t0 == until:
+            s = np.exp(log_s)[:, None]
     accept_rates = accepted_post / max(iters - burn, 1)
 
     rhat = split_rhat(kept) if chains >= 2 else np.full(p, np.nan)

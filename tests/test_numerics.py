@@ -205,6 +205,27 @@ def test_minimize_box_no_finite_start():
     assert res.n_evals == 3
 
 
+@pytest.mark.filterwarnings("error")
+def test_minimize_box_saddle_start_stops_without_a_nan_trial():
+    # the box centre is a saddle: zero gradient, curvature -2 along t_1;
+    # every Newton shift leaves no step there, so that start ends unconverged
+    f, grad_hess = _quadratic([0.5, 0.5], [1.0, -1.0])
+    rows = []
+    f_rows, gh_rows = _rows(f, grad_hess)
+    counted = lambda ts: rows.extend(ts) or f_rows(ts)
+    alone = minimize_box(counted, gh_rows, [0.0, 0.0], [1.0, 1.0], n_starts=1)
+    assert not alone.converged and alone.n_evals == 1
+    assert np.array_equal(alone.x, [0.5, 0.5])
+    res = minimize_box(counted, gh_rows, [0.0, 0.0], [1.0, 1.0], seed=4, n_starts=5)
+    assert np.isfinite(rows).all()
+    assert res.converged and res.value == -0.25 and res.x[0] == 0.5
+    # a gradient too small to move e_0 + shift off 0 (2^-53 from the saddle)
+    # gets the same floor, and the start then leaves the saddle
+    near = minimize_box(*_rows(*_quadratic([0.5, 0.5 + 2.0**-53], [1.0, -1.0])),
+                        [0.0, 0.0], [1.0, 1.0], n_starts=1)
+    assert near.converged and np.array_equal(near.x, [0.5, 0.0])
+
+
 def _newton_descent(f, grad_hess, x, lower, upper):
     """The step-by-step reference: one start, one point per call."""
     fx, evals = f(x), 1
@@ -223,7 +244,10 @@ def _newton_descent(f, grad_hess, x, lower, upper):
             return x, fx, True, evals
         gv = vec.T @ gf
         diam = np.linalg.norm(upper[free] - lower[free])
-        shift = max(0.0, np.linalg.norm(gf) / diam - eig[0])
+        shift = np.linalg.norm(gf) / diam - eig[0]
+        if eig[0] + shift <= 0.0:      # a zero gradient at negative curvature
+            shift *= 2.0
+        shift = max(0.0, shift)
         while True:
             trial = x.copy()
             trial[free] = np.clip(x[free] - vec @ (gv / (eig + shift)),
@@ -305,9 +329,8 @@ _PROBLEMS = ([("scenario", name, method) for name in SCENARIO_NAMES
                 for bad in (None, float("nan"), float("inf"), -float("inf"))])
 
 
-# A start on an exact saddle (zero gradient, e_0 < 0) gets the shift -e_0,
-# so both loops divide 0 / 0 along that direction and warn alike.
-@pytest.mark.filterwarnings("ignore:invalid value encountered in divide:RuntimeWarning")
+# no start divides by zero, not even one on an exact saddle
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @settings(max_examples=120, deadline=None)
 @given(st.sampled_from(_PROBLEMS), st.integers(0, 2**32 - 1), st.integers(1, 20))
 def test_lockstep_equals_stepwise_reference(problem, seed, n_starts):

@@ -9,7 +9,7 @@ from numpy.testing import assert_allclose
 from l2calib.calibration import CalibrationEstimate
 from l2calib.models import DomainBox
 from l2calib.numerics import build_rule
-from l2calib.posterior import (ACCEPT_BAND, BURNIN_FRAC, RHAT_LIMIT,
+from l2calib.posterior import (ACCEPT_BAND, ADAPT_BLOCK, BURNIN_FRAC, RHAT_LIMIT,
                                TARGET_ACCEPT, LaplaceApprox, PosteriorSample,
                                Prior, SamplerSettings, batch_mcse,
                                conjugate_posterior, credible_interval,
@@ -139,6 +139,15 @@ def test_sampler_chains_independent_of_count():
     two = _std_normal_sample(seed=5, iterations=400, chains=2)
     assert np.array_equal(one.draws, two.draws[two.chain_ids == 0])
     assert not np.array_equal(one.draws, two.draws[two.chain_ids == 1])
+    # nor does the prefetch depth (4, 3, 2 and 1 at these counts), which
+    # splits an adaptation block over several loss calls when it is below
+    # ADAPT_BLOCK; a burn-in of 205 steps ends inside a block
+    iterations = 410
+    assert int(BURNIN_FRAC * iterations) % ADAPT_BLOCK != 0
+    one = _std_normal_sample(seed=5, iterations=iterations, chains=1)
+    for chains in (5, 9, 10, 22):
+        many = _std_normal_sample(seed=5, iterations=iterations, chains=chains)
+        assert np.array_equal(one.draws, many.draws[many.chain_ids == 0])
 
 
 def test_sampler_validation():
@@ -181,7 +190,9 @@ def test_sampler_rejects_non_finite_loss():
 
 
 def _stepwise_metropolis(loss, prior, n, seed, st):
-    """Reference sampler: one loss call per step, before and after burn-in.
+    """Reference sampler: one loss call per step, before and after burn-in;
+    the step size takes its adapted value at the end of each block of
+    ``ADAPT_BLOCK`` burn-in steps and of burn-in.
 
     Returns (kept draws (chains, m, p), per-chain acceptance, rhat, flags).
     """
@@ -219,7 +230,8 @@ def _stepwise_metropolis(loss, prior, n, seed, st):
         if t < burn:
             alpha = np.exp(np.minimum(delta, 0.0))
             log_s += (alpha - TARGET_ACCEPT) / (t + 1) ** 0.6
-            s = np.exp(log_s)[:, None]
+            if (t + 1) % ADAPT_BLOCK == 0 or t + 1 == burn:
+                s = np.exp(log_s)[:, None]
         else:
             accepted += accept
             if (t - burn) % st.thin == 0:
