@@ -55,11 +55,6 @@ class SandwichMatrices:
     def w_total(self) -> np.ndarray:
         return self.W if self.W_E is None else self.W + self.W_E
 
-    def estimator_cov(self) -> np.ndarray:
-        """V^-1 W V^-1 with the total middle matrix."""
-        vinv_w = np.linalg.solve(self.V, self.w_total())
-        return np.linalg.solve(self.V, vinv_w.T).T
-
 
 def _check_v(v: np.ndarray) -> np.ndarray:
     v = 0.5 * (v + v.T)
@@ -79,8 +74,8 @@ def _check_psd(w: np.ndarray, what: str) -> np.ndarray:
     return w
 
 
-def _sigma2_from(fit: SmootherFit, sigma2) -> float:
-    s2 = fit.sigma2_hat if sigma2 is None else float(sigma2)
+def _sigma2_from(fit: SmootherFit) -> float:
+    s2 = fit.sigma2_hat
     if not np.isfinite(s2) or s2 < 0:
         raise ValueError(f"invalid noise variance {s2}")
     return s2
@@ -94,10 +89,10 @@ def _weighted_gram(model: MathModel, theta: np.ndarray,
 
 
 def marginal_matrices(est: CalibrationEstimate, fit: SmootherFit, model: MathModel,
-                      rule: QuadratureRule, sigma2=None) -> SandwichMatrices:
+                      rule: QuadratureRule) -> SandwichMatrices:
     """Design-marginal sandwich for the l2 estimator."""
     v = _check_v(est.hessian)
-    s2 = _sigma2_from(fit, sigma2)
+    s2 = _sigma2_from(fit)
     n = fit.data.n
     scale = 4.0 * s2 / (n * model.x_box.volume)
     w = _check_psd(scale * _weighted_gram(model, est.theta, rule), "W")
@@ -105,7 +100,7 @@ def marginal_matrices(est: CalibrationEstimate, fit: SmootherFit, model: MathMod
 
 
 def ols_matrices(est: CalibrationEstimate, fit: SmootherFit, model: MathModel,
-                 rule: QuadratureRule, sigma2=None) -> SandwichMatrices:
+                 rule: QuadratureRule) -> SandwichMatrices:
     """Design-marginal sandwich for the least squares estimator.
 
     The middle matrix gains a positive semidefinite discrepancy term driven
@@ -114,7 +109,7 @@ def ols_matrices(est: CalibrationEstimate, fit: SmootherFit, model: MathModel,
     if est.method != "ols":
         raise ValueError("ols_matrices expects an estimate fitted with method 'ols'")
     v = _check_v(est.hessian)
-    s2 = _sigma2_from(fit, sigma2)
+    s2 = _sigma2_from(fit)
     n = fit.data.n
     scale = 4.0 / (n * model.x_box.volume)
     w = s2 * scale * _weighted_gram(model, est.theta, rule)
@@ -125,13 +120,12 @@ def ols_matrices(est: CalibrationEstimate, fit: SmootherFit, model: MathModel,
 
 
 def conditional_matrices(est: CalibrationEstimate, fit: SmootherFit, model: MathModel,
-                         rule: QuadratureRule, form: str = "derived",
-                         sigma2=None) -> SandwichMatrices:
+                         rule: QuadratureRule, form: str = "derived") -> SandwichMatrices:
     """Design-conditional sandwich at the fitted smoother settings."""
     if form not in CONDITIONAL_FORMS:
         raise ValueError(f"unknown conditional form {form!r}; choose from {CONDITIONAL_FORMS}")
     v = _check_v(est.hessian)
-    s2 = _sigma2_from(fit, sigma2)
+    s2 = _sigma2_from(fit)
     n = fit.data.n
     g_nodes = fit.weights(rule.nodes)              # (m, n)
     grad = model.grad_eta(est.theta, rule.nodes)   # (m, p)

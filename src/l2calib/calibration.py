@@ -44,7 +44,7 @@ class LossTerms:
     at the nodes; the OLS loss uses the design, weights 1/n and the
     responses. ``value`` and ``grad_hess`` take one theta (p,) or a batch
     (c, p), and each batch row equals the single-theta call bit for bit;
-    ``grad`` and ``hess`` take one theta.
+    ``hess`` takes one theta.
     """
 
     model: MathModel
@@ -61,9 +61,6 @@ class LossTerms:
         resid = self._resid(theta)
         val = (self.weights * resid * resid).sum(axis=-1)
         return float(val) if theta.ndim == 1 else val
-
-    def grad(self, theta) -> np.ndarray:
-        return self.grad_hess(theta)[0]
 
     def hess(self, theta) -> np.ndarray:
         return self.grad_hess(theta)[1]
@@ -107,10 +104,6 @@ def l2_loss_fn(mu_like, model: MathModel, rule: QuadratureRule, *,
     return terms.value
 
 
-def l2_loss_grad(theta, mu_like, model: MathModel, rule: QuadratureRule) -> np.ndarray:
-    return l2_loss_terms(mu_like, model, rule).grad(theta)
-
-
 def l2_loss_hess(theta, mu_like, model: MathModel, rule: QuadratureRule) -> np.ndarray:
     return l2_loss_terms(mu_like, model, rule).hess(theta)
 
@@ -120,10 +113,6 @@ def ols_loss_fn(data: Dataset, model: MathModel, *, terms: LossTerms | None = No
     if terms is None:
         terms = ols_loss_terms(data, model)
     return terms.value
-
-
-def ols_loss_grad(theta, data: Dataset, model: MathModel) -> np.ndarray:
-    return ols_loss_terms(data, model).grad(theta)
 
 
 def ols_loss_hess(theta, data: Dataset, model: MathModel) -> np.ndarray:
@@ -139,7 +128,6 @@ class CalibrationEstimate:
     method: str
     hessian: np.ndarray
     converged: bool
-    n_starts: int
 
     @property
     def n_params(self) -> int:
@@ -171,8 +159,7 @@ def estimate_theta(source, model: MathModel, rule: QuadratureRule | None = None,
     res = minimize_box(loss, terms.grad_hess, model.theta_box.lower,
                        model.theta_box.upper, seed=seed, n_starts=n_starts)
     return CalibrationEstimate(theta=res.x, value=res.value, method=method,
-                               hessian=terms.hess(res.x), converged=res.converged,
-                               n_starts=res.n_starts)
+                               hessian=terms.hess(res.x), converged=res.converged)
 
 
 class StraightLine:

@@ -289,7 +289,6 @@ def cmd_calibrate(cfg: dict) -> int:
     base_loss = l2_loss_fn(fit, model, rule)
     analyses = {}
     samples = {}
-    worst = 0
     for name in analyses_from(cfg):
         variant, kind = name.split("-")
         entry: dict = {"flags": []}
@@ -326,7 +325,6 @@ def cmd_calibrate(cfg: dict) -> int:
         except (ScalingError, ValueError) as exc:
             entry["failed"] = True
             entry["flags"].append(f"analysis-failed: {exc}")
-            worst = 1
         entry["flags"] = sorted(set(entry["flags"]))
         analyses[name] = entry
         flags.extend(entry["flags"])
@@ -366,7 +364,7 @@ def cmd_calibrate(cfg: dict) -> int:
         print(f"  {name}: mean [{mean_txt}]  {cfg['level']:.0%} {ivs}")
     for fl in report["flags"]:
         print(f"warning: {fl}", file=sys.stderr)
-    return 1 if (worst or report["flags"]) else 0
+    return 1 if report["flags"] else 0
 
 
 def cmd_simulate(cfg: dict) -> int:
@@ -390,8 +388,7 @@ def cmd_simulate(cfg: dict) -> int:
         print(f"{r['analysis']:<28}{str(r['coordinate']):>6}{cov:>10}{ln:>12}"
               f"{r['n_used']:>8}")
     warned = bool(report.replicate_flags) or any(
-        agg.get("n_failed") or agg.get("flag_counts")
-        for agg in report.analyses.values())
+        agg["flag_counts"] for agg in report.analyses.values())
     for key, count in report.replicate_flags.items():
         print(f"warning: {key} ({count} replicate(s))", file=sys.stderr)
     return 1 if warned else 0

@@ -13,6 +13,8 @@ from typing import Callable
 
 import numpy as np
 
+BOX_ATOL = 1e-12    # how far outside its faces a point still counts as inside a box
+
 
 @dataclass(frozen=True)
 class DomainBox:
@@ -39,17 +41,14 @@ class DomainBox:
     def volume(self) -> float:
         return float(np.prod(self.upper - self.lower))
 
-    @property
-    def center(self) -> np.ndarray:
-        return 0.5 * (self.lower + self.upper)
-
-    def inside(self, x, atol: float = 1e-12):
-        """Membership of each point: a bool for x of shape (dim,), (c,) for (c, dim)."""
+    def inside(self, x):
+        """Membership of each point, within BOX_ATOL: a bool for x of shape
+        (dim,), (c,) for (c, dim)."""
         x = np.asarray(x, dtype=float)
-        return ((x >= self.lower - atol) & (x <= self.upper + atol)).all(axis=-1)
+        return ((x >= self.lower - BOX_ATOL) & (x <= self.upper + BOX_ATOL)).all(axis=-1)
 
-    def contains(self, x, atol: float = 1e-12) -> bool:
-        return bool(np.all(self.inside(x, atol)))
+    def contains(self, x) -> bool:
+        return bool(np.all(self.inside(x)))
 
     def strictly_contains(self, x) -> bool:
         """Whether every point of x lies strictly inside the box, with no tolerance."""
@@ -132,45 +131,6 @@ class PhysicalSystem:
     def __post_init__(self):
         if self.sigma < 0:
             raise ValueError("sigma must be nonnegative")
-
-
-def validate_derivatives(model: MathModel, seed: int = 0, n_points: int = 100,
-                         rel_tol: float = 1e-5) -> dict:
-    """Central finite-difference check of grad_eta and hess_eta.
-
-    Returns the worst relative errors seen over random (theta, x) draws and
-    raises ValueError if either exceeds ``rel_tol``.
-    """
-    rng = np.random.default_rng(seed)
-    tb, xb = model.theta_box, model.x_box
-    p = tb.dim
-    worst_g, worst_h = 0.0, 0.0
-    h = np.cbrt(np.finfo(float).eps)
-    for _ in range(n_points):
-        # stay away from the box faces so central steps remain inside
-        theta = tb.lower + (0.1 + 0.8 * rng.random(p)) * (tb.upper - tb.lower)
-        x = xb.lower + rng.random(xb.dim) * (xb.upper - xb.lower)
-        x = x.reshape(1, -1)
-        g = model.grad_eta(theta, x).reshape(p)
-        hmat = model.hess_eta(theta, x).reshape(p, p)
-        scale = np.maximum(np.abs(theta), 1.0)
-        for j in range(p):
-            dj = np.zeros(p)
-            dj[j] = h * scale[j]
-            fp = float(model.eta(theta + dj, x)[0])
-            fm = float(model.eta(theta - dj, x)[0])
-            g_fd = (fp - fm) / (2 * dj[j])
-            denom = max(abs(g[j]), 1e-8)
-            worst_g = max(worst_g, abs(g_fd - g[j]) / denom)
-            gp = model.grad_eta(theta + dj, x).reshape(p)
-            gm = model.grad_eta(theta - dj, x).reshape(p)
-            h_fd = (gp - gm) / (2 * dj[j])
-            denom = np.maximum(np.abs(hmat[:, j]), 1e-8)
-            worst_h = max(worst_h, float(np.max(np.abs(h_fd - hmat[:, j]) / denom)))
-    report = {"max_grad_rel_err": worst_g, "max_hess_rel_err": worst_h}
-    if worst_g > rel_tol or worst_h > rel_tol:
-        raise ValueError(f"analytic derivatives disagree with finite differences: {report}")
-    return report
 
 
 # ---------------------------------------------------------------------------

@@ -103,7 +103,6 @@ class MinimizeResult:
     x: np.ndarray
     value: float
     converged: bool
-    n_starts: int
     n_evals: int        # points f evaluated, over all starts
     best_start: int     # index of the winning start; 0 is the box centre
 
@@ -240,7 +239,7 @@ def minimize_box(f, grad_hess, lower, upper, seed: int = 0,
     if best is None:
         best = (float("nan"), tuple(0.5 * (lower + upper)), False, 0)
     return MinimizeResult(x=np.array(best[1]), value=best[0], converged=bool(best[2]),
-                          n_starts=n_starts, n_evals=n_evals, best_start=best[3])
+                          n_evals=n_evals, best_start=best[3])
 
 
 def sym_psd_factor(a: np.ndarray, tol: float = 1e-10) -> np.ndarray:

@@ -384,16 +384,6 @@ def credible_interval(obj, level: float = 0.95, mode: str = "quantile") -> np.nd
     raise TypeError("expected a PosteriorSample or LaplaceApprox")
 
 
-def batch_mcse(x: np.ndarray, n_batches: int = 50) -> float:
-    """Batch-means Monte Carlo standard error of the mean of a chain."""
-    x = np.asarray(x, dtype=float)
-    m = x.size // n_batches
-    if m < 2:
-        raise ValueError("chain too short for the requested number of batches")
-    means = x[: m * n_batches].reshape(n_batches, m).mean(axis=1)
-    return float(means.std(ddof=1) / np.sqrt(n_batches))
-
-
 def write_draws_csv(samples: dict[str, PosteriorSample], path) -> None:
     """One row per kept draw of each labelled sample: analysis, theta_1..theta_p, chain."""
     p = next(iter(samples.values())).draws.shape[1]

@@ -14,10 +14,6 @@ estimator and can be badly over- or under-dispersed. Two repairs:
   solved with symmetric PSD factors: Gamma = F1^-1 F2 where F1^T F1 = V and
   F2^T F2 = V (n W)^-1 V. For one parameter the two repairs coincide:
   Gamma^2 = gamma = V / (n W).
-
-A variance-matching scalar for the single-parameter straight-line model is
-also provided; it equates the posterior variance under a normal prior with
-the closed-form sampling variance of the estimator.
 """
 
 from __future__ import annotations
@@ -27,10 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .asymptotics import SandwichMatrices
-from .calibration import StraightLine, matched_gamma
-from .models import DomainBox, MathModel
-from .numerics import QuadratureRule, sym_psd_factor
-from .smoother import SmootherFit
+from .models import DomainBox
+from .numerics import sym_psd_factor
 
 
 class ScalingError(ValueError):
@@ -138,32 +132,3 @@ def scaled_loss(adj: ScalingAdjustment, base_loss, theta_box: DomainBox | None =
 
     return loss
 
-
-def variance_matching_gamma(fit: SmootherFit, model: MathModel, rule: QuadratureRule,
-                            tau2: float, sigma2=None) -> float:
-    """Scalar gamma equating posterior and sampling variance, eta = theta x.
-
-    With a N(0, tau2) prior the posterior variance under the gamma-scaled
-    loss is (2 n gamma int x^2 dx + 1/tau2)^-1; gamma makes it equal the
-    estimator's sampling variance (``linear_estimator_variance``).
-    """
-    if not model.scalar_linear:
-        raise ScalingError("variance matching is defined for scalar linear models only")
-    if tau2 <= 0:
-        raise ScalingError("prior variance tau2 must be positive")
-    var = linear_estimator_variance(fit, rule, sigma2)
-    if var >= tau2:
-        raise ScalingError(
-            f"estimator variance {var:.3g} is not below the prior variance {tau2:.3g}; "
-            "variance matching undefined")
-    return matched_gamma(var, fit.data.n, StraightLine(rule).den, tau2)
-
-
-def linear_estimator_variance(fit: SmootherFit, rule: QuadratureRule,
-                              sigma2=None) -> float:
-    """Sampling variance of the straight-line estimator at fixed smoother
-    settings; sigma2 defaults to the fit's noise estimate."""
-    s2 = fit.sigma2_hat if sigma2 is None else float(sigma2)
-    line = StraightLine(rule)
-    qt_q, _, d, lam = line.fit_terms(fit)
-    return line.variance(qt_q, d, lam, s2)

@@ -149,19 +149,6 @@ def oracle_theta(scenario: str, quad_order: int = DEFAULT_QUAD_ORDER) -> np.ndar
     return _ORACLE_CACHE[key].copy()
 
 
-def brute_force_theta(scenario: str, quad_order: int = DEFAULT_QUAD_ORDER,
-                      grid_size: int = 20001) -> np.ndarray:
-    """Grid-search oracle for one-parameter scenarios, used as a cross-check."""
-    model, system, _ = make_scenario(scenario)
-    if model.n_params != 1:
-        raise ValueError("grid oracle only supports one-parameter scenarios")
-    rule = build_rule(model.x_box.lower, model.x_box.upper, quad_order)
-    loss = l2_loss_fn(system.mu, model, rule)
-    grid = np.linspace(model.theta_box.lower[0], model.theta_box.upper[0], grid_size)
-    vals = np.array([loss(np.array([t])) for t in grid])
-    return np.array([grid[int(np.argmin(vals))]])
-
-
 def run_replicate(index: int, config: StudyConfig, model, system, rule,
                   theta_star: np.ndarray, n: int, grid: GcvGrid | None) -> dict:
     """One complete replicate; returns a plain-dict record."""

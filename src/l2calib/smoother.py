@@ -128,14 +128,6 @@ def read_dataset_csv(path) -> Dataset:
     return Dataset(design=arr[:, :k], responses=arr[:, k])
 
 
-def write_dataset_csv(path, data: Dataset) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([f"x{j + 1}" for j in range(data.k)] + ["y"])
-        for xi, yi in zip(data.design, data.responses):
-            writer.writerow([repr(float(v)) for v in xi] + [repr(float(yi))])
-
-
 @dataclass
 class SmootherFit:
     """Fitted kernel ridge smoother.

@@ -8,6 +8,7 @@ under this (faithful) implementation — see the README for the analysis.
 
 import os
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,17 +16,17 @@ import pytest
 from l2calib.asymptotics import conditional_matrices, marginal_matrices
 from l2calib.calibration import (CalibrationEstimate, estimate_theta,
                                  l2_loss_fn, linear_theta_hat)
-from l2calib.models import make_scenario, validate_derivatives
+from l2calib.models import make_scenario
 from l2calib.numerics import build_rule
-from l2calib.posterior import (Prior, SamplerSettings, batch_mcse,
-                               conjugate_posterior, laplace_approx,
-                               sample_posterior)
-from l2calib.scaling import (curvature_adjustment, fixed_gamma,
-                             linear_estimator_variance, scaled_loss)
+from l2calib.posterior import (Prior, SamplerSettings, conjugate_posterior,
+                               laplace_approx, sample_posterior)
+from l2calib.scaling import curvature_adjustment, fixed_gamma, scaled_loss
 from l2calib.simharness import (ClosedFormStudyConfig, StudyConfig,
-                                brute_force_theta, generate_replicate,
-                                oracle_theta, run_closed_form_study, run_study)
+                                generate_replicate, oracle_theta,
+                                run_closed_form_study, run_study)
 from l2calib.smoother import GcvGrid, fit_smoother
+from oracles import (batch_mcse, brute_force_theta, estimator_cov,
+                     linear_estimator_variance, validate_derivatives)
 
 _WORKERS = os.cpu_count() or 1
 
@@ -87,7 +88,7 @@ def test_curvature_posterior_covariance_equals_estimator_covariance():
                    conditional_matrices(est, fit, model, rule, form="derived")):
             adj = curvature_adjustment(sw, est.theta)
             lap = laplace_approx(est, adj, fit.data.n)
-            target = sw.estimator_cov()
+            target = estimator_cov(sw)
             rel = (np.linalg.norm(lap.cov - target)
                    / np.linalg.norm(target))
             worst = max(worst, rel)
@@ -235,11 +236,10 @@ def test_linear_sandwich_matches_sampling_variance():
         fit = grid.fit(data.responses)
         th = linear_theta_hat(fit, rule)
         est = CalibrationEstimate(theta=np.array([th]), value=0.0,
-                                  method="l2", hessian=v, converged=True,
-                                  n_starts=1)
-        sw = conditional_matrices(est, fit, model, rule, form="derived",
-                                  sigma2=sigma2)
-        var_sw = float(sw.estimator_cov()[0, 0])
+                                  method="l2", hessian=v, converged=True)
+        sw = conditional_matrices(est, replace(fit, sigma2_hat=sigma2), model,
+                                  rule, form="derived")
+        var_sw = float(estimator_cov(sw)[0, 0])
         var_direct = linear_estimator_variance(fit, rule, sigma2=sigma2)
         worst_rel = max(worst_rel, abs(var_sw - var_direct) / var_direct)
         thetas[i] = th

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -7,9 +9,9 @@ from l2calib.asymptotics import (SingularCurvatureError, conditional_matrices,
 from l2calib.calibration import estimate_theta
 from l2calib.models import make_scenario
 from l2calib.numerics import build_rule
-from l2calib.scaling import linear_estimator_variance
 from l2calib.simharness import generate_replicate
 from l2calib.smoother import Dataset, KernelSpec, fit_smoother, fit_smoother_fixed
+from oracles import estimator_cov, linear_estimator_variance
 
 
 def _pipeline(name, n, seed, method="l2"):
@@ -24,7 +26,7 @@ def _pipeline(name, n, seed, method="l2"):
 def test_marginal_values_linear_model():
     # V = 2 int x^2 dx = 2/3; W = 4 sigma2 int x^2 dx / n = 4 sigma2 / (3 n)
     model, system, rule, data, fit, est = _pipeline("simple-linear", 8, 3)
-    sw = marginal_matrices(est, fit, model, rule, sigma2=0.0625)
+    sw = marginal_matrices(est, replace(fit, sigma2_hat=0.0625), model, rule)
     assert_allclose(sw.V, [[2.0 / 3.0]], atol=1e-10)
     assert_allclose(sw.W, [[4.0 * 0.0625 / (3.0 * 8)]], atol=1e-10)
     assert_allclose(sw.W, [[0.0104167]], atol=1e-6)
@@ -53,7 +55,7 @@ def test_conditional_derived_matches_closed_form_variance():
     model, system, rule, data, fit, est = _pipeline("simple-linear", 8, 3)
     sw = conditional_matrices(est, fit, model, rule, form="derived")
     closed = linear_estimator_variance(fit, rule)
-    assert_allclose(sw.estimator_cov()[0, 0], closed, rtol=1e-8)
+    assert_allclose(estimator_cov(sw)[0, 0], closed, rtol=1e-8)
 
 
 def test_conditional_forms_differ_in_general():
@@ -76,9 +78,10 @@ def test_conditional_single_observation_rank_one():
     fit = fit_smoother_fixed(one, KernelSpec("gaussian", np.array([0.4])), 0.0)
     est = estimate_theta(fit, model, rule, method="l2", seed=0)
     for form in ("derived", "literal"):
-        sw = conditional_matrices(est, fit, model, rule, form=form, sigma2=1.0)
+        sw = conditional_matrices(est, replace(fit, sigma2_hat=1.0), model, rule,
+                                  form=form)
         assert np.linalg.eigvalsh(sw.W).min() >= -1e-12
-        assert np.all(np.isfinite(sw.estimator_cov()))
+        assert np.all(np.isfinite(estimator_cov(sw)))
 
 
 def test_conditional_rejects_unknown_form():
@@ -124,7 +127,7 @@ def test_ols_inflation_small_without_discrepancy():
 def test_estimator_cov_is_symmetric_sandwich():
     model, system, rule, data, fit, est = _pipeline("scenario1", 50, 2)
     sw = marginal_matrices(est, fit, model, rule)
-    cov = sw.estimator_cov()
+    cov = estimator_cov(sw)
     assert_allclose(cov, cov.T, atol=1e-14)
     vinv = np.linalg.inv(sw.V)
     assert_allclose(cov, vinv @ sw.W @ vinv, atol=1e-12)
@@ -133,8 +136,16 @@ def test_estimator_cov_is_symmetric_sandwich():
 def test_singular_curvature_raises():
     model, system, rule, data, fit, est = _pipeline("simple-linear", 8, 3)
     bad = type(est)(theta=est.theta, value=est.value, method="l2",
-                    hessian=np.array([[0.0]]), converged=True, n_starts=1)
+                    hessian=np.array([[0.0]]), converged=True)
     with pytest.raises(SingularCurvatureError):
         marginal_matrices(bad, fit, model, rule)
+
+
+@pytest.mark.parametrize("sigma2", [-1.0, np.nan])
+@pytest.mark.parametrize("sandwich", [marginal_matrices, conditional_matrices,
+                                      ols_matrices])
+def test_invalid_noise_variance_raises(sandwich, sigma2):
+    method = "ols" if sandwich is ols_matrices else "l2"
+    model, system, rule, data, fit, est = _pipeline("simple-linear", 8, 3, method)
     with pytest.raises(ValueError, match="noise variance"):
-        marginal_matrices(est, fit, model, rule, sigma2=-1.0)
+        sandwich(est, replace(fit, sigma2_hat=sigma2), model, rule)

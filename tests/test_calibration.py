@@ -7,14 +7,13 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from l2calib.calibration import (StraightLine, estimate_theta, l2_loss_fn,
-                                 l2_loss_grad, l2_loss_hess, l2_loss_terms,
-                                 linear_theta_hat, ols_loss_fn, ols_loss_grad,
-                                 ols_loss_hess)
+                                 l2_loss_hess, l2_loss_terms, linear_theta_hat,
+                                 ols_loss_fn, ols_loss_hess, ols_loss_terms)
 from l2calib.models import SCENARIO_NAMES, make_scenario
 from l2calib.numerics import build_rule
-from l2calib.scaling import linear_estimator_variance
 from l2calib.simharness import generate_replicate
 from l2calib.smoother import Dataset, fit_smoother, kernel_matrix
+from oracles import linear_estimator_variance
 
 
 def _rule(model, order=64):
@@ -66,13 +65,14 @@ def test_gradients_match_finite_differences():
     for name in ("simple-linear", "scenario1", "scenario2", "scenario3"):
         model, system, _ = make_scenario(name)
         rule = _rule(model)
-        loss = l2_loss_fn(system.mu, model, rule)
+        terms = l2_loss_terms(system.mu, model, rule)
+        loss = l2_loss_fn(system.mu, model, rule, terms=terms)
         p = model.n_params
         lo, hi = model.theta_box.lower, model.theta_box.upper
         h = 1e-6
         for _ in range(10):
             theta = lo + (0.05 + 0.9 * rng.random(p)) * (hi - lo)
-            g = l2_loss_grad(theta, system.mu, model, rule)
+            g = terms.grad_hess(theta)[0]
             for j in range(p):
                 d = np.zeros(p)
                 d[j] = h * max(1.0, abs(theta[j]))
@@ -86,12 +86,12 @@ def test_hessian_matches_finite_differences_of_gradient():
     theta = np.array([0.12, 0.34])
     hmat = l2_loss_hess(theta, system.mu, model, rule)
     assert_allclose(hmat, hmat.T, atol=1e-12)
+    terms = l2_loss_terms(system.mu, model, rule)
     h = 1e-6
     for j in range(2):
         d = np.zeros(2)
         d[j] = h
-        col = (l2_loss_grad(theta + d, system.mu, model, rule)
-               - l2_loss_grad(theta - d, system.mu, model, rule)) / (2 * h)
+        col = (terms.grad_hess(theta + d)[0] - terms.grad_hess(theta - d)[0]) / (2 * h)
         assert_allclose(col, hmat[:, j], rtol=1e-5, atol=1e-7)
 
 
@@ -108,7 +108,7 @@ def test_grad_hess_evaluates_the_model_once_and_matches_grad_and_hess():
     theta = np.array([0.12, 0.34])
     g, h = terms.grad_hess(theta)
     assert calls == {"eta": 1, "grad_eta": 1, "hess_eta": 1}
-    assert np.array_equal(g, terms.grad(theta))
+    assert np.array_equal(g, terms.grad_hess(theta)[0])
     assert np.array_equal(h, terms.hess(theta))
 
 
@@ -142,7 +142,7 @@ def test_ols_derivatives_linear_model():
     data = Dataset(design=x, responses=y)
     theta = np.array([1.7])
     r = y - 1.7 * x[:, 0]
-    assert_allclose(ols_loss_grad(theta, data, model),
+    assert_allclose(ols_loss_terms(data, model).grad_hess(theta)[0],
                     [-2.0 * np.mean(r * x[:, 0])], atol=1e-14)
     assert_allclose(ols_loss_hess(theta, data, model),
                     [[2.0 * np.mean(x[:, 0] ** 2)]], atol=1e-14)
@@ -156,7 +156,7 @@ def test_estimate_matches_closed_form_linear():
     est = estimate_theta(fit, model, rule, method="l2", seed=0)
     assert est.converged
     assert_allclose(est.theta, [linear_theta_hat(fit, rule)], atol=1e-6)
-    grad = l2_loss_grad(est.theta, fit, model, rule)
+    grad = l2_loss_terms(fit, model, rule).grad_hess(est.theta)[0]
     assert np.max(np.abs(grad)) < 1e-6
 
 

@@ -21,10 +21,12 @@ from l2calib.calibration import estimate_theta, linear_theta_hat
 from l2calib.cli import build_parser, main
 from l2calib.numerics import DEFAULT_QUAD_ORDER, build_rule, set_blas_threads
 from l2calib.posterior import conjugate_posterior
-from l2calib.scaling import curvature_adjustment, magnitude_gamma
+from l2calib import simharness
+from l2calib.scaling import ScalingError, curvature_adjustment, magnitude_gamma
 from l2calib.simharness import generate_replicate
 from l2calib.models import make_scenario
-from l2calib.smoother import fit_smoother, write_dataset_csv
+from l2calib.smoother import fit_smoother
+from oracles import write_dataset_csv
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -152,6 +154,42 @@ def test_calibrate_draws_out_keeps_every_analysis(tmp_path):
         counts = Counter(r["analysis"] for r in csv.DictReader(fh))
     kept = 2 * (600 // 2) // 3  # chains x post-burn-in iterations / thin
     assert counts == {"marginal-magnitude": kept, "marginal-curvature": kept}
+
+
+def _singular_w(*args, **kwargs):
+    raise ScalingError("W is singular")
+
+
+def test_calibrate_exits_1_when_an_analysis_fails(tmp_path, monkeypatch, capsys):
+    # the same run exits 0 in test_calibrate_report; the failed analyses'
+    # flag alone must turn the exit code to 1
+    monkeypatch.setattr(cli, "curvature_adjustment", _singular_w)
+    out = tmp_path / "cal.json"
+    rc = main(["calibrate", "--scenario", "simple-linear", "--seed", "0",
+               "--out", str(out)])
+    assert rc == 1
+    report = json.loads(out.read_text())
+    for name, entry in report["analyses"].items():
+        assert entry.get("failed", False) == name.endswith("-curvature")
+    assert report["flags"] == ["analysis-failed: W is singular"]
+    captured = capsys.readouterr()
+    assert "marginal-curvature: failed" in captured.out
+    assert "warning: analysis-failed: W is singular" in captured.err
+
+
+def test_simulate_exits_1_when_an_analysis_fails(tmp_path, monkeypatch):
+    # the same run exits 0 in test_simulate_records_flag
+    monkeypatch.setattr(simharness, "curvature_adjustment", _singular_w)
+    out = tmp_path / "study.json"
+    rc = main(["simulate", "--scenario", "simple-linear", "--replicates", "1",
+               "--seed", "0", "--workers", "1", "--out", str(out)])
+    assert rc == 1
+    report = json.loads(out.read_text())
+    assert report["replicate_flags"] == {}
+    for name, agg in report["analyses"].items():
+        failed = int(name.endswith("-curvature"))
+        assert agg["n_failed"] == failed
+        assert agg["flag_counts"] == ({"analysis-failed": 1} if failed else {})
 
 
 def test_simulate_reports_and_summary(tmp_path, capsys):

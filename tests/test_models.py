@@ -5,15 +5,14 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from l2calib.models import (SCENARIO_NAMES, DesignRule, DomainBox,
-                            PhysicalSystem, make_scenario,
-                            validate_derivatives)
+                            PhysicalSystem, make_scenario)
+from oracles import validate_derivatives
 
 
 def test_domain_box_basics():
     box = DomainBox(np.array([0.0, -1.0]), np.array([2.0, 1.0]))
     assert box.dim == 2
     assert box.volume == 4.0
-    assert_allclose(box.center, [1.0, 0.0])
     assert box.contains([1.0, 0.5])
     assert not box.contains([3.0, 0.0])
     assert_allclose(box.clip([5.0, -7.0]), [2.0, -1.0])
@@ -52,7 +51,7 @@ def test_scenario_shapes_and_defaults():
         model, system, defaults = make_scenario(name)
         assert defaults["n"] >= 1
         p = model.n_params
-        theta = model.theta_box.center
+        theta = 0.5 * (model.theta_box.lower + model.theta_box.upper)
         x = np.linspace(model.x_box.lower[0], model.x_box.upper[0], 7).reshape(-1, 1)
         assert model.eta(theta, x).shape == (7,)
         assert model.grad_eta(theta, x).shape == (7, p)

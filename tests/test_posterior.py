@@ -8,16 +8,15 @@ from numpy.testing import assert_allclose
 
 from l2calib.calibration import CalibrationEstimate
 from l2calib.models import DomainBox
-from l2calib.numerics import build_rule
 from l2calib.posterior import (ACCEPT_BAND, ADAPT_BLOCK, BURNIN_FRAC, RHAT_LIMIT,
                                TARGET_ACCEPT, LaplaceApprox, PosteriorSample,
-                               Prior, SamplerSettings, batch_mcse,
-                               conjugate_posterior, credible_interval,
-                               laplace_approx, log_gen_posterior,
-                               prefetch_depth, sample_posterior, split_rhat,
-                               write_draws_csv)
+                               Prior, SamplerSettings, conjugate_posterior,
+                               credible_interval, laplace_approx,
+                               log_gen_posterior, prefetch_depth,
+                               sample_posterior, split_rhat, write_draws_csv)
 from l2calib.scaling import curvature_adjustment, fixed_gamma, no_scaling
 from l2calib.asymptotics import SandwichMatrices
+from oracles import batch_mcse, estimator_cov
 
 Z975 = 1.959963984540054
 
@@ -324,8 +323,7 @@ def test_prior_validation():
 
 def test_laplace_approx_matches_flat_conjugate():
     est = CalibrationEstimate(theta=np.array([3.5]), value=0.0, method="l2",
-                              hessian=np.array([[2.0 / 3.0]]), converged=True,
-                              n_starts=1)
+                              hessian=np.array([[2.0 / 3.0]]), converged=True)
     lap = laplace_approx(est, no_scaling(), n=8)
     assert_allclose(lap.mean, [3.5])
     assert_allclose(lap.cov, [[3.0 / 16.0]], rtol=1e-12)
@@ -338,21 +336,19 @@ def test_laplace_approx_curvature_equals_sandwich():
     w = np.array([[4.0 * 0.0625 / 24.0]])
     sw = SandwichMatrices(V=v, W=w, variant="marginal", n=8, sigma2=0.0625)
     est = CalibrationEstimate(theta=np.array([3.5]), value=0.0, method="l2",
-                              hessian=v, converged=True, n_starts=1)
+                              hessian=v, converged=True)
     adj = curvature_adjustment(sw, est.theta)
     lap = laplace_approx(est, adj, n=8)
-    assert_allclose(lap.cov, sw.estimator_cov(), rtol=1e-10)
+    assert_allclose(lap.cov, estimator_cov(sw), rtol=1e-10)
 
 
 def test_laplace_approx_flags_and_failures():
     est = CalibrationEstimate(theta=np.array([1.0]), value=0.0, method="l2",
-                              hessian=np.array([[1.0]]), converged=False,
-                              n_starts=1)
+                              hessian=np.array([[1.0]]), converged=False)
     lap = laplace_approx(est, no_scaling(), n=4)
     assert "estimate-not-converged" in lap.flags
     bad = CalibrationEstimate(theta=np.array([1.0]), value=0.0, method="l2",
-                              hessian=np.array([[-1.0]]), converged=True,
-                              n_starts=1)
+                              hessian=np.array([[-1.0]]), converged=True)
     with pytest.raises(ValueError, match="positive definite"):
         laplace_approx(bad, no_scaling(), n=4)
 

@@ -11,12 +11,11 @@ from l2calib.calibration import estimate_theta, l2_loss_fn
 from l2calib.models import SCENARIO_NAMES, DomainBox, make_scenario
 from l2calib.numerics import build_rule
 from l2calib.scaling import (ScalingAdjustment, ScalingError,
-                             curvature_adjustment, fixed_gamma,
-                             linear_estimator_variance, magnitude_adjustment,
-                             magnitude_gamma, no_scaling, scaled_loss,
-                             variance_matching_gamma)
+                             curvature_adjustment, fixed_gamma, magnitude_gamma,
+                             no_scaling, scaled_loss)
 from l2calib.simharness import generate_replicate
 from l2calib.smoother import fit_smoother
+from oracles import linear_estimator_variance, variance_matching_gamma
 
 
 def _sw(v, w, n=8, sigma2=0.0625):

@@ -12,13 +12,13 @@ from l2calib.calibration import estimate_theta, linear_theta_hat
 from l2calib.models import PhysicalSystem, make_scenario
 from l2calib.numerics import build_rule, set_blas_threads
 from l2calib import simharness as sh
-from l2calib.scaling import linear_estimator_variance
 from l2calib.simharness import (ClosedFormStudyConfig, StudyConfig,
                                 _closed_form_slice, _map_slices,
-                                brute_force_theta, generate_replicate,
-                                oracle_theta, parse_analysis,
-                                run_closed_form_study, run_replicate, run_study)
+                                generate_replicate, oracle_theta,
+                                parse_analysis, run_closed_form_study,
+                                run_replicate, run_study)
 from l2calib.smoother import GcvGrid
+from oracles import brute_force_theta, linear_estimator_variance
 
 
 def test_parse_analysis():
