@@ -183,12 +183,19 @@ class StraightLine:
         """Q'q for one bandwidth, Q the eigenvectors of its kernel matrix."""
         return qmat.T @ (kernel_matrix(spec, self.nodes, design).T @ self.wx)
 
-    def theta_hat(self, qt_q, z, d, lam) -> float:
-        """The minimiser from Q'q, z = Q'y and the eigenvalues d."""
-        return float(qt_q @ (z / (d + lam))) / self.den
+    def theta_hat(self, qt_q, z, d, lam):
+        """The minimiser from Q'q, z = Q'y and the eigenvalues d: a float for
+        one row (n,) and scalar lam, an (R,) array for rows (R, n) and lam
+        (R,). A batch row equals the one-row call bit for bit."""
+        w = z / (d + np.asarray(lam)[..., None])
+        th = (qt_q[..., None, :] @ w[..., None])[..., 0, 0] / self.den
+        return float(th) if th.ndim == 0 else th
 
-    def variance(self, qt_q, d, lam, sigma2: float) -> float:
-        return sigma2 * float(np.sum((qt_q / (d + lam)) ** 2)) / self.den**2
+    def variance(self, qt_q, d, lam, sigma2: float):
+        """Sampling variance of ``theta_hat``; batches as ``theta_hat``."""
+        s = np.sum((qt_q / (d + np.asarray(lam)[..., None])) ** 2, axis=-1)
+        var = sigma2 * s / self.den**2
+        return float(var) if var.ndim == 0 else var
 
     def fit_terms(self, fit: SmootherFit):
         """(Q'q, Q'y, d, lam) of a fitted smoother."""

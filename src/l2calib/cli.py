@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import os
 import sys
@@ -112,7 +113,10 @@ COMMANDS = {
 }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parsing leaves it
+    unchanged, and each call returns a fresh namespace."""
     ap = argparse.ArgumentParser(
         prog="l2calib",
         description="Bayesian L2 calibration of inexact mathematical models.")

@@ -17,6 +17,7 @@ from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
 from functools import partial
+from math import isnan
 from statistics import NormalDist
 
 import numpy as np
@@ -383,31 +384,43 @@ def _closed_form_slice(cfg: ClosedFormStudyConfig, n: int,
     xs = np.linspace(0.0, 1.0, n)
     grid = GcvGrid(xs.reshape(-1, 1), family=cfg.kernel_family)
     # the response-free part of the estimator and its variance, per bandwidth
-    qt_qs = [line.qt_q(spec, grid.design, qmat) for spec, _, qmat in grid.bandwidths]
+    qt_qs = np.stack([line.qt_q(spec, grid.design, qmat)
+                      for spec, _, qmat in grid.bandwidths])
+    eig = np.stack([d for _, d, _ in grid.bandwidths])
     y0 = np.asarray(system.mu(xs.reshape(-1, 1)), dtype=float)
     sigma = system.sigma
+    noise = np.empty((len(indices), n))
+    for r, i in enumerate(indices):
+        noise[r] = np.random.default_rng(cfg.seed + i).standard_normal(n)
+    ys = y0 + sigma * noise
+    idx, j = grid.select_many(ys)[:2]
+    lam = grid.lambda_grid[j]
+    # z = Q'y as the one-response product qmat.T @ y, per selected bandwidth:
+    # the same BLAS call as StraightLine.fit_terms, so theta_hat is unchanged
+    z = np.empty_like(ys)
+    for b in np.unique(idx):
+        rows = idx == b
+        z[rows] = (grid.bandwidths[b][2].T @ ys[rows, :, None])[..., 0]
+    qt_q, d = qt_qs[idx], eig[idx]
+    theta_hat = line.theta_hat(qt_q, z, d, lam)
+    var_hat = line.variance(qt_q, d, lam, sigma**2)
+    gammas = {f"gamma={g:g}": np.full(len(indices), g) for g in cfg.gamma_fixed}
+    # NaN where var_hat >= tau2: no gamma matches, and that posterior is left out
+    gammas["gamma=matched"] = np.where(var_hat < cfg.tau2,
+                                       matched_gamma(var_hat, n, line.den, cfg.tau2), np.nan)
     prior_prec = 1.0 / cfg.tau2 if cfg.prior_in_interval else 0.0
+    columns = {}
+    for label, g in gammas.items():
+        prec, mean = normal_posterior(theta_hat, n, g, line.den, prior_prec)
+        columns[label] = (mean.tolist(), np.sqrt(1.0 / prec).tolist(), g.tolist())
     out = []
-    for i in indices:
-        rng = np.random.default_rng(cfg.seed + i)
-        y = y0 + sigma * rng.standard_normal(n)
-        idx, lam = grid.select(y)[:2]
-        _, d, qmat = grid.bandwidths[idx]
-        theta_hat = line.theta_hat(qt_qs[idx], qmat.T @ y, d, lam)
-        var_hat = line.variance(qt_qs[idx], d, lam, sigma**2)
-        rec = {"index": i, "theta_hat": theta_hat, "var_hat": var_hat,
-               "lambda": lam, "flags": []}
-        gammas = {f"gamma={g:g}": g for g in cfg.gamma_fixed}
-        if var_hat < cfg.tau2:
-            gammas["gamma=matched"] = matched_gamma(var_hat, n, line.den, cfg.tau2)
-        else:
-            rec["flags"].append("variance-matching-undefined")
-        rec["posteriors"] = {}
-        for label, g in gammas.items():
-            prec, mean = normal_posterior(theta_hat, n, g, line.den, prior_prec)
-            rec["posteriors"][label] = {"mean": mean, "sd": float(np.sqrt(1.0 / prec)),
-                                        "gamma": g}
-        out.append(rec)
+    for r, i in enumerate(indices):
+        posteriors = {label: {"mean": mean[r], "sd": sd[r], "gamma": g[r]}
+                      for label, (mean, sd, g) in columns.items() if not isnan(g[r])}
+        flags = [] if "gamma=matched" in posteriors else ["variance-matching-undefined"]
+        out.append({"index": i, "theta_hat": float(theta_hat[r]),
+                    "var_hat": float(var_hat[r]), "lambda": float(lam[r]),
+                    "flags": flags, "posteriors": posteriors})
     return out
 
 

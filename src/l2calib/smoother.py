@@ -26,6 +26,9 @@ MIN_OBSERVATIONS = 3  # fewest observations GCV selection accepts
 DEFAULT_LAMBDA_GRID = np.logspace(-8.0, 1.0, 19)
 # bandwidth multipliers applied to the per-coordinate data range
 DEFAULT_RHO_FACTORS = np.logspace(np.log10(0.05), np.log10(2.0), 13)
+# responses scored per step of GcvGrid.select_many: the (rows, g, L, n)
+# temporary is about 0.5 MB on the default 13 x 19 grid at n = 8
+SELECT_CHUNK = 32
 
 
 class DegenerateSmootherError(ValueError):
@@ -212,7 +215,7 @@ class GcvGrid:
     stores everything GCV needs that does not depend on the response: the
     stacked Q' (g, n, n), the shrinkage factors lam / (d + lam) (g, L, n) and
     tr(I - A) (g, L). A select then costs one batched rotation Q'y and one
-    reduction over the whole (rho, lam) grid, O(g * n * (n + L)).
+    reduction over the whole (rho, lam) grid, O(g * n * (n + L)) per response.
     """
 
     def __init__(self, design, family: str = "gaussian", lambda_grid=None,
@@ -240,24 +243,41 @@ class GcvGrid:
         self._trace = self._shr.sum(axis=-1)
 
     def select(self, y: np.ndarray):
-        """Grid-minimise GCV; returns (rho index, lam, score, rss, tr(I - A)).
+        """Grid-minimise GCV for one response (n,); returns (rho index, lam,
+        score, rss, tr(I - A)) as Python scalars. See ``select_many``."""
+        idx, j, score, rss, trm = self.select_many(np.asarray(y, dtype=float)[None])
+        return (int(idx[0]), float(self.lambda_grid[j[0]]), float(score[0]),
+                float(rss[0]), float(trm[0]))
+
+    def select_many(self, ys: np.ndarray):
+        """Grid-minimise GCV for each row of ys (R, n); returns arrays (rho
+        index, lam index, score, rss, tr(I - A)), each (R,).
 
         Ties go to the first bandwidth that reaches the minimum and, within
-        it, to the largest ridge value.
+        it, to the largest ridge value. Rows are scored SELECT_CHUNK at a time;
+        each row's arithmetic is that of a batch of one, so the result does
+        not depend on the batch.
         """
-        y = np.asarray(y, dtype=float)
-        z = self._qt @ y
-        # same arithmetic as _eigen_fit: rounding alone orders cells flat in lam (K = I)
-        rss = np.sum((self._shr * z[:, None, :]) ** 2, axis=-1)
-        score = _gcv_terms(rss, self._trace, y.size)[0]
-        best = score.min()
-        if not np.isfinite(best):
-            raise DegenerateSmootherError("GCV denominator vanished on the whole grid")
-        hits = score == best
-        idx = int(np.argmax(hits.any(axis=1)))
-        j = hits.shape[1] - 1 - int(np.argmax(hits[idx, ::-1]))
-        return (idx, float(self.lambda_grid[j]), float(best), float(rss[idx, j]),
-                float(self._trace[idx, j]))
+        ys = np.asarray(ys, dtype=float)
+        n_lam = self.lambda_grid.size
+        parts = []
+        for start in range(0, len(ys), SELECT_CHUNK):
+            y = ys[start:start + SELECT_CHUNK]
+            # (c, g, 1, n): one matrix-vector product Q'y per row and bandwidth
+            z = np.swapaxes(self._qt @ y[:, None, :, None], -1, -2)
+            # same arithmetic as _eigen_fit: rounding alone orders cells flat in lam (K = I)
+            rss = np.sum((self._shr * z) ** 2, axis=-1)
+            score = _gcv_terms(rss, self._trace, y.shape[1])[0]
+            best = score.min(axis=(1, 2))
+            if not np.isfinite(best).all():
+                raise DegenerateSmootherError("GCV denominator vanished on the whole grid")
+            hits = score == best[:, None, None]
+            at = np.arange(len(y))
+            idx = np.argmax(hits.any(axis=2), axis=1)
+            j = n_lam - 1 - np.argmax(hits[at, idx, ::-1], axis=1)
+            parts.append((idx, j, best, rss[at, idx, j]))
+        idx, j, best, rss = map(np.concatenate, zip(*parts))
+        return idx, j, best, rss, self._trace[idx, j]
 
     def fit(self, y: np.ndarray) -> SmootherFit:
         idx, lam = self.select(y)[:2]

@@ -397,6 +397,30 @@ def test_parser_flags_match_printed_config(capsys, command, required):
     assert flags == {"--" + key.replace("_", "-") for key in keys}
 
 
+def test_consecutive_calls_match_fresh_calls(tmp_path, capsys):
+    # the parser is built once per process; each command must still see only
+    # its own flags and defaults, whatever ran before it
+    runs = [
+        ("table1", "--replicates", "5", "--workers", "1", "--prior-in-interval"),
+        ("fit", "--scenario", "scenario2", "--n", "12"),
+        ("calibrate", "--scenario", "simple-linear", "--engine", "conjugate"),
+        ("simulate", "--scenario", "simple-linear", "--replicates", "2",
+         "--workers", "1", "--records"),
+        ("table1", "--replicates", "4", "--workers", "1", "--seed", "3"),
+        ("fit", "--scenario", "simple-linear"),
+    ]
+
+    def run(argv, out):
+        rc = main([*argv, "--out", str(out)])
+        return rc, out.read_text(), capsys.readouterr()
+
+    assert build_parser() is build_parser()
+    consecutive = [run(argv, tmp_path / f"seq{k}.json") for k, argv in enumerate(runs)]
+    for k, argv in enumerate(runs):
+        build_parser.cache_clear()
+        assert run(argv, tmp_path / f"seq{k}.json") == consecutive[k], argv
+
+
 def test_config_type_check(tmp_path, capsys):
     cfile = tmp_path / "cfg.json"
     cfile.write_text(json.dumps({"scenario": "scenario2", "replicates": 2,

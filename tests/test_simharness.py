@@ -8,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from l2calib.calibration import estimate_theta, linear_theta_hat
+from l2calib.calibration import (StraightLine, estimate_theta, linear_theta_hat,
+                                 matched_gamma, normal_posterior)
 from l2calib.models import PhysicalSystem, make_scenario
 from l2calib.numerics import build_rule, set_blas_threads
 from l2calib import simharness as sh
@@ -17,7 +18,7 @@ from l2calib.simharness import (ClosedFormStudyConfig, StudyConfig,
                                 generate_replicate, oracle_theta,
                                 parse_analysis, run_closed_form_study,
                                 run_replicate, run_study)
-from l2calib.smoother import GcvGrid
+from l2calib.smoother import SELECT_CHUNK, GcvGrid
 from oracles import brute_force_theta, linear_estimator_variance
 
 
@@ -285,6 +286,47 @@ def test_closed_form_study_deterministic_and_partition_invariant():
     c = run_closed_form_study(ClosedFormStudyConfig(replicates=60, seed=5,
                                                     workers=2)).to_json()
     assert a == b == c
+
+
+@pytest.mark.parametrize("n, tau2, prior", [
+    (4, 1.0, False), (4, 0.05, True), (8, 0.025, False), (8, 1.0, True)])
+def test_closed_form_slice_is_the_same_in_any_batch(n, tau2, prior):
+    # a slice over two chunks and a part of GCV selection against one-index
+    # slices; a tau2 below 1 sits inside the spread of var_hat, which leaves
+    # variance matching undefined for some rows and not for others
+    cfg = ClosedFormStudyConfig(replicates=1, seed=11, tau2=tau2, prior_in_interval=prior)
+    indices = list(range(3, 3 + 2 * SELECT_CHUNK + 7))
+    records = _closed_form_slice(cfg, n, indices)
+    assert records == [_closed_form_slice(cfg, n, [i])[0] for i in indices]
+    # each posterior is the scalar closed form of its row's estimate
+    model, _, _ = make_scenario("simple-linear")
+    den = StraightLine(build_rule(model.x_box.lower, model.x_box.upper, cfg.quad_order)).den
+    prior_prec = 1.0 / tau2 if prior else 0.0
+    flagged = 0
+    for rec in records:
+        gammas = {"gamma=1": 1.0, "gamma=15": 15.0}
+        if rec["var_hat"] < tau2:
+            gammas["gamma=matched"] = matched_gamma(rec["var_hat"], n, den, tau2)
+            assert rec["flags"] == []
+        else:
+            assert rec["flags"] == ["variance-matching-undefined"]
+            flagged += 1
+        assert list(rec["posteriors"]) == list(gammas)
+        for label, g in gammas.items():
+            prec, mean = normal_posterior(rec["theta_hat"], n, g, den, prior_prec)
+            assert rec["posteriors"][label] == {"mean": mean, "sd": float(np.sqrt(1.0 / prec)),
+                                                "gamma": g}
+    assert (0 < flagged < len(records)) == (tau2 < 1.0)
+
+
+@pytest.mark.parametrize("prior", [False, True])
+def test_closed_form_study_partition_invariant_across_chunks(prior):
+    # 77 replicates: 39 + 38 at two workers, neither a multiple of the chunk
+    cfg = ClosedFormStudyConfig(replicates=77, seed=9, prior_in_interval=prior)
+    assert 77 % SELECT_CHUNK and 39 > SELECT_CHUNK
+    one = run_closed_form_study(cfg).to_json(include_records=True)
+    two = run_closed_form_study(dataclasses.replace(cfg, workers=2))
+    assert two.to_json(include_records=True) == one
 
 
 def test_closed_form_study_prior_in_interval():

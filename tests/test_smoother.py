@@ -10,8 +10,9 @@ from numpy.testing import assert_allclose
 
 from l2calib.models import make_scenario
 from l2calib.simharness import generate_replicate
-from l2calib.smoother import (JITTER, Dataset, DegenerateSmootherError,
-                              GcvGrid, KernelSpec, default_rho_grid,
+from l2calib.smoother import (JITTER, SELECT_CHUNK, Dataset,
+                              DegenerateSmootherError, GcvGrid, KernelSpec,
+                              default_rho_grid,
                               fit_smoother, fit_smoother_fixed,
                               kernel_matrix, read_dataset_csv)
 from oracles import write_dataset_csv
@@ -396,6 +397,49 @@ def test_select_on_degenerate_grid_raises_without_warnings():
         warnings.simplefilter("error")
         with pytest.raises(DegenerateSmootherError):
             grid.select(y)
+
+
+@st.composite
+def _response_batches(draw):
+    n = draw(st.integers(3, 12))
+    k = draw(st.integers(1, 2))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x = rng.random((n, k))
+    # up to two chunks and a part, so rows land on every side of a chunk edge
+    rows = draw(st.integers(1, 2 * SELECT_CHUNK + 5))
+    ys = x @ rng.standard_normal(k) + rng.choice([1e-3, 0.1, 1.0]) * rng.standard_normal((rows, n))
+    # all-zero rows score 0 on every cell: an exact tie across the whole grid
+    ys[rng.random(rows) < draw(st.sampled_from([0.0, 0.2, 1.0]))] = 0.0
+    # a row whose squares overflow scores inf everywhere, as a vanished denominator does
+    bad = draw(st.none() | st.integers(0, rows - 1))
+    if bad is not None:
+        ys[bad] = 1e300
+    # a repeated bandwidth ties every cell of the repeat with its original
+    twin = draw(st.booleans())
+    return x, ys, bad, twin
+
+
+@settings(max_examples=80, deadline=None)
+@given(_response_batches())
+def test_select_many_equals_select_row_by_row(case):
+    x, ys, bad, twin = case
+    rho = default_rho_grid(x)
+    grid = GcvGrid(x, rho_grid=np.repeat(rho, 2, axis=0) if twin else rho)
+    if bad is not None:
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(DegenerateSmootherError) as one:
+                grid.select(ys[bad])
+            with pytest.raises(DegenerateSmootherError) as many:
+                grid.select_many(ys)
+        assert str(many.value) == str(one.value)
+        return
+    idx, j, score, rss, trm = grid.select_many(ys)
+    for r, y in enumerate(ys):
+        # exact: == on Python floats, so any bit of difference fails
+        assert grid.select(y) == (int(idx[r]), float(grid.lambda_grid[j[r]]),
+                                  float(score[r]), float(rss[r]), float(trm[r]))
+    if not ys.any():
+        assert set(idx) == {0} and set(j) == {grid.lambda_grid.size - 1}
 
 
 def test_fixed_fit_rejects_negative_lambda():
