@@ -408,16 +408,7 @@ def cmd_table1(cfg: dict) -> int:
     report = run_closed_form_study(study)
     if cfg["out"]:
         _write_text(cfg["out"], report.to_json())
-    rows = []
-    for key, agg in report.analyses.items():
-        n_part, gamma_part = key.split(",")
-        row = {"n": n_part.split("=")[1], "gamma": gamma_part.split("=")[1],
-               "coverage": agg.get("coverage", ""),
-               "coverage_se": agg.get("coverage_se", ""),
-               "mean_length": agg.get("mean_length", ""),
-               "mean_gamma": agg.get("mean_gamma", ""),
-               "n_used": agg.get("n_used", 0)}
-        rows.append(row)
+    rows = report.summary_rows()
     if cfg["summary_out"]:
         _write_summary_csv(cfg["summary_out"], rows)
     print(f"{'n':>3}{'gamma':>10}{'coverage':>10}{'mean_len':>10}{'n_used':>8}")

@@ -17,7 +17,6 @@ from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
 from functools import partial
-from math import isnan
 from statistics import NormalDist
 
 import numpy as np
@@ -264,7 +263,7 @@ class SimulationReport:
     oracle_theta: list
     analyses: dict
     replicate_flags: dict
-    records: list = field(repr=False)
+    records: list = field(default_factory=list, repr=False)
     kind: str = "study"
 
     def to_dict(self, include_records: bool = False) -> dict:
@@ -311,32 +310,32 @@ class SimulationReport:
         return rows
 
 
-def _map_slices(slice_fn, workers: int, replicates: int, *args) -> list[dict]:
-    """Records of ``slice_fn(*args, indices)`` over replicates 0..replicates-1.
+def _map_slices(slice_fn, workers: int, replicates: int, *args) -> list:
+    """``slice_fn(*args, chunk)`` for each chunk of replicates 0..replicates-1,
+    in index order; the caller joins the results.
 
     With more than one worker the indices are cut into one contiguous chunk
     per worker and the chunks run in a process pool whose workers each run
-    BLAS on one thread, whatever the start method. Records come back in index
-    order either way: the chunks are contiguous and ``pool.map`` yields their
-    results in the order they were submitted.
+    BLAS on one thread, whatever the start method; ``pool.map`` yields the
+    results in the order the chunks were submitted. Otherwise all indices are
+    one chunk, run in this process.
     """
     indices = list(range(replicates))
     if workers <= 1 or replicates <= 1:
-        return slice_fn(*args, indices)
+        return [slice_fn(*args, indices)]
     size = (replicates + workers - 1) // workers
     chunks = [indices[i:i + size] for i in range(0, replicates, size)]
     # fork starts every worker up front, so start no more than there are chunks
     with ProcessPoolExecutor(max_workers=len(chunks), initializer=set_blas_threads,
                              initargs=(1,)) as pool:
-        parts = pool.map(partial(slice_fn, *args), chunks)
-        return [r for part in parts for r in part]
+        return list(pool.map(partial(slice_fn, *args), chunks))
 
 
 def run_study(config: StudyConfig) -> SimulationReport:
     # once, in this process: pool workers receive theta* instead of re-deriving it
     theta_star = oracle_theta(config.scenario, config.quad_order)
-    records = _map_slices(_study_slice, config.workers, config.replicates, config,
-                          theta_star)
+    records = [r for part in _map_slices(_study_slice, config.workers, config.replicates,
+                                         config, theta_star) for r in part]
     flags = _tally(f for r in records for f in r["flags"])
     return SimulationReport(config=_report_config(config), oracle_theta=theta_star.tolist(),
                             analyses=aggregate_records(records, config.analyses),
@@ -378,7 +377,8 @@ class ClosedFormStudyConfig:
 
 
 def _closed_form_slice(cfg: ClosedFormStudyConfig, n: int,
-                       indices: list[int]) -> list[dict]:
+                       indices: list[int]) -> np.ndarray:
+    """Rows (theta_hat, its sampling variance) of the replicates ``indices``."""
     model, system, _ = make_scenario("simple-linear")
     line = StraightLine(build_rule(model.x_box.lower, model.x_box.upper, cfg.quad_order))
     xs = np.linspace(0.0, 1.0, n)
@@ -388,11 +388,9 @@ def _closed_form_slice(cfg: ClosedFormStudyConfig, n: int,
                       for spec, _, qmat in grid.bandwidths])
     eig = np.stack([d for _, d, _ in grid.bandwidths])
     y0 = np.asarray(system.mu(xs.reshape(-1, 1)), dtype=float)
-    sigma = system.sigma
-    noise = np.empty((len(indices), n))
-    for r, i in enumerate(indices):
-        noise[r] = np.random.default_rng(cfg.seed + i).standard_normal(n)
-    ys = y0 + sigma * noise
+    noise = np.stack([np.random.default_rng(cfg.seed + i).standard_normal(n)
+                      for i in indices])
+    ys = y0 + system.sigma * noise
     idx, j = grid.select_many(ys)[:2]
     lam = grid.lambda_grid[j]
     # z = Q'y as the one-response product qmat.T @ y, per selected bandwidth:
@@ -402,57 +400,58 @@ def _closed_form_slice(cfg: ClosedFormStudyConfig, n: int,
         rows = idx == b
         z[rows] = (grid.bandwidths[b][2].T @ ys[rows, :, None])[..., 0]
     qt_q, d = qt_qs[idx], eig[idx]
-    theta_hat = line.theta_hat(qt_q, z, d, lam)
-    var_hat = line.variance(qt_q, d, lam, sigma**2)
-    gammas = {f"gamma={g:g}": np.full(len(indices), g) for g in cfg.gamma_fixed}
-    # NaN where var_hat >= tau2: no gamma matches, and that posterior is left out
-    gammas["gamma=matched"] = np.where(var_hat < cfg.tau2,
-                                       matched_gamma(var_hat, n, line.den, cfg.tau2), np.nan)
-    prior_prec = 1.0 / cfg.tau2 if cfg.prior_in_interval else 0.0
-    columns = {}
-    for label, g in gammas.items():
-        prec, mean = normal_posterior(theta_hat, n, g, line.den, prior_prec)
-        columns[label] = (mean.tolist(), np.sqrt(1.0 / prec).tolist(), g.tolist())
-    out = []
-    for r, i in enumerate(indices):
-        posteriors = {label: {"mean": mean[r], "sd": sd[r], "gamma": g[r]}
-                      for label, (mean, sd, g) in columns.items() if not isnan(g[r])}
-        flags = [] if "gamma=matched" in posteriors else ["variance-matching-undefined"]
-        out.append({"index": i, "theta_hat": float(theta_hat[r]),
-                    "var_hat": float(var_hat[r]), "lambda": float(lam[r]),
-                    "flags": flags, "posteriors": posteriors})
-    return out
+    return np.stack([line.theta_hat(qt_q, z, d, lam),
+                     line.variance(qt_q, d, lam, system.sigma**2)], axis=1)
 
 
-def run_closed_form_study(cfg: ClosedFormStudyConfig) -> SimulationReport:
+def _gamma_labels(gamma_fixed) -> list[str]:
+    """The table's gamma column: each fixed gamma, then the matched one."""
+    return [f"{g:g}" for g in gamma_fixed] + ["matched"]
+
+
+@dataclass
+class ClosedFormReport(SimulationReport):
+    """A closed-form study's report: one table entry per (n, gamma) cell."""
+
+    kind: str = "closed-form-study"
+
+    def summary_rows(self) -> list[dict]:
+        columns = ("coverage", "coverage_se", "mean_length", "mean_gamma", "n_used")
+        rows = []
+        for n in self.config["sample_sizes"]:
+            for label in _gamma_labels(self.config["gamma_fixed"]):
+                agg = self.analyses[f"n={n},gamma={label}"]
+                rows.append({"n": n, "gamma": label, **{k: agg.get(k, "") for k in columns}})
+        return rows
+
+
+def run_closed_form_study(cfg: ClosedFormStudyConfig) -> ClosedFormReport:
     z = NormalDist().inv_cdf(0.5 + cfg.level / 2.0)
     theta_star = float(oracle_theta("simple-linear", cfg.quad_order)[0])
+    box = make_scenario("simple-linear")[0].x_box
+    den = StraightLine(build_rule(box.lower, box.upper, cfg.quad_order)).den
+    prior_prec = 1.0 / cfg.tau2 if cfg.prior_in_interval else 0.0
     tables = {}
-    flags = []
-    records = []
+    flags = {}
     for n in cfg.sample_sizes:
-        recs = _map_slices(_closed_form_slice, cfg.workers, cfg.replicates, cfg, n)
-        labels = [f"gamma={g:g}" for g in cfg.gamma_fixed] + ["gamma=matched"]
-        for label in labels:
-            rows = [r["posteriors"][label] for r in recs if label in r["posteriors"]]
-            if not rows:
-                tables[f"n={n},{label}"] = {"n_used": 0}
-                continue
-            means = np.array([r["mean"] for r in rows])
-            sds = np.array([r["sd"] for r in rows])
-            lens = 2.0 * z * sds
-            covers = (np.abs(means - theta_star) <= z * sds).astype(float)
-            c = float(covers.mean())
-            tables[f"n={n},{label}"] = {
-                "n_used": len(rows),
-                "coverage": c,
-                "coverage_se": float(np.sqrt(c * (1 - c) / len(rows))),
-                "mean_length": float(lens.mean()),
-                "mean_post_mean": float(means.mean()),
-                "mean_gamma": float(np.mean([r["gamma"] for r in rows])),
-            }
-        flags.extend(f"n={n}:{fl}" for r in recs for fl in r["flags"])
-        records.extend([{**r, "n": n} for r in recs])
-    return SimulationReport(config=_report_config(cfg), oracle_theta=[theta_star],
-                            analyses=tables, replicate_flags=_tally(flags),
-                            records=records, kind="closed-form-study")
+        parts = _map_slices(_closed_form_slice, cfg.workers, cfg.replicates, cfg, n)
+        theta_hat, var_hat = np.concatenate(parts).T
+        # NaN where var_hat >= tau2: no gamma matches, and that posterior is left out
+        matched = np.where(var_hat < cfg.tau2,
+                           matched_gamma(var_hat, n, den, cfg.tau2), np.nan)
+        gammas = [np.full(cfg.replicates, g) for g in cfg.gamma_fixed] + [matched]
+        for label, g in zip(_gamma_labels(cfg.gamma_fixed), gammas):
+            used = ~np.isnan(g)
+            n_used = int(used.sum())
+            agg = tables[f"n={n},gamma={label}"] = {"n_used": n_used}
+            if n_used:
+                prec, mean = normal_posterior(theta_hat[used], n, g[used], den, prior_prec)
+                sd = np.sqrt(1.0 / prec)
+                c = float(np.mean(np.abs(mean - theta_star) <= z * sd))
+                agg.update(coverage=c, coverage_se=float(np.sqrt(c * (1 - c) / n_used)),
+                           mean_length=float(np.mean(2.0 * z * sd)),
+                           mean_post_mean=float(mean.mean()), mean_gamma=float(g[used].mean()))
+        if undefined := int(np.isnan(matched).sum()):
+            flags[f"n={n}:variance-matching-undefined"] = undefined
+    return ClosedFormReport(config=_report_config(cfg), oracle_theta=[theta_star],
+                            analyses=tables, replicate_flags=dict(sorted(flags.items())))

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 from functools import partial
+from statistics import NormalDist
 
 import numpy as np
 import pytest
@@ -263,19 +264,18 @@ def test_closed_form_study_tables():
 def test_closed_form_slice_matches_linear_estimator(n, seed):
     # the study's cached per-bandwidth closed form against the per-fit functions
     cfg = ClosedFormStudyConfig(replicates=4, seed=seed)
-    records = _closed_form_slice(cfg, n, [0, 1, 2, 3])
+    est = _closed_form_slice(cfg, n, [0, 1, 2, 3])
+    assert est.shape == (4, 2)
     model, system, _ = make_scenario("simple-linear")
     rule = build_rule(model.x_box.lower, model.x_box.upper, cfg.quad_order)
     xs = np.linspace(0.0, 1.0, n).reshape(-1, 1)
     grid = GcvGrid(xs)
-    for rec in records:
-        rng = np.random.default_rng(seed + rec["index"])
+    for i, (theta_hat, var_hat) in enumerate(est):
+        rng = np.random.default_rng(seed + i)
         y = np.asarray(system.mu(xs), dtype=float) + system.sigma * rng.standard_normal(n)
         fit = grid.fit(y)
-        assert rec["lambda"] == fit.lam
-        assert rec["theta_hat"] == linear_theta_hat(fit, rule)
-        assert rec["var_hat"] == linear_estimator_variance(fit, rule,
-                                                           sigma2=system.sigma**2)
+        assert theta_hat == linear_theta_hat(fit, rule)
+        assert var_hat == linear_estimator_variance(fit, rule, sigma2=system.sigma**2)
 
 
 def test_closed_form_study_deterministic_and_partition_invariant():
@@ -294,29 +294,46 @@ def test_closed_form_slice_is_the_same_in_any_batch(n, tau2, prior):
     # a slice over two chunks and a part of GCV selection against one-index
     # slices; a tau2 below 1 sits inside the spread of var_hat, which leaves
     # variance matching undefined for some rows and not for others
-    cfg = ClosedFormStudyConfig(replicates=1, seed=11, tau2=tau2, prior_in_interval=prior)
-    indices = list(range(3, 3 + 2 * SELECT_CHUNK + 7))
-    records = _closed_form_slice(cfg, n, indices)
-    assert records == [_closed_form_slice(cfg, n, [i])[0] for i in indices]
-    # each posterior is the scalar closed form of its row's estimate
+    cfg = ClosedFormStudyConfig(replicates=2 * SELECT_CHUNK + 7, seed=11, sample_sizes=(n,),
+                                tau2=tau2, prior_in_interval=prior)
+    indices = list(range(3, 3 + cfg.replicates))
+    est = _closed_form_slice(cfg, n, indices)
+    assert np.array_equal(est, np.concatenate([_closed_form_slice(cfg, n, [i])
+                                               for i in indices]))
+    # each table entry from the scalar closed forms of these rows' estimates:
+    # the study at seed 14 draws replicate r as this slice draws index 3 + r
     model, _, _ = make_scenario("simple-linear")
     den = StraightLine(build_rule(model.x_box.lower, model.x_box.upper, cfg.quad_order)).den
     prior_prec = 1.0 / tau2 if prior else 0.0
+    z = NormalDist().inv_cdf(0.5 + cfg.level / 2.0)
+    theta_star = oracle_theta("simple-linear", cfg.quad_order)[0]
+    posteriors = {"gamma=1": [], "gamma=15": [], "gamma=matched": []}
     flagged = 0
-    for rec in records:
+    for theta_hat, var_hat in est:
         gammas = {"gamma=1": 1.0, "gamma=15": 15.0}
-        if rec["var_hat"] < tau2:
-            gammas["gamma=matched"] = matched_gamma(rec["var_hat"], n, den, tau2)
-            assert rec["flags"] == []
+        if var_hat < tau2:
+            gammas["gamma=matched"] = matched_gamma(var_hat, n, den, tau2)
         else:
-            assert rec["flags"] == ["variance-matching-undefined"]
             flagged += 1
-        assert list(rec["posteriors"]) == list(gammas)
         for label, g in gammas.items():
-            prec, mean = normal_posterior(rec["theta_hat"], n, g, den, prior_prec)
-            assert rec["posteriors"][label] == {"mean": mean, "sd": float(np.sqrt(1.0 / prec)),
-                                                "gamma": g}
-    assert (0 < flagged < len(records)) == (tau2 < 1.0)
+            prec, mean = normal_posterior(theta_hat, n, g, den, prior_prec)
+            posteriors[label].append((mean, np.sqrt(1.0 / prec), g))
+    report = run_closed_form_study(dataclasses.replace(cfg, seed=14))
+    assert list(report.analyses) == [f"n={n},{label}" for label in posteriors]
+    for label, rows in posteriors.items():
+        agg = report.analyses[f"n={n},{label}"]
+        if not rows:
+            assert agg == {"n_used": 0}
+            continue
+        mean, sd, g = map(np.array, zip(*rows))
+        c = np.mean([abs(m - theta_star) <= z * s for m, s in zip(mean, sd)])
+        assert agg == {"n_used": len(rows), "coverage": c,
+                       "coverage_se": np.sqrt(c * (1 - c) / len(rows)),
+                       "mean_length": np.mean([2.0 * z * s for s in sd]),
+                       "mean_post_mean": np.mean(mean), "mean_gamma": np.mean(g)}
+    undefined = {f"n={n}:variance-matching-undefined": flagged} if flagged else {}
+    assert report.replicate_flags == undefined
+    assert (0 < flagged < len(indices)) == (tau2 < 1.0)
 
 
 @pytest.mark.parametrize("prior", [False, True])
@@ -324,9 +341,31 @@ def test_closed_form_study_partition_invariant_across_chunks(prior):
     # 77 replicates: 39 + 38 at two workers, neither a multiple of the chunk
     cfg = ClosedFormStudyConfig(replicates=77, seed=9, prior_in_interval=prior)
     assert 77 % SELECT_CHUNK and 39 > SELECT_CHUNK
-    one = run_closed_form_study(cfg).to_json(include_records=True)
+    one = run_closed_form_study(cfg).to_json()
     two = run_closed_form_study(dataclasses.replace(cfg, workers=2))
-    assert two.to_json(include_records=True) == one
+    assert two.to_json() == one
+
+
+def test_closed_form_summary_rows():
+    # one row per table cell, in table order, n and gamma named by the config;
+    # tau2 0.01 leaves variance matching undefined everywhere, so those rows
+    # have no statistics
+    cfg = ClosedFormStudyConfig(replicates=30, seed=4, sample_sizes=(8, 4),
+                                gamma_fixed=(2.5,), tau2=0.01)
+    report = run_closed_form_study(cfg)
+    rows = report.summary_rows()
+    assert list(rows[0]) == ["n", "gamma", "coverage", "coverage_se", "mean_length",
+                             "mean_gamma", "n_used"]
+    assert [(r["n"], r["gamma"]) for r in rows] == [
+        (8, "2.5"), (8, "matched"), (4, "2.5"), (4, "matched")]
+    for r in rows[::2]:
+        agg = report.analyses[f"n={r['n']},gamma=2.5"]
+        assert r["n_used"] == 30 and r["mean_gamma"] == 2.5
+        assert (r["coverage"], r["coverage_se"], r["mean_length"]) == (
+            agg["coverage"], agg["coverage_se"], agg["mean_length"])
+    for r in rows[1::2]:
+        assert r["n_used"] == 0
+        assert r["coverage"] == r["coverage_se"] == r["mean_length"] == r["mean_gamma"] == ""
 
 
 def test_closed_form_study_prior_in_interval():
@@ -370,11 +409,20 @@ def _index_records(indices):
     return [{"index": i} for i in indices]
 
 
+def _index_array(indices):
+    return np.array(indices)
+
+
 @pytest.mark.parametrize("workers", [2, 3])
 def test_map_slices_keeps_index_order_on_uneven_chunks(workers):
-    # 5 replicates cut into chunks of 3 + 2 (two workers) or 2 + 2 + 1 (three)
-    records = _map_slices(_index_records, workers, 5)
-    assert [r["index"] for r in records] == [0, 1, 2, 3, 4]
+    # 5 replicates cut into chunks of 3 + 2 (two workers) or 2 + 2 + 1 (three);
+    # each chunk's result comes back whole, in chunk order, whatever its type
+    chunks = {2: [[0, 1, 2], [3, 4]], 3: [[0, 1], [2, 3], [4]]}[workers]
+    parts = _map_slices(_index_records, workers, 5)
+    assert [[r["index"] for r in part] for part in parts] == chunks
+    arrays = _map_slices(_index_array, workers, 5)
+    assert all(type(a) is np.ndarray for a in arrays)
+    assert [a.tolist() for a in arrays] == chunks
 
 
 def test_pool_starts_no_more_workers_than_chunks(monkeypatch):
@@ -402,7 +450,7 @@ def test_pool_workers_run_blas_on_one_thread():
     if previous is None:
         pytest.skip("numpy's bundled OpenBLAS not found")
     try:
-        assert _map_slices(_blas_threads_of_worker, 2, 4) == [1, 1, 1, 1]
+        assert _map_slices(_blas_threads_of_worker, 2, 4) == [[1, 1], [1, 1]]
         assert set_blas_threads(2) == 2        # the parent keeps its count
     finally:
         set_blas_threads(previous)
