@@ -17,12 +17,12 @@ closed forms of the straight-line model.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .models import MathModel
-from .numerics import QuadratureRule, minimize_box
+from .numerics import QuadratureRule, minimize_box, minimize_boxes
 from .smoother import Dataset, KernelSpec, SmootherFit, kernel_matrix
 
 
@@ -44,7 +44,9 @@ class LossTerms:
     at the nodes; the OLS loss uses the design, weights 1/n and the
     responses. ``value`` and ``grad_hess`` take one theta (p,) or a batch
     (c, p), and each batch row equals the single-theta call bit for bit;
-    ``hess`` takes one theta.
+    ``hess`` takes one theta. A target (P, m) holds P problems, one loss
+    each: a batch then needs ``rows`` (c,), the problem of each theta row,
+    and each row equals the one-problem call on that target row bit for bit.
     """
 
     model: MathModel
@@ -52,20 +54,21 @@ class LossTerms:
     weights: np.ndarray
     target: np.ndarray
 
-    def _resid(self, theta):
-        return self.target - self.model.eta(theta, self.points)
+    def _resid(self, theta, rows):
+        target = self.target if rows is None else self.target[rows]
+        return target - self.model.eta(theta, self.points)
 
-    def value(self, theta):
+    def value(self, theta, rows=None):
         """A float for one theta (p,), a (c,) array for a batch (c, p)."""
         theta = np.asarray(theta, dtype=float)
-        resid = self._resid(theta)
+        resid = self._resid(theta, rows)
         val = (self.weights * resid * resid).sum(axis=-1)
         return float(val) if theta.ndim == 1 else val
 
     def hess(self, theta) -> np.ndarray:
         return self.grad_hess(theta)[1]
 
-    def grad_hess(self, theta) -> tuple[np.ndarray, np.ndarray]:
+    def grad_hess(self, theta, rows=None) -> tuple[np.ndarray, np.ndarray]:
         """Gradient and Hessian from one residual and one grad_eta: (p,) and
         (p, p) for one theta, (c, p) and (c, p, p) for a batch (c, p).
 
@@ -74,7 +77,7 @@ class LossTerms:
         the curvature term would not."""
         theta = np.asarray(theta, dtype=float)
         g = self.model.grad_eta(theta, self.points)
-        wr = self.weights * self._resid(theta)
+        wr = self.weights * self._resid(theta, rows)
         h = self.model.hess_eta(theta, self.points)
         gt = np.swapaxes(g, -1, -2)
         gram = np.swapaxes(g * self.weights[:, None], -1, -2) @ g
@@ -128,6 +131,8 @@ class CalibrationEstimate:
     method: str
     hessian: np.ndarray
     converged: bool
+    n_evals: int = 0        # loss points the minimiser used, over all starts
+    best_start: int = 0     # the winning start; 0 is the box centre
 
     @property
     def n_params(self) -> int:
@@ -159,7 +164,22 @@ def estimate_theta(source, model: MathModel, rule: QuadratureRule | None = None,
     res = minimize_box(loss, terms.grad_hess, model.theta_box.lower,
                        model.theta_box.upper, seed=seed, n_starts=n_starts)
     return CalibrationEstimate(theta=res.x, value=res.value, method=method,
-                               hessian=terms.hess(res.x), converged=res.converged)
+                               hessian=terms.hess(res.x), converged=res.converged,
+                               n_evals=res.n_evals, best_start=res.best_start)
+
+
+def estimate_many(sources, model: MathModel, rule: QuadratureRule, seeds,
+                  n_starts: int = 10) -> list[CalibrationEstimate]:
+    """``estimate_theta(source, model, rule, "l2", seed, n_starts)`` for each
+    source and its seed, bit for bit, from one lockstep minimisation."""
+    terms = [l2_loss_terms(s, model, rule) for s in sources]
+    terms = replace(terms[0], target=np.stack([t.target for t in terms]))
+    res = minimize_boxes(terms.value, terms.grad_hess, model.theta_box.lower,
+                         model.theta_box.upper, seeds, n_starts)
+    hess = terms.grad_hess(np.array([r.x for r in res]), np.arange(len(res)))[1]
+    return [CalibrationEstimate(theta=r.x, value=r.value, method="l2", hessian=h,
+                                converged=r.converged, n_evals=r.n_evals,
+                                best_start=r.best_start) for r, h in zip(res, hess)]
 
 
 class StraightLine:

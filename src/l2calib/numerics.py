@@ -128,12 +128,22 @@ def _latin_starts(lower, upper, n, seed):
 
 def minimize_box(f, grad_hess, lower, upper, seed: int = 0,
                  n_starts: int = 10) -> MinimizeResult:
-    """Multistart damped projected Newton over a box, for any smooth f.
+    """Multistart damped projected Newton over a box for one smooth f: the
+    one-problem case of ``minimize_boxes``, f and grad_hess of points only."""
+    return minimize_boxes(lambda x, _: f(x), lambda x, _: grad_hess(x), lower,
+                          upper, [seed], n_starts)[0]
 
-    ``f`` maps points (c, p) to values (c,), and ``grad_hess`` maps them to
-    gradients (c, p) and Hessians (c, p, p); each row must equal a call on
-    that row alone. Starts are the box centre plus ``n_starts - 1`` Latin
-    hypercube draws, and each descends on its own.
+
+def minimize_boxes(f, grad_hess, lower, upper, seeds,
+                   n_starts: int = 10) -> list[MinimizeResult]:
+    """Multistart damped projected Newton over a box, for P smooth problems at
+    once, one per seed; returns one result per problem.
+
+    ``f`` maps points (c, p) and their problem indices (c,) to values (c,),
+    and ``grad_hess`` maps them to gradients (c, p) and Hessians (c, p, p);
+    each row must equal a call on that row alone. Each problem's starts are
+    the box centre plus ``n_starts - 1`` Latin hypercube draws from its seed,
+    and each start descends on its own.
 
     A coordinate on a bound whose gradient points out of the box is held
     fixed. On the free coordinates the step solves (H + mu I) s = -g with
@@ -146,15 +156,16 @@ def minimize_box(f, grad_hess, lower, upper, seed: int = 0,
     start stops unconverged at a non-finite value or derivative, or after
     ``MAX_NEWTON_ITER`` accepted steps.
 
-    The starts advance in lockstep rounds: one ``grad_hess`` call, one
-    stacked ``eigh`` per pattern of free coordinates and one ``f`` call for
-    every trial point. The stacked calls repeat each start's own arithmetic,
-    so each start ends bit for bit where a descent on its own would.
-    ``n_evals`` counts rows passed to f. The same (f, box, seed, n_starts)
-    always returns bit-identical output. Among starts with a finite value
-    the lowest value wins, ties going to the lexicographically smallest
-    point; ``converged`` is the winner's flag, and it is False when no start
-    reaches a finite value.
+    The starts of every problem advance in lockstep rounds: one
+    ``grad_hess`` call, one stacked ``eigh`` per pattern of free coordinates
+    and one ``f`` call for every trial point. The stacked calls repeat each
+    start's own arithmetic, so each start ends bit for bit where a descent
+    on its own would, and each problem's result does not depend on the
+    others. ``n_evals`` counts a problem's rows passed to f. The same
+    (f, box, seeds, n_starts) always returns bit-identical output. Among a
+    problem's starts with a finite value the lowest value wins, ties going
+    to the lexicographically smallest point; ``converged`` is the winner's
+    flag, and it is False when no start reaches a finite value.
     """
     lower = np.atleast_1d(np.asarray(lower, dtype=float))
     upper = np.atleast_1d(np.asarray(upper, dtype=float))
@@ -165,11 +176,13 @@ def minimize_box(f, grad_hess, lower, upper, seed: int = 0,
     if lower.size > 62:
         raise ValueError("at most 62 parameters: free patterns are int64 bit codes")
 
-    x = np.vstack([0.5 * (lower + upper),
-                   _latin_starts(lower, upper, n_starts - 1, seed)])
+    centre = 0.5 * (lower + upper)
+    x = np.vstack([np.vstack([centre, _latin_starts(lower, upper, n_starts - 1, s)])
+                   for s in seeds])
     c, p = x.shape
-    fx = np.array(f(x), dtype=float)
-    n_evals, steps = c, np.zeros(c, dtype=int)
+    prob = np.arange(c) // n_starts     # each row's problem index
+    fx = np.array(f(x, prob), dtype=float)
+    tried, steps = [np.arange(c)], np.zeros(c, dtype=int)   # rows passed to f
     conv, shift, fresh = np.zeros(c, dtype=bool), np.zeros(c), np.ones(c, dtype=bool)
     # diam: the box diameter over each pattern of free coordinates
     live, bits, diam = np.flatnonzero(np.isfinite(fx)), 1 << np.arange(p), {}
@@ -177,7 +190,7 @@ def minimize_box(f, grad_hess, lower, upper, seed: int = 0,
         # a start whose last trial was rejected gets the same gradient and
         # eigenpairs again, bit for bit; only its shift carries over
         xl = x[live]
-        g, h = grad_hess(xl)
+        g, h = grad_hess(xl, prob[live])
         free = ~(((xl <= lower) & (g > 0)) | ((xl >= upper) & (g < 0)))
         finite = np.isfinite(g).all(axis=1) & np.isfinite(h).all(axis=(1, 2))
         codes = np.where(finite, free @ bits, -1)
@@ -217,8 +230,8 @@ def minimize_box(f, grad_hess, lower, upper, seed: int = 0,
         pend, trial, s, dec, big = live[go], trial[go], s[go], dec[go], big[go]
         if not pend.size:
             break
-        ft = np.asarray(f(trial), dtype=float)
-        n_evals += pend.size
+        ft = np.asarray(f(trial, prob[pend]), dtype=float)
+        tried.append(pend)
         acc = ft <= fx[pend]
         a = pend[acc]
         x[a], fx[a], fresh[pend] = trial[acc], ft[acc], acc
@@ -231,15 +244,16 @@ def minimize_box(f, grad_hess, lower, upper, seed: int = 0,
         live = pend[(acc & (steps[pend] < MAX_NEWTON_ITER) & np.isfinite(fx[pend]))
                     | (~acc & ~tiny)]
 
-    best = None
-    for i in range(c):
-        cand = (float(fx[i]), tuple(x[i]), bool(conv[i]), i)
-        if np.isfinite(cand[0]) and (best is None or cand[:2] < best[:2]):
-            best = cand
-    if best is None:
-        best = (float("nan"), tuple(0.5 * (lower + upper)), False, 0)
-    return MinimizeResult(x=np.array(best[1]), value=best[0], converged=bool(best[2]),
-                          n_evals=n_evals, best_start=best[3])
+    n_evals = np.bincount(np.concatenate(tried) // n_starts, minlength=len(seeds))
+    results = []
+    for k, first in enumerate(range(0, c, n_starts)):
+        # min keeps the first of equal (value, point) candidates
+        best = min(((float(fx[i]), tuple(x[i]), bool(conv[i]), i - first)
+                    for i in range(first, first + n_starts) if np.isfinite(fx[i])),
+                   key=lambda cand: cand[:2], default=(float("nan"), tuple(centre), False, 0))
+        results.append(MinimizeResult(x=np.array(best[1]), value=best[0], converged=best[2],
+                                      n_evals=int(n_evals[k]), best_start=best[3]))
+    return results
 
 
 def sym_psd_factor(a: np.ndarray, tol: float = 1e-10) -> np.ndarray:

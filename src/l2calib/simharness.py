@@ -24,8 +24,9 @@ import numpy as np
 from . import __version__
 from .asymptotics import (CONDITIONAL_FORMS, conditional_matrices,
                           marginal_matrices)
-from .calibration import (StraightLine, estimate_theta, l2_loss_fn,
-                          linear_theta_hat, matched_gamma, normal_posterior)
+from .calibration import (StraightLine, estimate_many, estimate_theta,
+                          l2_loss_fn, linear_theta_hat, matched_gamma,
+                          normal_posterior)
 from .models import make_scenario
 from .numerics import DEFAULT_QUAD_ORDER, build_rule, set_blas_threads
 from .posterior import (INTERVAL_MODES, Prior, SamplerSettings,
@@ -39,6 +40,9 @@ VARIANTS = ("marginal", "conditional")
 SCALINGS = ("magnitude", "curvature")
 DEFAULT_ANALYSES = tuple(f"{v}-{s}" for v in VARIANTS for s in SCALINGS)
 ENGINES = ("laplace", "mcmc", "conjugate")
+# replicates a study slice fits and estimates together: a uniform design keeps
+# this many smoother fits alive, each with its n x n eigenvectors
+STUDY_CHUNK = 8
 
 
 @dataclass
@@ -149,16 +153,12 @@ def oracle_theta(scenario: str, quad_order: int = DEFAULT_QUAD_ORDER) -> np.ndar
     return _ORACLE_CACHE[key].copy()
 
 
-def run_replicate(index: int, config: StudyConfig, model, system, rule,
-                  theta_star: np.ndarray, n: int, grid: GcvGrid | None) -> dict:
-    """One complete replicate; returns a plain-dict record."""
+def run_replicate(index: int, config: StudyConfig, model, rule,
+                  theta_star: np.ndarray, fit, est) -> dict:
+    """The analyses of one replicate from its smoother fit and estimate;
+    returns a plain-dict record."""
     seed_i = config.seed + index
-    data = generate_replicate(system, n, seed_i)
-    if grid is None:
-        grid = GcvGrid(data.design, family=config.kernel_family)
-    fit = grid.fit(data.responses)
-    est = estimate_theta(fit, model, rule, method="l2", seed=seed_i,
-                         n_starts=config.n_starts)
+    n = fit.data.n
     base_loss = l2_loss_fn(fit, model, rule)
     record = {
         "index": index,
@@ -227,6 +227,9 @@ def run_replicate(index: int, config: StudyConfig, model, system, rule,
 
 def _study_slice(config: StudyConfig, theta_star: np.ndarray,
                  indices: list[int]) -> list[dict]:
+    """Records of the replicates ``indices``, STUDY_CHUNK at a time: draw and
+    fit each, estimate them all in one lockstep minimisation, then run each
+    replicate's analyses."""
     model, system, defaults = make_scenario(config.scenario)
     rule = build_rule(model.x_box.lower, model.x_box.upper, config.quad_order)
     n = config.n if config.n is not None else defaults["n"]
@@ -234,8 +237,20 @@ def _study_slice(config: StudyConfig, theta_star: np.ndarray,
     if system.design.kind == "equidistant":
         xs = np.linspace(system.design.lower[0], system.design.upper[0], n)
         grid = GcvGrid(xs.reshape(-1, 1), family=config.kernel_family)
-    return [run_replicate(i, config, model, system, rule, theta_star, n, grid)
-            for i in indices]
+    records = []
+    for start in range(0, len(indices), STUDY_CHUNK):
+        chunk = indices[start:start + STUDY_CHUNK]
+        seeds = [config.seed + i for i in chunk]
+        data = [generate_replicate(system, n, s) for s in seeds]
+        if grid is None:    # a grid per design, dropped once it has fitted
+            fits = [GcvGrid(d.design, family=config.kernel_family).fit(d.responses)
+                    for d in data]
+        else:
+            fits = grid.fit_many(np.stack([d.responses for d in data]))
+        ests = estimate_many(fits, model, rule, seeds, config.n_starts)
+        records += [run_replicate(i, config, model, rule, theta_star, fit, est)
+                    for i, fit, est in zip(chunk, fits, ests)]
+    return records
 
 
 def aggregate_records(records: list[dict], analyses) -> dict:
@@ -374,6 +389,11 @@ class ClosedFormStudyConfig:
         _check_shared_fields(self)
         if not self.tau2 > 0.0:     # also refuses NaN; inf is the flat prior
             raise ValueError("tau2 must be > 0")
+        if not all(0.0 < g < np.inf for g in self.gamma_fixed) or \
+                len(set(_gamma_labels(self.gamma_fixed))) <= len(self.gamma_fixed):
+            # each value labels a table cell, and equal labels would share one
+            raise ValueError("gamma_fixed must be positive, finite and distinct "
+                             "to 6 significant digits")
 
 
 def _closed_form_slice(cfg: ClosedFormStudyConfig, n: int,

@@ -280,8 +280,14 @@ class GcvGrid:
         return idx, j, best, rss, self._trace[idx, j]
 
     def fit(self, y: np.ndarray) -> SmootherFit:
-        idx, lam = self.select(y)[:2]
-        return _eigen_fit(Dataset(design=self.design, responses=y), lam, *self.bandwidths[idx])
+        return self.fit_many(np.asarray(y, dtype=float)[None])[0]
+
+    def fit_many(self, ys: np.ndarray) -> list[SmootherFit]:
+        """The GCV-selected fit of each row of ys (R, n), from one
+        ``select_many`` call; each equals ``fit`` on that row bit for bit."""
+        idx, j = self.select_many(ys)[:2]
+        return [_eigen_fit(Dataset(design=self.design, responses=y), self.lambda_grid[jr],
+                           *self.bandwidths[b]) for y, b, jr in zip(ys, idx, j)]
 
 
 def fit_smoother(data: Dataset, family: str = "gaussian", lambda_grid=None,

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 
 import numpy as np
 import pytest
@@ -6,9 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from l2calib.calibration import (StraightLine, estimate_theta, l2_loss_fn,
-                                 l2_loss_hess, l2_loss_terms, linear_theta_hat,
-                                 ols_loss_fn, ols_loss_hess, ols_loss_terms)
+from l2calib.calibration import (StraightLine, estimate_many, estimate_theta,
+                                 l2_loss_fn, l2_loss_hess, l2_loss_terms,
+                                 linear_theta_hat, ols_loss_fn, ols_loss_hess,
+                                 ols_loss_terms)
 from l2calib.models import SCENARIO_NAMES, make_scenario
 from l2calib.numerics import build_rule
 from l2calib.simharness import generate_replicate
@@ -251,6 +253,55 @@ def test_estimate_not_converged_when_minimiser_is_non_finite():
     est = estimate_theta(system.mu, model, _rule(model), seed=4)
     assert not est.converged
     assert np.isfinite(est.value) and 2.9 < est.theta[0] <= 3.0
+
+
+@functools.cache
+def _estimate_sources(kind):
+    """(model, rule, sources) for batched estimates. Under "nan-above-3" a
+    replicate fit's minimiser (about 3.57) hides in the NaN region, so its
+    estimate stalls unconverged; the means a x have their minimisers in the
+    finite part, and a NaN mean leaves no finite start at all."""
+    if kind == "nan-above-3":
+        model, system = _linear_model_nan_above(3.0)
+        sources = [fit_smoother(generate_replicate(system, 8, 0)),
+                   lambda x: 2.0 * x[:, 0], lambda x: np.full(len(x), np.nan),
+                   lambda x: -1.0 * x[:, 0], lambda x: 2.5 * x[:, 0]]
+    else:
+        model, system, defaults = make_scenario(kind)
+        sources = [fit_smoother(generate_replicate(system, defaults["n"], s))
+                   for s in range(6)]
+    return model, _rule(model), sources
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.sampled_from(["scenario1", "scenario2", "nan-above-3"]),
+       st.lists(st.tuples(st.integers(0, 5), st.integers(0, 2**32 - 1)),
+                min_size=1, max_size=20),
+       st.integers(1, 10))
+def test_estimate_many_rows_equal_estimate_theta(kind, problems, n_starts):
+    # each problem of the lockstep minimisation ends where its own estimate
+    # does, whatever its neighbours; the non-finite ones included
+    model, rule, pool = _estimate_sources(kind)
+    sources = [pool[i % len(pool)] for i, _ in problems]
+    seeds = [seed for _, seed in problems]
+    batch = estimate_many(sources, model, rule, seeds, n_starts)
+    assert len(batch) == len(sources)
+    for est, source, seed in zip(batch, sources, seeds):
+        ref = estimate_theta(source, model, rule, seed=seed, n_starts=n_starts)
+        assert np.array_equal(est.theta, ref.theta)
+        assert np.array_equal(est.value, ref.value, equal_nan=True)
+        assert np.array_equal(est.hessian, ref.hessian, equal_nan=True)
+        assert (est.converged, est.n_evals, est.best_start) == \
+            (ref.converged, ref.n_evals, ref.best_start)
+
+
+def test_estimate_many_covers_stalled_and_non_finite_problems():
+    # the property above sees all three outcomes under "nan-above-3"
+    model, rule, pool = _estimate_sources("nan-above-3")
+    stalled, finite, nan = estimate_many(pool[:3], model, rule, [4, 4, 4])
+    assert not stalled.converged and 2.9 < stalled.theta[0] <= 3.0
+    assert finite.converged and finite.theta[0] == pytest.approx(2.0)
+    assert not nan.converged and np.isnan(nan.value)
 
 
 @settings(max_examples=25, deadline=None)

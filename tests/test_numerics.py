@@ -10,7 +10,8 @@ from l2calib.calibration import l2_loss_terms, ols_loss_terms
 from l2calib.models import SCENARIO_NAMES, make_scenario
 from l2calib.numerics import (FTOL, GTOL, MAX_NEWTON_ITER, FactorError,
                               _latin_starts, build_rule, gauss_legendre_01,
-                              minimize_box, set_blas_threads, sym_psd_factor)
+                              minimize_box, minimize_boxes, set_blas_threads,
+                              sym_psd_factor)
 from l2calib.simharness import generate_replicate
 from l2calib.smoother import fit_smoother
 
@@ -350,6 +351,35 @@ def test_lockstep_equals_stepwise_reference(problem, seed, n_starts):
     assert np.array_equal(res.x, np.array(x))
     assert np.array_equal(res.value, value, equal_nan=True)
     assert (res.converged, res.n_evals, res.best_start) == (ok, n_evals, start)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@settings(max_examples=12, deadline=None)
+@given(st.integers(1, 3),
+       st.lists(st.tuples(st.sampled_from([None, float("nan"), float("inf")]),
+                          st.integers(0, 2**32 - 1)), min_size=1, max_size=4),
+       st.integers(1, 6))
+def test_minimize_boxes_solves_each_problem_as_minimize_box(p, problems, n_starts):
+    # quadratics on one box, some non-finite beyond a cut: each problem ends
+    # where minimize_box on it alone does, whatever its neighbours
+    made = [_quadratic_problem(np.random.default_rng(seed), p, bad)
+            for bad, seed in problems]
+    seeds = [seed for _, seed in problems]
+
+    def f(x, rows):
+        return np.array([made[k][0](t) for t, k in zip(x, rows)])
+
+    def grad_hess(x, rows):
+        return tuple(np.array(a) for a in zip(*[made[k][1](t) for t, k in zip(x, rows)]))
+
+    results = minimize_boxes(f, grad_hess, np.zeros(p), np.ones(p), seeds, n_starts)
+    assert len(results) == len(made)
+    for (fk, ghk, lower, upper), seed, res in zip(made, seeds, results):
+        ref = minimize_box(*_rows(fk, ghk), lower, upper, seed=seed, n_starts=n_starts)
+        assert np.array_equal(res.x, ref.x)
+        assert np.array_equal(res.value, ref.value, equal_nan=True)
+        assert (res.converged, res.n_evals, res.best_start) == \
+            (ref.converged, ref.n_evals, ref.best_start)
 
 
 @settings(max_examples=60, deadline=None)

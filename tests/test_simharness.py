@@ -36,7 +36,12 @@ def test_parse_analysis():
 
 @pytest.mark.parametrize("field, value", [
     ("replicates", 0), ("level", 0.0), ("level", 1.5), ("tau2", 0.0),
-    ("tau2", -1.0), ("tau2", float("nan")), ("workers", 0)])
+    ("tau2", -1.0), ("tau2", float("nan")), ("workers", 0),
+    # gamma 0 gave an infinite length, a negative one a NaN length, and two
+    # values with one table label merged two cells
+    ("gamma_fixed", (0.0,)), ("gamma_fixed", (-1.0,)),
+    ("gamma_fixed", (float("inf"),)), ("gamma_fixed", (float("nan"),)),
+    ("gamma_fixed", (1.0, 15.0, 1.0)), ("gamma_fixed", (1.0, 1.0000001))])
 def test_closed_form_config_validation(field, value):
     with pytest.raises(ValueError, match=field):
         ClosedFormStudyConfig(**{"replicates": 5, "prior_in_interval": True,
@@ -195,12 +200,42 @@ def test_run_study_single_replicate_aggregation_identity():
 
 
 def test_run_study_deterministic_and_partition_invariant():
-    a = run_study(_tiny_study()).to_json(include_records=True)
-    b = run_study(_tiny_study()).to_json(include_records=True)
-    c = run_study(_tiny_study(workers=2)).to_json(include_records=True)
-    assert a == b
-    assert a == c
-    json.loads(a)  # stays parseable
+    # one worker estimates a whole STUDY_CHUNK and a part, two and three
+    # workers other cuts; scenario2 shares one GCV grid, scenario1 does not
+    for scenario in ("scenario1", "scenario2"):
+        kw = dict(scenario=scenario, replicates=sh.STUDY_CHUNK + 3)
+        a = run_study(_tiny_study(**kw)).to_json(include_records=True)
+        assert run_study(_tiny_study(**kw)).to_json(include_records=True) == a
+        for workers in (2, 3):
+            assert run_study(_tiny_study(workers=workers, **kw)).to_json(
+                include_records=True) == a
+        json.loads(a)  # stays parseable
+
+
+def _one_replicate_at_a_time(config, theta_star, indices):
+    """``_study_slice`` as a loop of single-replicate fits and estimates."""
+    model, system, defaults = make_scenario(config.scenario)
+    rule = build_rule(model.x_box.lower, model.x_box.upper, config.quad_order)
+    records = []
+    for i in indices:
+        data = generate_replicate(system, defaults["n"], config.seed + i)
+        fit = GcvGrid(data.design, family=config.kernel_family).fit(data.responses)
+        est = estimate_theta(fit, model, rule, seed=config.seed + i,
+                             n_starts=config.n_starts)
+        records.append(run_replicate(i, config, model, rule, theta_star, fit, est))
+    return records
+
+
+@settings(max_examples=12, deadline=None)
+@given(st.sampled_from(["scenario1", "scenario2"]), st.integers(0, 10**6),
+       st.integers(1, 20))
+def test_study_slice_equals_one_replicate_at_a_time(scenario, first, count):
+    # up to 20 replicates: whole chunks of STUDY_CHUNK and a part
+    config = _tiny_study(scenario=scenario, replicates=count, seed=first)
+    theta_star = oracle_theta(scenario)
+    indices = list(range(count))
+    assert sh._study_slice(config, theta_star, indices) == \
+        _one_replicate_at_a_time(config, theta_star, indices)
 
 
 def test_run_study_conjugate_matches_laplace_for_linear_model():
@@ -381,22 +416,25 @@ def test_closed_form_study_prior_in_interval():
         abs(flat.analyses["n=4,gamma=1"]["mean_post_mean"])
 
 
-def test_replicate_flags_estimate_not_converged_on_non_finite_model():
-    # eta is NaN for theta > 3 while the loss minimiser sits near 3.57: the
-    # estimate stalls on the edge of the finite region, and the replicate is
-    # flagged instead of crashing
-    base, system, defaults = make_scenario("simple-linear")
-
+def _nan_above_3(base):
+    """``base`` with eta NaN wherever theta > 3."""
     def eta(theta, x):
         theta = np.asarray(theta, dtype=float)
         return np.where(theta[..., :1] > 3.0, np.nan, base.eta(theta, x))
 
-    model = dataclasses.replace(base, eta=eta)
-    rule = build_rule(model.x_box.lower, model.x_box.upper, 32)
-    config = StudyConfig(scenario="simple-linear", replicates=1,
+    return dataclasses.replace(base, eta=eta)
+
+
+def test_replicate_flags_estimate_not_converged_on_non_finite_model(monkeypatch):
+    # eta is NaN for theta > 3 while the loss minimiser sits near 3.57: the
+    # estimate stalls on the edge of the finite region, and the replicate is
+    # flagged instead of crashing
+    base, system, defaults = make_scenario("simple-linear")
+    model = _nan_above_3(base)
+    monkeypatch.setattr(sh, "make_scenario", lambda name: (model, system, defaults))
+    config = StudyConfig(scenario="simple-linear", replicates=1, quad_order=32,
                          analyses=("marginal-magnitude",))
-    record = run_replicate(0, config, model, system, rule, np.array([3.5]),
-                           defaults["n"], grid=None)
+    [record] = sh._study_slice(config, np.array([3.5]), [0])
     assert "estimate-not-converged" in record["flags"]
     assert record["theta_hat"][0] <= 3.0
     analysis = record["analyses"]["marginal-magnitude"]

@@ -442,6 +442,30 @@ def test_select_many_equals_select_row_by_row(case):
         assert set(idx) == {0} and set(j) == {grid.lambda_grid.size - 1}
 
 
+def _fit_fields(fit):
+    return (fit.data.design, fit.data.responses, fit.kernel.family, fit.kernel.rho,
+            fit.lam, fit.coef, fit.sigma2_hat, fit.trace_hat, fit.gcv_value,
+            fit.flags, fit.eig_values, fit.eig_vectors)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_response_batches())
+def test_fit_many_equals_fit_row_by_row(case):
+    x, ys, bad, twin = case
+    if bad is not None:
+        ys[bad] = 0.0   # a degenerate row raises for the batch, as select_many does
+    rho = default_rho_grid(x)
+    grid = GcvGrid(x, rho_grid=np.repeat(rho, 2, axis=0) if twin else rho)
+    fits = grid.fit_many(ys)
+    assert len(fits) == len(ys)
+    for fit, y in zip(fits, ys):
+        # fit(y) is the one-row case; the reference refits the selected cell
+        idx, lam = grid.select(y)[:2]
+        ref = fit_smoother_fixed(Dataset(design=x, responses=y), grid.bandwidths[idx][0], lam)
+        for got, one, want in zip(_fit_fields(fit), _fit_fields(grid.fit(y)), _fit_fields(ref)):
+            assert np.array_equal(got, one) and np.array_equal(got, want)
+
+
 def test_fixed_fit_rejects_negative_lambda():
     data = _line_data(n=4)
     with pytest.raises(ValueError):
