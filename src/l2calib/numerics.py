@@ -77,9 +77,12 @@ def set_blas_threads(n: int) -> int | None:
     """Run numpy's OpenBLAS on ``n`` threads in this process only.
 
     Returns the previous count, or None (and changes nothing) when the
-    library or its thread functions are not found. ``simharness`` starts
-    each pool worker with ``n = 1``: with one worker per CPU, BLAS threads
-    in every worker would oversubscribe the CPUs.
+    library or its thread functions are not found. OpenBLAS's setter is
+    called only when the count differs from ``n``: in a fork child the
+    setter starts a helper thread even for ``n = 1``, and that thread
+    spins beside the child's own. ``simharness`` runs its pool workers with
+    ``n = 1``: with one worker per CPU, BLAS threads in every worker would
+    oversubscribe the CPUs.
     """
     path = _openblas_path()
     if path is None:
@@ -94,7 +97,8 @@ def set_blas_threads(n: int) -> int | None:
     get.argtypes, get.restype = [], ctypes.c_int
     put.argtypes, put.restype = [ctypes.c_int], None
     previous = get()
-    put(n)
+    if previous != n:
+        put(n)
     return previous
 
 

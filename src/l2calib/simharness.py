@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import json
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
 from functools import partial
 from statistics import NormalDist
@@ -159,7 +158,7 @@ def run_replicate(index: int, config: StudyConfig, model, rule,
     returns a plain-dict record."""
     seed_i = config.seed + index
     n = fit.data.n
-    base_loss = l2_loss_fn(fit, model, rule)
+    base_loss = l2_loss_fn(fit, model, rule) if config.engine == "mcmc" else None
     record = {
         "index": index,
         "seed": seed_i,
@@ -332,18 +331,28 @@ def _map_slices(slice_fn, workers: int, replicates: int, *args) -> list:
     With more than one worker the indices are cut into one contiguous chunk
     per worker and the chunks run in a process pool whose workers each run
     BLAS on one thread, whatever the start method; ``pool.map`` yields the
-    results in the order the chunks were submitted. Otherwise all indices are
-    one chunk, run in this process.
+    results in the order the chunks were submitted. This process runs BLAS
+    on one thread while its pool lives, so fork workers inherit that count
+    and the initializer leaves them be (see ``set_blas_threads``); it gets
+    its own count back when the pool closes. Otherwise all indices are one
+    chunk, run in this process.
     """
     indices = list(range(replicates))
     if workers <= 1 or replicates <= 1:
         return [slice_fn(*args, indices)]
+    # only a pool needs it, and it takes 20-30 ms to import
+    from concurrent.futures import ProcessPoolExecutor
     size = (replicates + workers - 1) // workers
     chunks = [indices[i:i + size] for i in range(0, replicates, size)]
-    # fork starts every worker up front, so start no more than there are chunks
-    with ProcessPoolExecutor(max_workers=len(chunks), initializer=set_blas_threads,
-                             initargs=(1,)) as pool:
-        return list(pool.map(partial(slice_fn, *args), chunks))
+    previous = set_blas_threads(1)
+    try:
+        # fork starts every worker up front, so start no more than there are chunks
+        with ProcessPoolExecutor(max_workers=len(chunks), initializer=set_blas_threads,
+                                 initargs=(1,)) as pool:
+            return list(pool.map(partial(slice_fn, *args), chunks))
+    finally:
+        if previous is not None:
+            set_blas_threads(previous)
 
 
 def run_study(config: StudyConfig) -> SimulationReport:

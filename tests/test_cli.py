@@ -445,6 +445,15 @@ def test_cli_import_loads_no_scipy():
     assert out.stdout.strip() == "[]"
 
 
+def test_cli_import_loads_no_process_pool():
+    # only a study with more than one worker imports the pool machinery
+    code = ("import sys, l2calib.cli; print(sorted(m for m in sys.modules "
+            "if m.split('.')[0] in ('concurrent', 'multiprocessing')))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, env={**os.environ, "PYTHONPATH": SRC})
+    assert out.stdout.strip() == "[]"
+
+
 def test_commands_keep_the_host_blas_thread_count(monkeypatch):
     # only pool workers are pinned; a command in this process keeps every
     # BLAS thread, which large fits (n in the thousands) need

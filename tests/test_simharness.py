@@ -1,5 +1,7 @@
+import concurrent.futures
 import dataclasses
 import json
+import os
 from functools import partial
 from statistics import NormalDist
 
@@ -466,13 +468,14 @@ def test_map_slices_keeps_index_order_on_uneven_chunks(workers):
 def test_pool_starts_no_more_workers_than_chunks(monkeypatch):
     started = []
 
-    class Recording(sh.ProcessPoolExecutor):
+    class Recording(concurrent.futures.ProcessPoolExecutor):
         def __init__(self, max_workers=None, **kw):
             started.append(max_workers)
             super().__init__(max_workers=max_workers, **kw)
 
     one = run_study(_tiny_study(replicates=2)).to_json(include_records=True)
-    monkeypatch.setattr(sh, "ProcessPoolExecutor", Recording)
+    # _map_slices imports the pool class when it starts a pool
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recording)
     six = run_study(_tiny_study(replicates=2, workers=6)).to_json(include_records=True)
     assert started == [2]
     assert six == one
@@ -490,5 +493,36 @@ def test_pool_workers_run_blas_on_one_thread():
     try:
         assert _map_slices(_blas_threads_of_worker, 2, 4) == [[1, 1], [1, 1]]
         assert set_blas_threads(2) == 2        # the parent keeps its count
+    finally:
+        set_blas_threads(previous)
+
+
+def _os_threads_of_worker(indices):
+    # after a BLAS call of its own: the OS threads this worker runs on, and its
+    # BLAS count (setting the count the worker already has returns it)
+    a = np.arange(10000.0).reshape(100, 100) / 1e4
+    a @ a
+    return [(len(os.listdir("/proc/self/task")), set_blas_threads(1)) for _ in indices]
+
+
+def _raise_in_worker(indices):
+    raise RuntimeError(f"slice {indices} failed")
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"),
+                    reason="needs /proc/self/task to count a process's threads")
+def test_pool_workers_start_no_blas_helper_thread():
+    # a helper thread started in a worker would spin beside it on its CPU
+    previous = set_blas_threads(2)
+    if previous is None:
+        pytest.skip("numpy's bundled OpenBLAS not found")
+    try:
+        a = np.arange(40000.0).reshape(200, 200) / 4e4
+        a @ a                       # the parent's BLAS threads are running
+        assert _map_slices(_os_threads_of_worker, 2, 4) == [[(1, 1)] * 2] * 2
+        assert set_blas_threads(2) == 2
+        with pytest.raises(RuntimeError, match="failed"):
+            _map_slices(_raise_in_worker, 2, 4)
+        assert set_blas_threads(2) == 2     # restored when a slice raises
     finally:
         set_blas_threads(previous)
