@@ -2,12 +2,14 @@
 
 Everything downstream takes its quadrature rules and minimisations from this
 module so that results are reproducible bit-for-bit for a given seed. It also
-holds the switch that sets the thread count of numpy's BLAS.
+holds numpy's BLAS thread count: one for pool workers and small smoother designs.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass
+from functools import cache
 from pathlib import Path
 
 import numpy as np
@@ -73,17 +75,9 @@ def _openblas_path() -> Path | None:
     return found[0] if found else None
 
 
-def set_blas_threads(n: int) -> int | None:
-    """Run numpy's OpenBLAS on ``n`` threads in this process only.
-
-    Returns the previous count, or None (and changes nothing) when the
-    library or its thread functions are not found. OpenBLAS's setter is
-    called only when the count differs from ``n``: in a fork child the
-    setter starts a helper thread even for ``n = 1``, and that thread
-    spins beside the child's own. ``simharness`` runs its pool workers with
-    ``n = 1``: with one worker per CPU, BLAS threads in every worker would
-    oversubscribe the CPUs.
-    """
+@cache
+def _openblas_threads():
+    """OpenBLAS's thread-count (getter, setter), looked up once; None if not found."""
     path = _openblas_path()
     if path is None:
         return None
@@ -96,10 +90,35 @@ def set_blas_threads(n: int) -> int | None:
         return None
     get.argtypes, get.restype = [], ctypes.c_int
     put.argtypes, put.restype = [ctypes.c_int], None
+    return get, put
+
+
+def set_blas_threads(n: int) -> int | None:
+    """Run numpy's OpenBLAS on ``n`` threads in this process only; return the
+    previous count, or None (changing nothing) when the library or its thread
+    functions are not found. The setter is called only when the count differs
+    from ``n``: in a fork child it starts a helper thread even for ``n = 1``,
+    and that thread spins beside the child's own.
+    """
+    found = _openblas_threads()
+    if found is None:
+        return None
+    get, put = found
     previous = get()
     if previous != n:
         put(n)
     return previous
+
+
+@contextmanager
+def blas_threads(n: int):
+    """Run the block on ``n`` BLAS threads; the previous count returns after it, also on raise."""
+    previous = set_blas_threads(n)
+    try:
+        yield
+    finally:
+        if previous is not None:
+            set_blas_threads(previous)
 
 
 @dataclass

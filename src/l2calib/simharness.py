@@ -27,7 +27,7 @@ from .calibration import (StraightLine, estimate_many, estimate_theta,
                           l2_loss_fn, linear_theta_hat, matched_gamma,
                           normal_posterior)
 from .models import make_scenario
-from .numerics import DEFAULT_QUAD_ORDER, build_rule, set_blas_threads
+from .numerics import DEFAULT_QUAD_ORDER, blas_threads, build_rule, set_blas_threads
 from .posterior import (INTERVAL_MODES, Prior, SamplerSettings,
                         conjugate_posterior, credible_interval, laplace_approx,
                         sample_posterior)
@@ -344,15 +344,10 @@ def _map_slices(slice_fn, workers: int, replicates: int, *args) -> list:
     from concurrent.futures import ProcessPoolExecutor
     size = (replicates + workers - 1) // workers
     chunks = [indices[i:i + size] for i in range(0, replicates, size)]
-    previous = set_blas_threads(1)
-    try:
-        # fork starts every worker up front, so start no more than there are chunks
-        with ProcessPoolExecutor(max_workers=len(chunks), initializer=set_blas_threads,
-                                 initargs=(1,)) as pool:
-            return list(pool.map(partial(slice_fn, *args), chunks))
-    finally:
-        if previous is not None:
-            set_blas_threads(previous)
+    # fork starts every worker up front, so start no more than there are chunks
+    with blas_threads(1), ProcessPoolExecutor(
+            max_workers=len(chunks), initializer=set_blas_threads, initargs=(1,)) as pool:
+        return list(pool.map(partial(slice_fn, *args), chunks))
 
 
 def run_study(config: StudyConfig) -> SimulationReport:

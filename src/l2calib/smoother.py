@@ -16,9 +16,12 @@ grid scores, coefficients and traces are mutually consistent.
 from __future__ import annotations
 
 import csv
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 
 import numpy as np
+
+from .numerics import blas_threads
 
 JITTER = 1e-10
 KERNEL_FAMILIES = ("gaussian", "matern52")
@@ -26,6 +29,11 @@ MIN_OBSERVATIONS = 3  # fewest observations GCV selection accepts
 DEFAULT_LAMBDA_GRID = np.logspace(-8.0, 1.0, 19)
 # bandwidth multipliers applied to the per-coordinate data range
 DEFAULT_RHO_FACTORS = np.logspace(np.log10(0.05), np.log10(2.0), 13)
+# smaller designs get their eigh, and the solves against it, on one BLAS thread:
+# a second one first pays off near n = 400 on 2 CPUs (BENCH_18.json), a woken idle
+# OpenBLAS helper thread busy-waits for about 0.13 s of CPU after the call, and
+# this process then rounds like a pool worker, which runs on one thread
+ONE_BLAS_THREAD_BELOW = 400
 # responses scored per step of GcvGrid.select_many: the (rows, g, L, n)
 # temporary is about 0.5 MB on the default 13 x 19 grid at n = 8
 SELECT_CHUNK = 32
@@ -154,7 +162,8 @@ class SmootherFit:
     def solve_phi(self, b: np.ndarray) -> np.ndarray:
         """Solve (K + lam I) z = b using the cached eigendecomposition."""
         d, q = self.eig_values, self.eig_vectors
-        return q @ ((q.T @ b).T / (d + self.lam)).T
+        with blas_threads(1) if len(d) < ONE_BLAS_THREAD_BELOW else nullcontext():
+            return q @ ((q.T @ b).T / (d + self.lam)).T
 
     def predict(self, x) -> np.ndarray:
         kx = kernel_matrix(self.kernel, np.atleast_2d(np.asarray(x, dtype=float)),
@@ -180,7 +189,8 @@ def _gcv_terms(rss, trm, n: int):
 
 def _bandwidth(spec: KernelSpec, design: np.ndarray):
     """(spec, d, q) with (d, q) the eigenpairs of the jittered K + JITTER I."""
-    d, q = np.linalg.eigh(kernel_matrix(spec, design, design) + JITTER * np.eye(len(design)))
+    with blas_threads(1) if len(design) < ONE_BLAS_THREAD_BELOW else nullcontext():
+        d, q = np.linalg.eigh(kernel_matrix(spec, design, design) + JITTER * np.eye(len(design)))
     return spec, d, q
 
 

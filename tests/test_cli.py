@@ -229,6 +229,23 @@ def test_simulate_bytes_identical_across_workers(tmp_path):
     assert out1.read_bytes() == out2.read_bytes()
 
 
+def test_simulate_bytes_identical_across_workers_below_400_points(tmp_path):
+    # pool workers run BLAS on one thread; a 2-thread eigh rounds differently
+    # from about n = 150 and a 2-thread solve against it from about n = 385,
+    # so this process must run both alike on small designs
+    previous = set_blas_threads(2)
+    args = ["simulate", "--scenario", "scenario1", "--n", "399", "--replicates", "2",
+            "--seed", "7"]
+    out1, out2 = tmp_path / "a.json", tmp_path / "b.json"
+    try:
+        assert main(args + ["--workers", "1", "--out", str(out1)]) == 0
+        assert main(args + ["--workers", "2", "--out", str(out2)]) == 0
+    finally:
+        if previous is not None:
+            set_blas_threads(previous)
+    assert out1.read_bytes() == out2.read_bytes()
+
+
 def test_table1_small_run(tmp_path, capsys):
     out = tmp_path / "t1.json"
     summary = tmp_path / "t1.csv"

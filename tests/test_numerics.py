@@ -9,7 +9,7 @@ from l2calib import numerics
 from l2calib.calibration import l2_loss_terms, ols_loss_terms
 from l2calib.models import SCENARIO_NAMES, make_scenario
 from l2calib.numerics import (FTOL, GTOL, MAX_NEWTON_ITER, FactorError,
-                              _latin_starts, build_rule, gauss_legendre_01,
+                              _latin_starts, blas_threads, build_rule, gauss_legendre_01,
                               minimize_box, minimize_boxes, set_blas_threads,
                               sym_psd_factor)
 from l2calib.simharness import generate_replicate
@@ -448,4 +448,46 @@ def test_set_blas_threads_fails_soft_without_the_library(monkeypatch, tmp_path,
     path = {"nothing": None, "missing-file": tmp_path / "missing.so",
             "no-symbols": "libm.so.6"}[found]
     monkeypatch.setattr(numerics, "_openblas_path", lambda: path)
-    assert set_blas_threads(1) is None
+    numerics._openblas_threads.cache_clear()     # the lookup is made once
+    try:
+        assert set_blas_threads(1) is None
+        with blas_threads(1):                    # a no-op, also on the way out
+            assert set_blas_threads(1) is None
+    finally:
+        numerics._openblas_threads.cache_clear()
+
+
+def test_blas_threads_restores_the_count_also_when_the_block_raises():
+    outer = set_blas_threads(2)
+    if outer is None:
+        pytest.skip("numpy's bundled OpenBLAS not found")
+    try:
+        with blas_threads(1):
+            assert set_blas_threads(1) == 1
+            with blas_threads(3):
+                assert set_blas_threads(3) == 3
+            assert set_blas_threads(1) == 1
+        assert set_blas_threads(2) == 2
+        with pytest.raises(RuntimeError, match="inside"):
+            with blas_threads(1):
+                raise RuntimeError("inside")
+        assert set_blas_threads(2) == 2
+    finally:
+        set_blas_threads(outer)
+
+
+def test_openblas_lookup_is_made_once(monkeypatch):
+    numerics._openblas_threads.cache_clear()
+    calls = []
+    real = numerics._openblas_path
+    monkeypatch.setattr(numerics, "_openblas_path", lambda: calls.append(1) or real())
+    try:
+        outer = set_blas_threads(2)
+        for _ in range(3):
+            with blas_threads(1):
+                pass
+        if outer is not None:
+            set_blas_threads(outer)
+        assert calls == [1]
+    finally:
+        numerics._openblas_threads.cache_clear()

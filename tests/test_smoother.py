@@ -1,6 +1,7 @@
 import os
 import tempfile
 import warnings
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -8,9 +9,11 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+from l2calib import numerics, smoother
 from l2calib.models import make_scenario
+from l2calib.numerics import set_blas_threads
 from l2calib.simharness import generate_replicate
-from l2calib.smoother import (JITTER, SELECT_CHUNK, Dataset,
+from l2calib.smoother import (JITTER, ONE_BLAS_THREAD_BELOW, SELECT_CHUNK, Dataset,
                               DegenerateSmootherError, GcvGrid, KernelSpec,
                               default_rho_grid,
                               fit_smoother, fit_smoother_fixed,
@@ -470,3 +473,79 @@ def test_fixed_fit_rejects_negative_lambda():
     data = _line_data(n=4)
     with pytest.raises(ValueError):
         fit_smoother_fixed(data, KernelSpec("gaussian", np.array([0.5])), -1.0)
+
+
+@pytest.fixture
+def two_blas_threads():
+    outer = set_blas_threads(2)
+    if outer is None:
+        pytest.skip("numpy's bundled OpenBLAS not found")
+    yield
+    set_blas_threads(outer)
+
+
+def _eigh_recording_blas_threads(monkeypatch, fail=False):
+    """Patch eigh to record the BLAS thread count it runs at; the list it fills."""
+    seen, real = [], np.linalg.eigh
+    get = numerics._openblas_threads()[0]
+
+    def eigh(a):
+        seen.append(get())
+        if fail:
+            raise np.linalg.LinAlgError("eigh failed")
+        return real(a)
+
+    monkeypatch.setattr(np.linalg, "eigh", eigh)
+    return seen
+
+
+@pytest.mark.parametrize("n, threads", [(20, 1), (ONE_BLAS_THREAD_BELOW - 1, 1),
+                                        (ONE_BLAS_THREAD_BELOW, 2)])
+def test_eigenbasis_runs_on_one_blas_thread_below_the_threshold(monkeypatch,
+                                                                two_blas_threads,
+                                                                n, threads):
+    # one thread is as fast for small designs, and it wakes no OpenBLAS helper
+    # thread that would spin after the call; large designs keep the caller's count
+    seen = _eigh_recording_blas_threads(monkeypatch)
+    data = _line_data(n=n, noise=0.1)
+    rho = [[0.1], [0.5]]
+    GcvGrid(data.design, rho_grid=rho)
+    fit_smoother_fixed(data, KernelSpec("gaussian", rho[0]), 1e-3)
+    assert seen == [threads] * 3
+    assert set_blas_threads(2) == 2          # the caller gets its count back
+
+
+def test_eigenbasis_gives_back_the_blas_count_when_eigh_raises(monkeypatch,
+                                                               two_blas_threads):
+    seen = _eigh_recording_blas_threads(monkeypatch, fail=True)
+    data = _line_data(n=20)
+    with pytest.raises(np.linalg.LinAlgError):
+        GcvGrid(data.design)
+    assert set_blas_threads(2) == 2
+    with pytest.raises(np.linalg.LinAlgError):
+        fit_smoother_fixed(data, KernelSpec("gaussian", [0.5]), 1e-3)
+    assert set_blas_threads(2) == 2
+    assert seen == [1, 1]
+
+
+@pytest.mark.parametrize("n, threads", [(ONE_BLAS_THREAD_BELOW - 1, [1]),
+                                        (ONE_BLAS_THREAD_BELOW, [])])
+def test_solves_against_the_eigenbasis_run_on_one_blas_thread_below_the_threshold(
+        monkeypatch, two_blas_threads, n, threads):
+    # from about n = 385 a 2-thread solve rounds unlike the 1-thread solve of a
+    # pool worker; the block is entered only below the threshold
+    seen, real = [], smoother.blas_threads
+    get = numerics._openblas_threads()[0]
+
+    @contextmanager
+    def recording(count):
+        with real(count):
+            seen.append(get())
+            yield
+
+    data = _line_data(n=n, noise=0.1)
+    fit = fit_smoother_fixed(data, KernelSpec("gaussian", [0.1]), 1e-3)
+    monkeypatch.setattr(smoother, "blas_threads", recording)
+    fit.weights(np.linspace(0.0, 1.0, 64)[:, None])
+    assert seen == threads
+    assert set_blas_threads(2) == 2
