@@ -135,8 +135,8 @@ class CalibrationEstimate:
     best_start: int = 0     # the winning start; 0 is the box centre
 
     @property
-    def n_params(self) -> int:
-        return self.theta.size
+    def flags(self) -> tuple[str, ...]:
+        return () if self.converged else ("estimate-not-converged",)
 
 
 def estimate_theta(source, model: MathModel, rule: QuadratureRule | None = None,

@@ -33,7 +33,8 @@ from .posterior import (INTERVAL_MODES, Prior, SamplerSettings,
 from .scaling import (ScalingError, curvature_adjustment,
                       magnitude_adjustment)
 from .simharness import (ENGINES, SCALINGS, VARIANTS, ClosedFormStudyConfig,
-                         StudyConfig, generate_replicate,
+                         StudyConfig, analysis_names, check_engine,
+                         generate_replicate, parse_analysis, report_json,
                          run_closed_form_study, run_study)
 from .smoother import (KERNEL_FAMILIES, MIN_OBSERVATIONS, fit_smoother,
                        read_dataset_csv)
@@ -187,23 +188,17 @@ def validate_config(cfg: dict) -> None:
             raise ConfigError(f"config key '{key}': required")
     if cfg.get("data") and cfg.get("n") is not None:
         raise ConfigError("n and data are exclusive: a dataset has its own size")
-    if cfg.get("engine") == "mcmc" and "iterations" in cfg:
+    if "engine" in cfg:     # simulate keeps the library's sampler settings
         try:
-            SamplerSettings(chains=cfg["chains"], iterations=cfg["iterations"],
-                            thin=cfg["thin"]).check_kept_draws()
+            check_engine(cfg["engine"], cfg["scenario"],
+                         **{k: cfg[k] for k in ("chains", "iterations", "thin") if k in cfg})
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
-    if cfg.get("engine") == "conjugate" and cfg.get("scenario") is not None:
-        model, _, _ = make_scenario(cfg["scenario"])
-        if not model.scalar_linear:
-            raise ConfigError("engine 'conjugate' needs a scalar linear model; "
-                              f"scenario {cfg['scenario']!r} is not")
 
 
 def analyses_from(cfg: dict) -> tuple:
-    variants = VARIANTS if cfg["variant"] == "both" else (cfg["variant"],)
-    scalings = SCALINGS if cfg["scaling"] == "both" else (cfg["scaling"],)
-    return tuple(f"{v}-{s}" for v in variants for s in scalings)
+    return analysis_names(VARIANTS if cfg["variant"] == "both" else (cfg["variant"],),
+                          SCALINGS if cfg["scaling"] == "both" else (cfg["scaling"],))
 
 
 def load_or_generate(cfg: dict):
@@ -227,23 +222,44 @@ def load_or_generate(cfg: dict):
     return model, system, data
 
 
-def _write_text(path: str, text: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
+def _finish(cfg: dict, text: str, lines: list[str], warnings, rows=None,
+            flagged: bool = False) -> int:
+    """The tail of every command: write the report and the summary CSV where asked,
+    print the lines and the warnings; exit 1 on a warning or another flag."""
+    if cfg["out"]:
+        with open(cfg["out"], "w", encoding="utf-8") as fh:
+            fh.write(text)
+    if cfg.get("summary_out"):     # a study has at least one summary row
+        with open(cfg["summary_out"], "w", encoding="utf-8", newline="") as fh:
+            writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
+            writer.writeheader()
+            writer.writerows(rows)
+    print(*lines, sep="\n")
+    for w in warnings:
+        print(f"warning: {w}", file=sys.stderr)
+    return 1 if warnings or flagged else 0
 
 
-def _write_summary_csv(path: str, rows: list[dict]) -> None:
-    if not rows:
-        _write_text(path, "")
-        return
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
-        writer.writeheader()
-        writer.writerows(rows)
+def _finish_study(cfg: dict, report, header: str, row_line) -> int:
+    """``_finish`` for a study: a header and a line per summary row, a warning
+    per replicate flag, and exit 1 on the flags of an analysis as well."""
+    rows = report.summary_rows()
+    return _finish(cfg, report.to_json(include_records=cfg.get("records", False)),
+                   [header, *map(row_line, rows)],
+                   [f"{k} ({c} replicate(s))" for k, c in report.replicate_flags.items()],
+                   rows, any(agg.get("flag_counts") for agg in report.analyses.values()))
 
 
-def _json_report(d: dict) -> str:
-    return json.dumps(d, sort_keys=True, indent=2)
+def _cell(value, spec: str) -> str:
+    """A summary value as printed; "-" where the row has none."""
+    return "-" if value == "" else format(value, spec)
+
+
+def _study_config(cls, cfg: dict, **fields):
+    """A ``cls`` study config from the settings both studies share."""
+    return cls(replicates=cfg["replicates"], seed=cfg["seed"], level=cfg["level"],
+               quad_order=cfg["quad_order"], kernel_family=cfg["kernel"],
+               workers=cfg["workers"] or os.cpu_count() or 1, **fields)
 
 
 def cmd_fit(cfg: dict) -> int:
@@ -262,14 +278,10 @@ def cmd_fit(cfg: dict) -> int:
         "fitted": fit.predict(data.design).tolist(),
         "flags": list(fit.flags),
     }
-    text = _json_report(report)
-    if cfg["out"]:
-        _write_text(cfg["out"], text)
-    print(f"n={data.n}  lambda={fit.lam:.6g}  rho={fit.kernel.rho.tolist()}  "
-          f"sigma2_hat={fit.sigma2_hat:.6g}  gcv={fit.gcv_value:.6g}")
-    for fl in fit.flags:
-        print(f"warning: {fl}", file=sys.stderr)
-    return 1 if fit.flags else 0
+    return _finish(cfg, report_json(report),
+                   [f"n={data.n}  lambda={fit.lam:.6g}  rho={fit.kernel.rho.tolist()}  "
+                    f"sigma2_hat={fit.sigma2_hat:.6g}  gcv={fit.gcv_value:.6g}"],
+                   report["flags"])
 
 
 def cmd_calibrate(cfg: dict) -> int:
@@ -278,9 +290,7 @@ def cmd_calibrate(cfg: dict) -> int:
     fit = fit_smoother(data, family=cfg["kernel"])
     est = estimate_theta(fit, model, rule, method="l2", seed=cfg["seed"])
     est_ols = estimate_theta(fit, model, rule=None, method="ols", seed=cfg["seed"])
-    flags = sorted(set(fit.flags))
-    if not est.converged:
-        flags.append("estimate-not-converged")
+    flags = [*fit.flags, *est.flags]
 
     sw_marg = marginal_matrices(est, fit, model, rule)
     sw_cond = {form: conditional_matrices(est, fit, model, rule, form=form)
@@ -294,15 +304,14 @@ def cmd_calibrate(cfg: dict) -> int:
     analyses = {}
     samples = {}
     for name in analyses_from(cfg):
-        variant, kind = name.split("-")
+        variant, kind, _ = parse_analysis(name)
         entry: dict = {"flags": []}
         sw = sw_marg if variant == "marginal" else sw_cond[cfg["conditional_form"]]
         try:
             adj = (magnitude_adjustment(sw) if kind == "magnitude"
                    else curvature_adjustment(sw, est.theta))
             entry["gamma"] = adj.gamma if adj.kind == "magnitude" else None
-            entry["Gamma"] = (adj.Gamma.tolist() if adj.Gamma is not None
-                              else None)
+            entry["Gamma"] = adj.Gamma.tolist() if adj.Gamma is not None else None
             if cfg["engine"] == "mcmc":
                 from .scaling import scaled_loss
                 loss = scaled_loss(adj, base_loss, model.theta_box)
@@ -354,71 +363,40 @@ def cmd_calibrate(cfg: dict) -> int:
         "analyses": analyses,
         "flags": sorted(set(flags)),
     }
-    text = _json_report(report)
-    if cfg["out"]:
-        _write_text(cfg["out"], text)
     theta_txt = ", ".join(f"{t:.6g}" for t in est.theta)
-    print(f"theta_hat = [{theta_txt}]  (n={data.n}, lambda={fit.lam:.3g})")
+    lines = [f"theta_hat = [{theta_txt}]  (n={data.n}, lambda={fit.lam:.3g})"]
     for name, entry in analyses.items():
         if entry.get("failed"):
-            print(f"  {name}: failed")
+            lines.append(f"  {name}: failed")
             continue
         mean_txt = ", ".join(f"{m:.6g}" for m in entry["post_mean"])
         ivs = "; ".join(f"[{lo:.6g}, {hi:.6g}]" for lo, hi in entry["interval"])
-        print(f"  {name}: mean [{mean_txt}]  {cfg['level']:.0%} {ivs}")
-    for fl in report["flags"]:
-        print(f"warning: {fl}", file=sys.stderr)
-    return 1 if report["flags"] else 0
+        lines.append(f"  {name}: mean [{mean_txt}]  {cfg['level']:.0%} {ivs}")
+    return _finish(cfg, report_json(report), lines, report["flags"])
 
 
 def cmd_simulate(cfg: dict) -> int:
-    workers = cfg["workers"] or os.cpu_count() or 1
-    study = StudyConfig(
-        scenario=cfg["scenario"], replicates=cfg["replicates"], n=cfg["n"],
-        seed=cfg["seed"], analyses=analyses_from(cfg), engine=cfg["engine"],
-        interval=cfg["interval"], level=cfg["level"],
-        quad_order=cfg["quad_order"], kernel_family=cfg["kernel"],
-        conditional_form=cfg["conditional_form"], workers=workers)
-    report = run_study(study)
-    if cfg["out"]:
-        _write_text(cfg["out"], report.to_json(include_records=cfg["records"]))
-    rows = report.summary_rows()
-    if cfg["summary_out"]:
-        _write_summary_csv(cfg["summary_out"], rows)
-    print(f"{'analysis':<28}{'coord':>6}{'coverage':>10}{'mean_len':>12}{'n_used':>8}")
-    for r in rows:
-        cov = f"{r['coverage']:.4f}" if r["coverage"] != "" else "-"
-        ln = f"{r['mean_length']:.5g}" if r["mean_length"] != "" else "-"
-        print(f"{r['analysis']:<28}{str(r['coordinate']):>6}{cov:>10}{ln:>12}"
-              f"{r['n_used']:>8}")
-    warned = bool(report.replicate_flags) or any(
-        agg["flag_counts"] for agg in report.analyses.values())
-    for key, count in report.replicate_flags.items():
-        print(f"warning: {key} ({count} replicate(s))", file=sys.stderr)
-    return 1 if warned else 0
+    report = run_study(_study_config(
+        StudyConfig, cfg, scenario=cfg["scenario"], n=cfg["n"],
+        analyses=analyses_from(cfg), engine=cfg["engine"], interval=cfg["interval"],
+        conditional_form=cfg["conditional_form"]))
+    return _finish_study(
+        cfg, report,
+        f"{'analysis':<28}{'coord':>6}{'coverage':>10}{'mean_len':>12}{'n_used':>8}",
+        lambda r: (f"{r['analysis']:<28}{str(r['coordinate']):>6}"
+                   f"{_cell(r['coverage'], '.4f'):>10}{_cell(r['mean_length'], '.5g'):>12}"
+                   f"{r['n_used']:>8}"))
 
 
 def cmd_table1(cfg: dict) -> int:
-    workers = cfg["workers"] or os.cpu_count() or 1
-    study = ClosedFormStudyConfig(
-        replicates=cfg["replicates"], seed=cfg["seed"], tau2=cfg["tau2"],
-        level=cfg["level"], quad_order=cfg["quad_order"],
-        kernel_family=cfg["kernel"], prior_in_interval=cfg["prior_in_interval"],
-        workers=workers)
-    report = run_closed_form_study(study)
-    if cfg["out"]:
-        _write_text(cfg["out"], report.to_json())
-    rows = report.summary_rows()
-    if cfg["summary_out"]:
-        _write_summary_csv(cfg["summary_out"], rows)
-    print(f"{'n':>3}{'gamma':>10}{'coverage':>10}{'mean_len':>10}{'n_used':>8}")
-    for r in rows:
-        cov = f"{r['coverage']:.4f}" if r["coverage"] != "" else "-"
-        ln = f"{r['mean_length']:.4f}" if r["mean_length"] != "" else "-"
-        print(f"{r['n']:>3}{r['gamma']:>10}{cov:>10}{ln:>10}{r['n_used']:>8}")
-    for key, count in report.replicate_flags.items():
-        print(f"warning: {key} ({count} replicate(s))", file=sys.stderr)
-    return 1 if report.replicate_flags else 0
+    report = run_closed_form_study(_study_config(
+        ClosedFormStudyConfig, cfg, tau2=cfg["tau2"],
+        prior_in_interval=cfg["prior_in_interval"]))
+    return _finish_study(
+        cfg, report,
+        f"{'n':>3}{'gamma':>10}{'coverage':>10}{'mean_len':>10}{'n_used':>8}",
+        lambda r: (f"{r['n']:>3}{r['gamma']:>10}{_cell(r['coverage'], '.4f'):>10}"
+                   f"{_cell(r['mean_length'], '.4f'):>10}{r['n_used']:>8}"))
 
 
 HANDLERS = {"fit": cmd_fit, "calibrate": cmd_calibrate,
@@ -430,7 +408,7 @@ def main(argv=None) -> int:
     try:
         cfg = resolve_config(args)
         if args.print_config:
-            print(_json_report(cfg))
+            print(report_json(cfg))
             return 0
         return HANDLERS[args.command](cfg)
     except ConfigError as exc:

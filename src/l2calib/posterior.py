@@ -315,8 +315,7 @@ def laplace_approx(est: CalibrationEstimate, adj: ScalingAdjustment,
     if eig[0] <= 1e-12 * max(eig[-1], 1.0):
         raise ValueError("scaled Hessian is not positive definite at the estimate")
     cov = np.linalg.inv(n * h)
-    flags = () if est.converged else ("estimate-not-converged",)
-    return LaplaceApprox(mean=est.theta.copy(), cov=0.5 * (cov + cov.T), flags=flags)
+    return LaplaceApprox(mean=est.theta.copy(), cov=0.5 * (cov + cov.T), flags=est.flags)
 
 
 def conjugate_posterior(theta_hat: float, n: int, tau2: float, gamma: float,

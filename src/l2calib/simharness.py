@@ -37,11 +37,15 @@ from .smoother import KERNEL_FAMILIES, Dataset, GcvGrid
 
 VARIANTS = ("marginal", "conditional")
 SCALINGS = ("magnitude", "curvature")
-DEFAULT_ANALYSES = tuple(f"{v}-{s}" for v in VARIANTS for s in SCALINGS)
 ENGINES = ("laplace", "mcmc", "conjugate")
 # replicates a study slice fits and estimates together: a uniform design keeps
 # this many smoother fits alive, each with its n x n eigenvectors
 STUDY_CHUNK = 8
+
+
+def analysis_names(variants=VARIANTS, scalings=SCALINGS) -> tuple:
+    """The label "variant-scaling" of each pair, as ``parse_analysis`` reads it."""
+    return tuple(f"{v}-{s}" for v in variants for s in scalings)
 
 
 @dataclass
@@ -50,7 +54,7 @@ class StudyConfig:
     replicates: int
     n: int | None = None
     seed: int = 0
-    analyses: tuple = DEFAULT_ANALYSES
+    analyses: tuple = analysis_names()
     engine: str = "laplace"
     interval: str = "quantile"
     level: float = 0.95
@@ -68,9 +72,8 @@ class StudyConfig:
         _check_choice(self, "engine", ENGINES)
         _check_choice(self, "interval", INTERVAL_MODES)
         _check_choice(self, "conditional_form", CONDITIONAL_FORMS)
-        if self.engine == "mcmc":
-            SamplerSettings(chains=self.mcmc_chains, iterations=self.mcmc_iterations,
-                            thin=self.mcmc_thin).check_kept_draws()
+        check_engine(self.engine, self.scenario, chains=self.mcmc_chains,
+                     iterations=self.mcmc_iterations, thin=self.mcmc_thin)
         self.analyses = tuple(self.analyses)
         for a in self.analyses:
             parse_analysis(a)
@@ -87,10 +90,25 @@ def _check_shared_fields(config) -> None:
     _check_choice(config, "kernel_family", KERNEL_FAMILIES)
 
 
+def check_engine(engine: str, scenario: str, **sampler) -> None:
+    """Refuse, before any work, MCMC ``SamplerSettings(**sampler)`` that keep
+    too few draws, or the conjugate engine on a model that is not a scalar line."""
+    if engine == "mcmc":
+        SamplerSettings(**sampler).check_kept_draws()
+    if engine == "conjugate" and not make_scenario(scenario)[0].scalar_linear:
+        raise ValueError("engine 'conjugate' needs a scalar linear model; "
+                         f"scenario {scenario!r} is not")
+
+
 def _check_choice(config, name: str, choices: tuple) -> None:
     value = getattr(config, name)
     if value not in choices:
         raise ValueError(f"unknown {name} {value!r}; choose from {choices}")
+
+
+def report_json(d: dict) -> str:
+    """The text of a JSON report: sorted keys, so byte-stable across runs."""
+    return json.dumps(d, sort_keys=True, indent=2)
 
 
 def _report_config(config) -> dict:
@@ -167,8 +185,7 @@ def run_replicate(index: int, config: StudyConfig, model, rule,
         "lambda": fit.lam,
         "rho": fit.kernel.rho.tolist(),
         "sigma2_hat": fit.sigma2_hat,
-        "flags": sorted(set(fit.flags) | ({"estimate-not-converged"}
-                                          if not est.converged else set())),
+        "flags": sorted({*fit.flags, *est.flags}),
         "analyses": {},
     }
     sandwiches = {}     # one per variant, shared by its scalings
@@ -192,8 +209,6 @@ def run_replicate(index: int, config: StudyConfig, model, rule,
             if config.engine == "laplace":
                 post = laplace_approx(est, adj, n)
             elif config.engine == "conjugate":
-                if not model.scalar_linear:
-                    raise ValueError("conjugate engine needs a scalar linear model")
                 post = conjugate_posterior(linear_theta_hat(fit, rule), n, tau2=np.inf,
                                            gamma=adj.scalar_gamma, rule=rule)
             else:
@@ -300,7 +315,7 @@ class SimulationReport:
         return d
 
     def to_json(self, include_records: bool = False) -> str:
-        return json.dumps(self.to_dict(include_records), sort_keys=True, indent=2)
+        return report_json(self.to_dict(include_records))
 
     def summary_rows(self) -> list[dict]:
         rows = []

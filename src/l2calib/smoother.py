@@ -306,10 +306,3 @@ def fit_smoother(data: Dataset, family: str = "gaussian", lambda_grid=None,
     grid = GcvGrid(data.design, family=family, lambda_grid=lambda_grid,
                    rho_grid=rho_grid)
     return grid.fit(data.responses)
-
-
-def fit_smoother_fixed(data: Dataset, kernel: KernelSpec, lam: float) -> SmootherFit:
-    """Fit the smoother at fixed (kernel, lam), no selection step."""
-    if lam < 0:
-        raise ValueError("ridge parameter must be nonnegative")
-    return _eigen_fit(data, lam, *_bandwidth(kernel, data.design))

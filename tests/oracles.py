@@ -16,7 +16,7 @@ from l2calib.calibration import StraightLine, l2_loss_fn, matched_gamma
 from l2calib.models import MathModel, make_scenario
 from l2calib.numerics import DEFAULT_QUAD_ORDER, QuadratureRule, build_rule
 from l2calib.scaling import ScalingError
-from l2calib.smoother import Dataset, SmootherFit
+from l2calib.smoother import Dataset, KernelSpec, SmootherFit, _bandwidth, _eigen_fit
 
 
 def validate_derivatives(model: MathModel, seed: int = 0, n_points: int = 100,
@@ -123,3 +123,10 @@ def estimator_cov(sw: SandwichMatrices) -> np.ndarray:
     """V^-1 W V^-1 with the total middle matrix."""
     vinv_w = np.linalg.solve(sw.V, sw.w_total())
     return np.linalg.solve(sw.V, vinv_w.T).T
+
+
+def fit_smoother_fixed(data: Dataset, kernel: KernelSpec, lam: float) -> SmootherFit:
+    """Fit the smoother at fixed (kernel, lam), no selection step."""
+    if lam < 0:
+        raise ValueError("ridge parameter must be nonnegative")
+    return _eigen_fit(data, lam, *_bandwidth(kernel, data.design))

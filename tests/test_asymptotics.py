@@ -10,8 +10,8 @@ from l2calib.calibration import estimate_theta
 from l2calib.models import make_scenario
 from l2calib.numerics import build_rule
 from l2calib.simharness import generate_replicate
-from l2calib.smoother import Dataset, KernelSpec, fit_smoother, fit_smoother_fixed
-from oracles import estimator_cov, linear_estimator_variance
+from l2calib.smoother import Dataset, KernelSpec, fit_smoother
+from oracles import estimator_cov, fit_smoother_fixed, linear_estimator_variance
 
 
 def _pipeline(name, n, seed, method="l2"):

@@ -242,7 +242,7 @@ def test_estimate_survives_non_finite_loss_on_part_of_box():
     rule = _rule(model)
     est = estimate_theta(system.mu, model, rule, seed=4)
     ref = estimate_theta(system.mu, clean, rule, seed=4)
-    assert est.converged
+    assert est.converged and est.flags == ()
     assert_allclose(est.theta, ref.theta, atol=1e-10)
 
 
@@ -251,7 +251,7 @@ def test_estimate_not_converged_when_minimiser_is_non_finite():
     # edge of the finite region, which is no stationary point
     model, system = _linear_model_nan_above(3.0)
     est = estimate_theta(system.mu, model, _rule(model), seed=4)
-    assert not est.converged
+    assert not est.converged and est.flags == ("estimate-not-converged",)
     assert np.isfinite(est.value) and 2.9 < est.theta[0] <= 3.0
 
 

@@ -18,12 +18,12 @@ from hypothesis import strategies as st
 from l2calib import cli
 from l2calib.asymptotics import conditional_matrices, marginal_matrices
 from l2calib.calibration import estimate_theta, linear_theta_hat
-from l2calib.cli import build_parser, main
+from l2calib.cli import SETTINGS, build_parser, main
 from l2calib.numerics import DEFAULT_QUAD_ORDER, build_rule, set_blas_threads
 from l2calib.posterior import conjugate_posterior
 from l2calib import simharness
 from l2calib.scaling import ScalingError, curvature_adjustment, magnitude_gamma
-from l2calib.simharness import generate_replicate
+from l2calib.simharness import SCALINGS, VARIANTS, generate_replicate, parse_analysis
 from l2calib.models import make_scenario
 from l2calib.smoother import fit_smoother
 from oracles import write_dataset_csv
@@ -352,10 +352,6 @@ def test_validation_errors(capsys):
     assert rc == 2
     assert "scenario" in capsys.readouterr().err
 
-    rc = main(["calibrate", "--scenario", "scenario2", "--engine", "conjugate"])
-    assert rc == 2
-    assert "conjugate" in capsys.readouterr().err
-
     rc = main(["fit", "--scenario", "scenario2", "--seed", "-1"])
     assert rc == 2
     assert "seed must be >= 0" in capsys.readouterr().err
@@ -370,6 +366,28 @@ def test_validation_errors(capsys):
                    "--n", "12"])
         assert rc == 2
         assert capsys.readouterr().err.startswith("error: n and data")
+
+
+@pytest.mark.parametrize("command, extra", [("calibrate", []),
+                                            ("simulate", ["--replicates", "2"])])
+def test_conjugate_engine_needs_linear_scenario(monkeypatch, capsys, command, extra):
+    monkeypatch.setattr(cli, "run_study", lambda *a: pytest.fail("study ran"))
+    rc = main([command, "--scenario", "scenario2", "--engine", "conjugate", *extra])
+    assert rc == 2
+    assert capsys.readouterr().err == ("error: engine 'conjugate' needs a scalar linear "
+                                       "model; scenario 'scenario2' is not\n")
+
+
+@pytest.mark.parametrize("variant", SETTINGS["variant"].choices)
+@pytest.mark.parametrize("scaling", SETTINGS["scaling"].choices)
+def test_analysis_names_parse_back(variant, scaling):
+    # every name the CLI builds is one the study config accepts, and reads
+    # back as the variant and scaling it was built from
+    variants = VARIANTS if variant == "both" else (variant,)
+    scalings = SCALINGS if scaling == "both" else (scaling,)
+    names = cli.analyses_from({"variant": variant, "scaling": scaling})
+    assert [parse_analysis(name) for name in names] == \
+        [(v, s, None) for v in variants for s in scalings]
 
 
 @pytest.mark.parametrize("chains, iterations, thin, message", [

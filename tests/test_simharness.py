@@ -253,11 +253,12 @@ def test_run_study_conjugate_matches_laplace_for_linear_model():
 
 
 def test_run_study_conjugate_requires_linear_model():
-    cfg = _tiny_study(engine="conjugate", replicates=1)
-    report = run_study(cfg)
-    for agg in report.analyses.values():
-        assert agg["n_used"] == 0 and agg["n_failed"] == 1
-        assert agg["flag_counts"].get("analysis-failed") == 1
+    # refused when the config is built, before any replicate is fitted
+    for scenario in ("scenario1", "scenario2"):
+        with pytest.raises(ValueError, match="needs a scalar linear model"):
+            _tiny_study(scenario=scenario, engine="conjugate")
+    for scenario in ("scenario3", "simple-linear"):
+        assert _tiny_study(scenario=scenario, engine="conjugate").engine == "conjugate"
 
 
 def test_run_study_mcmc_engine_agrees_with_laplace():

@@ -16,9 +16,8 @@ from l2calib.simharness import generate_replicate
 from l2calib.smoother import (JITTER, ONE_BLAS_THREAD_BELOW, SELECT_CHUNK, Dataset,
                               DegenerateSmootherError, GcvGrid, KernelSpec,
                               default_rho_grid,
-                              fit_smoother, fit_smoother_fixed,
-                              kernel_matrix, read_dataset_csv)
-from oracles import write_dataset_csv
+                              fit_smoother, kernel_matrix, read_dataset_csv)
+from oracles import fit_smoother_fixed, write_dataset_csv
 
 
 def _line_data(n=8, slope=3.0, noise=0.0, seed=0):
