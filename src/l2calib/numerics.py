@@ -40,12 +40,18 @@ class QuadratureRule:
         return self.nodes.shape[1]
 
 
+@cache
 def gauss_legendre_01(order: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes and weights mapped from [-1, 1] to [0, 1]."""
+    """Gauss-Legendre nodes and weights mapped from [-1, 1] to [0, 1].
+
+    Computed once per order and process, and shared: both arrays are read-only.
+    """
     if order < 1:
         raise ValueError(f"quadrature order must be >= 1, got {order}")
     x, w = np.polynomial.legendre.leggauss(order)
-    return 0.5 * (x + 1.0), 0.5 * w
+    nodes, weights = 0.5 * (x + 1.0), 0.5 * w
+    nodes.flags.writeable = weights.flags.writeable = False
+    return nodes, weights
 
 
 def build_rule(lower, upper, order: int = DEFAULT_QUAD_ORDER) -> QuadratureRule:

@@ -33,7 +33,7 @@ from .posterior import (INTERVAL_MODES, Prior, SamplerSettings,
                         sample_posterior)
 from .scaling import (ScalingError, curvature_adjustment, fixed_gamma,
                       magnitude_adjustment, no_scaling, scaled_loss)
-from .smoother import KERNEL_FAMILIES, Dataset, GcvGrid
+from .smoother import KERNEL_FAMILIES, MIN_OBSERVATIONS, Dataset, GcvGrid
 
 VARIANTS = ("marginal", "conditional")
 SCALINGS = ("magnitude", "curvature")
@@ -413,34 +413,45 @@ class ClosedFormStudyConfig:
             # each value labels a table cell, and equal labels would share one
             raise ValueError("gamma_fixed must be positive, finite and distinct "
                              "to 6 significant digits")
+        sizes = self.sample_sizes
+        if not sizes or len(set(sizes)) < len(sizes) or not all(
+                isinstance(n, int) and n >= MIN_OBSERVATIONS for n in sizes):
+            raise ValueError("sample_sizes must be distinct integers >= "
+                             f"{MIN_OBSERVATIONS}, and at least one")
 
 
-def _closed_form_slice(cfg: ClosedFormStudyConfig, n: int,
-                       indices: list[int]) -> np.ndarray:
-    """Rows (theta_hat, its sampling variance) of the replicates ``indices``."""
+def _closed_form_slice(cfg: ClosedFormStudyConfig, indices: list[int]) -> np.ndarray:
+    """Rows (theta_hat, its sampling variance) of the replicates ``indices``,
+    one block per sample size: a ``(len(sample_sizes), len(indices), 2)`` array.
+
+    Replicate i draws one noise stream from seed ``cfg.seed + i``, and size n
+    uses its first n draws, which are the n draws that seed alone gives."""
     model, system, _ = make_scenario("simple-linear")
     line = StraightLine(build_rule(model.x_box.lower, model.x_box.upper, cfg.quad_order))
-    xs = np.linspace(0.0, 1.0, n)
-    grid = GcvGrid(xs.reshape(-1, 1), family=cfg.kernel_family)
-    # the response-free part of the estimator and its variance, per bandwidth
-    qt_qs = np.stack([line.qt_q(spec, grid.design, qmat)
-                      for spec, _, qmat in grid.bandwidths])
-    eig = np.stack([d for _, d, _ in grid.bandwidths])
-    y0 = np.asarray(system.mu(xs.reshape(-1, 1)), dtype=float)
-    noise = np.stack([np.random.default_rng(cfg.seed + i).standard_normal(n)
-                      for i in indices])
-    ys = y0 + system.sigma * noise
-    idx, j = grid.select_many(ys)[:2]
-    lam = grid.lambda_grid[j]
-    # z = Q'y as the one-response product qmat.T @ y, per selected bandwidth:
-    # the same BLAS call as StraightLine.fit_terms, so theta_hat is unchanged
-    z = np.empty_like(ys)
-    for b in np.unique(idx):
-        rows = idx == b
-        z[rows] = (grid.bandwidths[b][2].T @ ys[rows, :, None])[..., 0]
-    qt_q, d = qt_qs[idx], eig[idx]
-    return np.stack([line.theta_hat(qt_q, z, d, lam),
-                     line.variance(qt_q, d, lam, system.sigma**2)], axis=1)
+    noise = np.stack([np.random.default_rng(cfg.seed + i)
+                      .standard_normal(max(cfg.sample_sizes)) for i in indices])
+    blocks = []
+    for n in cfg.sample_sizes:
+        xs = np.linspace(0.0, 1.0, n).reshape(-1, 1)
+        grid = GcvGrid(xs, family=cfg.kernel_family)
+        # the response-free part of the estimator and its variance, per bandwidth
+        qt_qs = np.stack([line.qt_q(spec, grid.design, qmat)
+                          for spec, _, qmat in grid.bandwidths])
+        eig = np.stack([d for _, d, _ in grid.bandwidths])
+        y0 = np.asarray(system.mu(xs), dtype=float)
+        ys = y0 + system.sigma * noise[:, :n]
+        idx, j = grid.select_many(ys)[:2]
+        lam = grid.lambda_grid[j]
+        # z = Q'y as the one-response product qmat.T @ y, per selected bandwidth:
+        # the same BLAS call as StraightLine.fit_terms, so theta_hat is unchanged
+        z = np.empty_like(ys)
+        for b in np.unique(idx):
+            rows = idx == b
+            z[rows] = (grid.bandwidths[b][2].T @ ys[rows, :, None])[..., 0]
+        qt_q, d = qt_qs[idx], eig[idx]
+        blocks.append(np.stack([line.theta_hat(qt_q, z, d, lam),
+                                line.variance(qt_q, d, lam, system.sigma**2)], axis=1))
+    return np.stack(blocks)
 
 
 def _gamma_labels(gamma_fixed) -> list[str]:
@@ -472,9 +483,10 @@ def run_closed_form_study(cfg: ClosedFormStudyConfig) -> ClosedFormReport:
     prior_prec = 1.0 / cfg.tau2 if cfg.prior_in_interval else 0.0
     tables = {}
     flags = {}
-    for n in cfg.sample_sizes:
-        parts = _map_slices(_closed_form_slice, cfg.workers, cfg.replicates, cfg, n)
-        theta_hat, var_hat = np.concatenate(parts).T
+    # one pool for every sample size: each slice returns one block per size
+    est = np.concatenate(_map_slices(_closed_form_slice, cfg.workers, cfg.replicates, cfg),
+                         axis=1)
+    for n, (theta_hat, var_hat) in zip(cfg.sample_sizes, est.transpose(0, 2, 1)):
         # NaN where var_hat >= tau2: no gamma matches, and that posterior is left out
         matched = np.where(var_hat < cfg.tau2,
                            matched_gamma(var_hat, n, den, cfg.tau2), np.nan)

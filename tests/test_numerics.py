@@ -38,6 +38,28 @@ def test_build_rule_tensor_product_exactness():
     assert_allclose(val, 1.0 / 9.0, atol=1e-14)
 
 
+@pytest.mark.parametrize("order", [1, 2, 16, 64])
+def test_cached_gauss_legendre_rule_is_read_only_and_exact(order):
+    # the cached rule is leggauss mapped to [0, 1], bit for bit, and shared
+    # read-only; every rule built from it owns fresh writable arrays
+    x, w = np.polynomial.legendre.leggauss(order)
+    nodes, weights = gauss_legendre_01(order)
+    assert np.array_equal(nodes, 0.5 * (x + 1.0)) and np.array_equal(weights, 0.5 * w)
+    assert gauss_legendre_01(order)[0] is nodes
+    assert not nodes.flags.writeable and not weights.flags.writeable
+    with pytest.raises(ValueError):
+        nodes[0] = 0.0
+    a, b = (build_rule([0.0], [1.0], order) for _ in range(2))
+    for arr in (a.nodes, a.weights):
+        assert arr.flags.writeable
+        assert not np.shares_memory(arr, nodes) and not np.shares_memory(arr, weights)
+    assert not np.shares_memory(a.nodes, b.nodes)
+    assert not np.shares_memory(a.weights, b.weights)
+    a.nodes[:] = a.weights[:] = -1.0
+    assert np.array_equal(b.nodes[:, 0], nodes) and np.array_equal(b.weights, weights)
+    assert np.array_equal(gauss_legendre_01(order)[0], 0.5 * (x + 1.0))
+
+
 def test_build_rule_rejects_bad_boxes():
     with pytest.raises(ValueError):
         build_rule([0.0], [0.0])

@@ -43,7 +43,11 @@ def test_parse_analysis():
     # values with one table label merged two cells
     ("gamma_fixed", (0.0,)), ("gamma_fixed", (-1.0,)),
     ("gamma_fixed", (float("inf"),)), ("gamma_fixed", (float("nan"),)),
-    ("gamma_fixed", (1.0, 15.0, 1.0)), ("gamma_fixed", (1.0, 1.0000001))])
+    ("gamma_fixed", (1.0, 15.0, 1.0)), ("gamma_fixed", (1.0, 1.0000001)),
+    # a repeated size gave 3 table cells and 6 summary rows, no size an empty
+    # report, and a size below 3 or a float failed only inside the study
+    ("sample_sizes", ()), ("sample_sizes", (4, 4)), ("sample_sizes", (2,)),
+    ("sample_sizes", (4.5,)), ("sample_sizes", (4, 8.0))])
 def test_closed_form_config_validation(field, value):
     with pytest.raises(ValueError, match=field):
         ClosedFormStudyConfig(**{"replicates": 5, "prior_in_interval": True,
@@ -302,7 +306,7 @@ def test_closed_form_study_tables():
 def test_closed_form_slice_matches_linear_estimator(n, seed):
     # the study's cached per-bandwidth closed form against the per-fit functions
     cfg = ClosedFormStudyConfig(replicates=4, seed=seed)
-    est = _closed_form_slice(cfg, n, [0, 1, 2, 3])
+    est = _closed_form_slice(cfg, [0, 1, 2, 3])[cfg.sample_sizes.index(n)]
     assert est.shape == (4, 2)
     model, system, _ = make_scenario("simple-linear")
     rule = build_rule(model.x_box.lower, model.x_box.upper, cfg.quad_order)
@@ -335,8 +339,8 @@ def test_closed_form_slice_is_the_same_in_any_batch(n, tau2, prior):
     cfg = ClosedFormStudyConfig(replicates=2 * SELECT_CHUNK + 7, seed=11, sample_sizes=(n,),
                                 tau2=tau2, prior_in_interval=prior)
     indices = list(range(3, 3 + cfg.replicates))
-    est = _closed_form_slice(cfg, n, indices)
-    assert np.array_equal(est, np.concatenate([_closed_form_slice(cfg, n, [i])
+    est = _closed_form_slice(cfg, indices)[0]
+    assert np.array_equal(est, np.concatenate([_closed_form_slice(cfg, [i])[0]
                                                for i in indices]))
     # each table entry from the scalar closed forms of these rows' estimates:
     # the study at seed 14 draws replicate r as this slice draws index 3 + r
@@ -382,6 +386,26 @@ def test_closed_form_study_partition_invariant_across_chunks(prior):
     one = run_closed_form_study(cfg).to_json()
     two = run_closed_form_study(dataclasses.replace(cfg, workers=2))
     assert two.to_json() == one
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("tau2", [0.05, 0.025])
+def test_closed_form_sizes_share_a_noise_stream(workers, tau2):
+    # each size's cells and flags from one table over both sizes equal those
+    # of the table run at that size alone: size n reads the first n draws of
+    # the one stream a replicate draws for the largest size; tau2 0.05 sits
+    # inside the spread of var_hat at n = 4, and 0.025 inside it at n = 8
+    cfg = ClosedFormStudyConfig(replicates=45, seed=6, sample_sizes=(4, 8), tau2=tau2,
+                                prior_in_interval=True, workers=workers)
+    both = run_closed_form_study(cfg)
+    for n in cfg.sample_sizes:
+        alone = run_closed_form_study(dataclasses.replace(cfg, sample_sizes=(n,)))
+        assert alone.analyses == {k: v for k, v in both.analyses.items()
+                                  if k.startswith(f"n={n},")}
+        assert alone.replicate_flags == {k: v for k, v in both.replicate_flags.items()
+                                         if k.startswith(f"n={n}:")}
+        assert alone.oracle_theta == both.oracle_theta
+    assert 0 < sum(both.replicate_flags.values()) < 2 * cfg.replicates
 
 
 def test_closed_form_summary_rows():

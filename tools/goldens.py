@@ -59,6 +59,11 @@ def runs() -> dict[str, tuple[str, ...]]:
         table[f"table1-w{workers}"] = (
             "table1", "--replicates", "400", "--workers", str(workers),
             *REPORT, *SUMMARY)
+    # tau2 inside the spread of the n = 4 sampling variances: variance
+    # matching is undefined for some replicates, which flags them and exits 1
+    table["table1-prior-tau2"] = (
+        "table1", "--replicates", "400", "--workers", "1", "--prior-in-interval",
+        "--tau2", "0.05", *REPORT, *SUMMARY)
     # the conjugate engine needs a straight line: both commands exit 2
     conjugate = ("--scenario", "scenario1", "--engine", "conjugate", *REPORT)
     table["calibrate-conjugate-scenario1"] = ("calibrate", *conjugate)
