@@ -24,20 +24,21 @@ from dataclasses import dataclass
 
 from .asymptotics import (CONDITIONAL_FORMS, conditional_matrices,
                           marginal_matrices, ols_matrices)
-from .calibration import estimate_theta, l2_loss_fn, linear_theta_hat
+from .calibration import estimate_theta
 from .models import SCENARIO_NAMES, make_scenario
 from .numerics import DEFAULT_QUAD_ORDER, build_rule
-from .posterior import (INTERVAL_MODES, Prior, SamplerSettings,
-                        conjugate_posterior, credible_interval, laplace_approx,
-                        sample_posterior, write_draws_csv)
-from .scaling import (ScalingError, curvature_adjustment,
-                      magnitude_adjustment)
-from .simharness import (ENGINES, SCALINGS, VARIANTS, ClosedFormStudyConfig,
-                         StudyConfig, analysis_names, check_engine,
-                         generate_replicate, parse_analysis, report_json,
-                         run_closed_form_study, run_study)
+from .posterior import INTERVAL_MODES, SamplerSettings, sample_posterior, write_draws_csv
+from .simharness import (ENGINES, SCALINGS, SHARED_BOUNDS, VARIANTS,
+                         ClosedFormStudyConfig, StudyConfig, analysis_names, at_least,
+                         check_engine, generate_replicate, report_json,
+                         run_analyses, run_closed_form_study, run_study)
 from .smoother import (KERNEL_FAMILIES, MIN_OBSERVATIONS, fit_smoother,
                        read_dataset_csv)
+
+# not called here: perfbench/spans.py patches them on this module (ROADMAP item 1)
+from .calibration import l2_loss_fn  # noqa: F401
+from .posterior import credible_interval, laplace_approx  # noqa: F401
+from .scaling import curvature_adjustment, magnitude_adjustment  # noqa: F401
 
 
 class ConfigError(Exception):
@@ -56,34 +57,29 @@ class Setting:
     help: str | None = None
 
 
-def _at_least(low: int) -> tuple:
-    return (lambda v: v >= low, f"must be >= {low}")
-
-
 # defaults the library declares are read from it; None means unset
 SETTINGS = {
-    "seed": Setting(int, StudyConfig.seed, bound=_at_least(0)),
+    "seed": Setting(int, StudyConfig.seed, bound=at_least(0)),
     "out": Setting(str, help="path for the JSON report"),
     "scenario": Setting(str, choices=SCENARIO_NAMES),
     "data": Setting(str, help="CSV dataset (x1..xk,y header)"),
-    "n": Setting(int, bound=_at_least(MIN_OBSERVATIONS),
+    "n": Setting(int, bound=at_least(MIN_OBSERVATIONS),
                  help="sample size when generating data"),
     "kernel": Setting(str, StudyConfig.kernel_family, choices=KERNEL_FAMILIES),
     "engine": Setting(str, StudyConfig.engine, choices=ENGINES),
     "scaling": Setting(str, "both", choices=SCALINGS + ("both",)),
     "variant": Setting(str, "both", choices=VARIANTS + ("both",)),
     "interval": Setting(str, StudyConfig.interval, choices=INTERVAL_MODES),
-    "level": Setting(float, StudyConfig.level,
-                     bound=(lambda v: 0.0 < v < 1.0, "must be in (0,1)")),
-    "quad_order": Setting(int, DEFAULT_QUAD_ORDER, bound=_at_least(2)),
+    "level": Setting(float, StudyConfig.level, bound=SHARED_BOUNDS["level"]),
+    "quad_order": Setting(int, DEFAULT_QUAD_ORDER, bound=at_least(2)),
     "conditional_form": Setting(str, StudyConfig.conditional_form,
                                 choices=CONDITIONAL_FORMS),
-    "chains": Setting(int, SamplerSettings.chains, bound=_at_least(2)),
-    "iterations": Setting(int, SamplerSettings.iterations, bound=_at_least(200)),
-    "thin": Setting(int, SamplerSettings.thin, bound=_at_least(1)),
+    "chains": Setting(int, SamplerSettings.chains, bound=at_least(2)),
+    "iterations": Setting(int, SamplerSettings.iterations, bound=at_least(200)),
+    "thin": Setting(int, SamplerSettings.thin, bound=at_least(1)),
     "draws_out": Setting(str, help="CSV file for posterior draws (mcmc engine)"),
-    "replicates": Setting(int, bound=_at_least(1)),
-    "workers": Setting(int, bound=_at_least(1)),
+    "replicates": Setting(int, bound=SHARED_BOUNDS["replicates"]),
+    "workers": Setting(int, bound=SHARED_BOUNDS["workers"]),
     "summary_out": Setting(str, help="CSV file for the aggregate table"),
     "records": Setting(bool, False,
                        help="include per-replicate records in the JSON report"),
@@ -290,7 +286,6 @@ def cmd_calibrate(cfg: dict) -> int:
     fit = fit_smoother(data, family=cfg["kernel"])
     est = estimate_theta(fit, model, rule, method="l2", seed=cfg["seed"])
     est_ols = estimate_theta(fit, model, rule=None, method="ols", seed=cfg["seed"])
-    flags = [*fit.flags, *est.flags]
 
     sw_marg = marginal_matrices(est, fit, model, rule)
     sw_cond = {form: conditional_matrices(est, fit, model, rule, form=form)
@@ -300,47 +295,29 @@ def cmd_calibrate(cfg: dict) -> int:
                "ols_extra": sw_ols.W_E.tolist(),
                **{f"conditional-{f}": sw.W.tolist() for f, sw in sw_cond.items()}}
 
-    base_loss = l2_loss_fn(fit, model, rule)
-    analyses = {}
-    samples = {}
-    for name in analyses_from(cfg):
-        variant, kind, _ = parse_analysis(name)
-        entry: dict = {"flags": []}
-        sw = sw_marg if variant == "marginal" else sw_cond[cfg["conditional_form"]]
-        try:
-            adj = (magnitude_adjustment(sw) if kind == "magnitude"
-                   else curvature_adjustment(sw, est.theta))
+    results = run_analyses(
+        analyses_from(cfg), est, fit, model, rule,
+        {"marginal": sw_marg, "conditional": sw_cond[cfg["conditional_form"]]}.get,
+        cfg["engine"], cfg["level"], cfg["interval"], cfg["seed"],
+        SamplerSettings(cfg["chains"], cfg["iterations"], cfg["thin"]),
+        sampler=sample_posterior)
+    theta_txt = ", ".join(f"{t:.6g}" for t in est.theta)
+    lines = [f"theta_hat = [{theta_txt}]  (n={data.n}, lambda={fit.lam:.3g})"]
+    analyses, samples = {}, {}
+    for name, (entry, adj, post) in results.items():
+        analyses[name] = entry
+        if adj is not None:
             entry["gamma"] = adj.gamma if adj.kind == "magnitude" else None
             entry["Gamma"] = adj.Gamma.tolist() if adj.Gamma is not None else None
-            if cfg["engine"] == "mcmc":
-                from .scaling import scaled_loss
-                loss = scaled_loss(adj, base_loss, model.theta_box)
-                settings = SamplerSettings(
-                    chains=cfg["chains"], iterations=cfg["iterations"],
-                    thin=cfg["thin"], init=est.theta,
-                    init_cov=laplace_approx(est, adj, data.n).cov)
-                post = sample_posterior(loss, Prior.uniform(model.theta_box),
-                                        data.n, seed=cfg["seed"],
-                                        settings=settings)
-                entry["acceptance_rate"] = post.acceptance_rate
-                entry["rhat"] = post.rhat.tolist()
-                samples[name] = post
-            elif cfg["engine"] == "conjugate":
-                post = conjugate_posterior(linear_theta_hat(fit, rule), data.n,
-                                           float("inf"), adj.scalar_gamma, rule)
-            else:
-                post = laplace_approx(est, adj, data.n)
-            entry["flags"].extend(post.flags)
-            ci = credible_interval(post, level=cfg["level"],
-                                   mode=cfg["interval"])
-            entry.update({"post_mean": post.mean.tolist(),
-                          "post_sd": post.sd.tolist(), "interval": ci.tolist()})
-        except (ScalingError, ValueError) as exc:
-            entry["failed"] = True
-            entry["flags"].append(f"analysis-failed: {exc}")
-        entry["flags"] = sorted(set(entry["flags"]))
-        analyses[name] = entry
-        flags.extend(entry["flags"])
+        if cfg["engine"] == "mcmc" and post is not None:
+            entry.update(acceptance_rate=post.acceptance_rate, rhat=post.rhat.tolist())
+            samples[name] = post
+        if entry.get("failed"):
+            lines.append(f"  {name}: failed")
+            continue
+        mean_txt = ", ".join(f"{m:.6g}" for m in entry["post_mean"])
+        ivs = "; ".join(f"[{lo:.6g}, {hi:.6g}]" for lo, hi in entry["interval"])
+        lines.append(f"  {name}: mean [{mean_txt}]  {cfg['level']:.0%} {ivs}")
     if cfg["draws_out"] and samples:
         write_draws_csv(samples, cfg["draws_out"])
 
@@ -361,17 +338,9 @@ def cmd_calibrate(cfg: dict) -> int:
         "V": sw_marg.V.tolist(),
         "W": w_block,
         "analyses": analyses,
-        "flags": sorted(set(flags)),
+        "flags": sorted({*fit.flags, *est.flags,
+                         *(f for entry in analyses.values() for f in entry["flags"])}),
     }
-    theta_txt = ", ".join(f"{t:.6g}" for t in est.theta)
-    lines = [f"theta_hat = [{theta_txt}]  (n={data.n}, lambda={fit.lam:.3g})"]
-    for name, entry in analyses.items():
-        if entry.get("failed"):
-            lines.append(f"  {name}: failed")
-            continue
-        mean_txt = ", ".join(f"{m:.6g}" for m in entry["post_mean"])
-        ivs = "; ".join(f"[{lo:.6g}, {hi:.6g}]" for lo, hi in entry["interval"])
-        lines.append(f"  {name}: mean [{mean_txt}]  {cfg['level']:.0%} {ivs}")
     return _finish(cfg, report_json(report), lines, report["flags"])
 
 

@@ -28,6 +28,7 @@ from .scaling import ScalingAdjustment
 MIN_INTERVAL_DRAWS = 100
 MIN_SPLIT_DRAWS = 4     # kept draws per chain the split R-hat needs: two halves of 2
 INTERVAL_MODES = ("quantile", "hpd")
+LEVEL_BOUND = (lambda v: 0.0 < v < 1.0, "must be in (0,1)")
 ACCEPT_BAND = (0.1, 0.6)
 RHAT_LIMIT = 1.05
 BURNIN_FRAC = 0.5       # leading share of each chain spent adapting, then dropped
@@ -362,8 +363,8 @@ def credible_interval(obj, level: float = 0.95, mode: str = "quantile") -> np.nd
     """
     if mode not in INTERVAL_MODES:
         raise ValueError(f"unknown interval mode {mode!r}")
-    if not 0.0 < level < 1.0:
-        raise ValueError("level must be in (0, 1)")
+    if not LEVEL_BOUND[0](level):
+        raise ValueError(f"level {LEVEL_BOUND[1]}")
     if isinstance(obj, LaplaceApprox):
         z = NormalDist().inv_cdf(0.5 + level / 2.0)
         sd = obj.sd

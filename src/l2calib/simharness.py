@@ -1,9 +1,10 @@
 """Replicated coverage studies for the calibration pipeline.
 
 Per replicate: draw data from a scenario's physical system, smooth it, locate
-the loss minimiser, form sandwich matrices, scale the posterior and record
-point summaries plus credible intervals. Aggregates report coverage of the
-population minimiser, mean posterior summaries and interval lengths.
+the loss minimiser and run its analyses through ``run_analyses``, the one path
+to a scaled posterior and its credible interval, which ``calibrate`` shares.
+Aggregates report coverage of the population minimiser, mean posterior
+summaries and interval lengths.
 
 All randomness is indexed: replicate i uses seed ``base_seed + i`` for data
 and the same seed for any sampling engine, so reports are byte-identical
@@ -14,8 +15,8 @@ from __future__ import annotations
 
 import json
 from collections import Counter
-from dataclasses import asdict, dataclass, field
-from functools import partial
+from dataclasses import asdict, dataclass, field, replace
+from functools import cache, partial
 from statistics import NormalDist
 
 import numpy as np
@@ -28,7 +29,7 @@ from .calibration import (StraightLine, estimate_many, estimate_theta,
                           normal_posterior)
 from .models import make_scenario
 from .numerics import DEFAULT_QUAD_ORDER, blas_threads, build_rule, set_blas_threads
-from .posterior import (INTERVAL_MODES, Prior, SamplerSettings,
+from .posterior import (INTERVAL_MODES, LEVEL_BOUND, Prior, SamplerSettings,
                         conjugate_posterior, credible_interval, laplace_approx,
                         sample_posterior)
 from .scaling import (ScalingError, curvature_adjustment, fixed_gamma,
@@ -41,6 +42,14 @@ ENGINES = ("laplace", "mcmc", "conjugate")
 # replicates a study slice fits and estimates together: a uniform design keeps
 # this many smoother fits alive, each with its n x n eigenvectors
 STUDY_CHUNK = 8
+
+
+def at_least(low: int) -> tuple:
+    return (lambda v: v >= low, f"must be >= {low}")
+
+
+# (test, message) on the fields both study configs share, and on the CLI's settings
+SHARED_BOUNDS = {"replicates": at_least(1), "level": LEVEL_BOUND, "workers": at_least(1)}
 
 
 def analysis_names(variants=VARIANTS, scalings=SCALINGS) -> tuple:
@@ -81,12 +90,9 @@ class StudyConfig:
 
 def _check_shared_fields(config) -> None:
     """Validate the fields both study configs have."""
-    if config.replicates < 1:
-        raise ValueError("replicates must be >= 1")
-    if not 0.0 < config.level < 1.0:
-        raise ValueError("level must be in (0, 1)")
-    if config.workers < 1:
-        raise ValueError("workers must be >= 1")
+    for name, (test, message) in SHARED_BOUNDS.items():
+        if not test(getattr(config, name)):
+            raise ValueError(f"{name} {message}")
     _check_choice(config, "kernel_family", KERNEL_FAMILIES)
 
 
@@ -170,14 +176,67 @@ def oracle_theta(scenario: str, quad_order: int = DEFAULT_QUAD_ORDER) -> np.ndar
     return _ORACLE_CACHE[key].copy()
 
 
+def run_analyses(names, est, fit, model, rule, sandwich, engine: str, level: float,
+                 interval: str, seed: int, settings: SamplerSettings,
+                 sampler=None) -> dict:
+    """name -> (report entry, adjustment, posterior) of each analysis of one
+    estimate, the path ``calibrate`` and ``simulate`` share; ``sandwich(variant)``
+    gives a variant's matrices, and the adjustment and the posterior are None
+    where the analysis failed before building them."""
+    n = fit.data.n
+    base_loss = l2_loss_fn(fit, model, rule) if engine == "mcmc" else None
+    out = {}
+    for name in names:
+        variant, kind, gval = parse_analysis(name)
+        entry, adj, post = {"flags": []}, None, None
+        try:
+            if kind == "none":
+                adj = no_scaling()
+            elif kind == "fixed":
+                adj = fixed_gamma(gval)
+            else:
+                adj = (magnitude_adjustment(sandwich(variant)) if kind == "magnitude"
+                       else curvature_adjustment(sandwich(variant), est.theta))
+            if engine == "laplace":
+                post = laplace_approx(est, adj, n)
+            elif engine == "conjugate":
+                post = conjugate_posterior(linear_theta_hat(fit, rule), n, tau2=np.inf,
+                                           gamma=adj.scalar_gamma, rule=rule)
+            else:
+                # the default is looked up per call, so a patched module name is seen
+                post = (sampler or sample_posterior)(
+                    scaled_loss(adj, base_loss, model.theta_box),
+                    Prior.uniform(model.theta_box), n, seed=seed,
+                    settings=replace(settings, init=est.theta,
+                                     init_cov=laplace_approx(est, adj, n).cov))
+            entry["flags"].extend(post.flags)
+            entry.update(post_mean=post.mean.tolist(), post_sd=post.sd.tolist(),
+                         interval=credible_interval(post, level=level, mode=interval).tolist())
+        except (ScalingError, ValueError) as exc:
+            entry["flags"].append(f"analysis-failed: {exc}")
+            entry["failed"] = True
+        entry["flags"] = sorted(set(entry["flags"]))
+        out[name] = entry, adj, post
+    return out
+
+
 def run_replicate(index: int, config: StudyConfig, model, rule,
                   theta_star: np.ndarray, fit, est) -> dict:
     """The analyses of one replicate from its smoother fit and estimate;
     returns a plain-dict record."""
     seed_i = config.seed + index
-    n = fit.data.n
-    base_loss = l2_loss_fn(fit, model, rule) if config.engine == "mcmc" else None
-    record = {
+    sandwich = cache(lambda variant: (     # one per variant, shared by its scalings
+        marginal_matrices(est, fit, model, rule) if variant == "marginal"
+        else conditional_matrices(est, fit, model, rule, form=config.conditional_form)))
+    settings = SamplerSettings(config.mcmc_chains, config.mcmc_iterations, config.mcmc_thin)
+    analyses = run_analyses(config.analyses, est, fit, model, rule, sandwich, config.engine,
+                            config.level, config.interval, seed_i, settings)
+    for out, adj, _ in analyses.values():
+        if ci := out.get("interval"):     # the analysis did not fail
+            out.update(length=[hi - lo for lo, hi in ci],
+                       covers=[bool(lo <= t <= hi) for (lo, hi), t in zip(ci, theta_star)],
+                       gamma=adj.gamma if adj.kind == "magnitude" else None)
+    return {
         "index": index,
         "seed": seed_i,
         "theta_hat": est.theta.tolist(),
@@ -186,57 +245,8 @@ def run_replicate(index: int, config: StudyConfig, model, rule,
         "rho": fit.kernel.rho.tolist(),
         "sigma2_hat": fit.sigma2_hat,
         "flags": sorted({*fit.flags, *est.flags}),
-        "analyses": {},
+        "analyses": {name: out for name, (out, _, _) in analyses.items()},
     }
-    sandwiches = {}     # one per variant, shared by its scalings
-    for name in config.analyses:
-        variant, kind, gval = parse_analysis(name)
-        out = {"flags": []}
-        try:
-            if kind == "none":
-                adj = no_scaling()
-            elif kind == "fixed":
-                adj = fixed_gamma(gval)
-            else:
-                if variant not in sandwiches:
-                    sandwiches[variant] = (
-                        marginal_matrices(est, fit, model, rule) if variant == "marginal"
-                        else conditional_matrices(est, fit, model, rule,
-                                                  form=config.conditional_form))
-                sw = sandwiches[variant]
-                adj = (magnitude_adjustment(sw) if kind == "magnitude"
-                       else curvature_adjustment(sw, est.theta))
-            if config.engine == "laplace":
-                post = laplace_approx(est, adj, n)
-            elif config.engine == "conjugate":
-                post = conjugate_posterior(linear_theta_hat(fit, rule), n, tau2=np.inf,
-                                           gamma=adj.scalar_gamma, rule=rule)
-            else:
-                loss = scaled_loss(adj, base_loss, model.theta_box)
-                prior = Prior.uniform(model.theta_box)
-                init_cov = laplace_approx(est, adj, n).cov
-                settings = SamplerSettings(chains=config.mcmc_chains,
-                                           iterations=config.mcmc_iterations,
-                                           thin=config.mcmc_thin,
-                                           init=est.theta, init_cov=init_cov)
-                post = sample_posterior(loss, prior, n, seed=seed_i,
-                                        settings=settings)
-            out["flags"].extend(post.flags)
-            ci = credible_interval(post, level=config.level, mode=config.interval)
-            out.update({
-                "post_mean": post.mean.tolist(),
-                "post_sd": post.sd.tolist(),
-                "interval": ci.tolist(),
-                "length": (ci[:, 1] - ci[:, 0]).tolist(),
-                "covers": [bool(lo <= t <= hi) for (lo, hi), t in zip(ci, theta_star)],
-                "gamma": adj.gamma if adj.kind == "magnitude" else None,
-            })
-        except (ScalingError, ValueError) as exc:
-            out["flags"].append(f"analysis-failed: {exc}")
-            out["failed"] = True
-        out["flags"] = sorted(set(out["flags"]))
-        record["analyses"][name] = out
-    return record
 
 
 def _study_slice(config: StudyConfig, theta_star: np.ndarray,

@@ -23,8 +23,9 @@ from l2calib.numerics import DEFAULT_QUAD_ORDER, build_rule, set_blas_threads
 from l2calib.posterior import conjugate_posterior
 from l2calib import simharness
 from l2calib.scaling import ScalingError, curvature_adjustment, magnitude_gamma
-from l2calib.simharness import SCALINGS, VARIANTS, generate_replicate, parse_analysis
-from l2calib.models import make_scenario
+from l2calib.simharness import (SCALINGS, VARIANTS, StudyConfig, generate_replicate,
+                                parse_analysis, run_study)
+from l2calib.models import SCENARIO_NAMES, make_scenario
 from l2calib.smoother import fit_smoother
 from oracles import write_dataset_csv
 
@@ -163,7 +164,7 @@ def _singular_w(*args, **kwargs):
 def test_calibrate_exits_1_when_an_analysis_fails(tmp_path, monkeypatch, capsys):
     # the same run exits 0 in test_calibrate_report; the failed analyses'
     # flag alone must turn the exit code to 1
-    monkeypatch.setattr(cli, "curvature_adjustment", _singular_w)
+    monkeypatch.setattr(simharness, "curvature_adjustment", _singular_w)
     out = tmp_path / "cal.json"
     rc = main(["calibrate", "--scenario", "simple-linear", "--seed", "0",
                "--out", str(out)])
@@ -190,6 +191,53 @@ def test_simulate_exits_1_when_an_analysis_fails(tmp_path, monkeypatch):
         failed = int(name.endswith("-curvature"))
         assert agg["n_failed"] == failed
         assert agg["flag_counts"] == ({"analysis-failed": 1} if failed else {})
+
+
+# what calibrate and a study's replicate share of each analysis entry
+_SHARED_ENTRY = ("post_mean", "post_sd", "interval", "flags", "failed")
+
+
+def _report_of(argv) -> dict:
+    with tempfile.TemporaryDirectory() as tmp:
+        out = os.path.join(tmp, "report.json")
+        assert main([*argv, "--out", out]) in (0, 1)
+        with open(out, encoding="utf-8") as fh:
+            return json.load(fh)
+
+
+def _shared_entries(analyses: dict) -> dict:
+    return {name: {k: entry.get(k) for k in _SHARED_ENTRY}
+            for name, entry in analyses.items()}
+
+
+@pytest.mark.parametrize("scenario, engine", [
+    *((scenario, "laplace") for scenario in SCENARIO_NAMES),
+    ("simple-linear", "conjugate")])
+@settings(max_examples=10, deadline=None)
+@given(seed=st.integers(0, 10_000))
+def test_calibrate_agrees_with_a_one_replicate_simulate(scenario, engine, seed):
+    # both commands run each analysis through the one shared path, so replicate
+    # 0 of a study with calibrate's seed reports calibrate's posteriors
+    argv = ["--scenario", scenario, "--engine", engine, "--seed", str(seed)]
+    cal = _report_of(["calibrate", *argv])
+    sim = _report_of(["simulate", *argv, "--replicates", "1", "--workers", "1",
+                      "--records"])
+    assert _shared_entries(cal["analyses"]) == \
+        _shared_entries(sim["records"][0]["analyses"])
+
+
+@pytest.mark.parametrize("scenario", ["scenario1", "simple-linear"])
+@settings(max_examples=4, deadline=None)
+@given(seed=st.integers(0, 10_000))
+def test_calibrate_agrees_with_a_one_replicate_study_under_mcmc(scenario, seed):
+    cal = _report_of(["calibrate", "--scenario", scenario, "--engine", "mcmc",
+                      "--seed", str(seed), "--chains", "2", "--iterations", "200",
+                      "--thin", "1"])
+    study = run_study(StudyConfig(scenario=scenario, replicates=1, seed=seed,
+                                  engine="mcmc", mcmc_chains=2, mcmc_iterations=200,
+                                  mcmc_thin=1))
+    assert _shared_entries(cal["analyses"]) == \
+        _shared_entries(study.records[0]["analyses"])
 
 
 def test_simulate_reports_and_summary(tmp_path, capsys):

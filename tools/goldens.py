@@ -42,11 +42,22 @@ def runs() -> dict[str, tuple[str, ...]]:
         table[f"calibrate-{engine}"] = (
             "calibrate", "--scenario", scenario, "--engine", engine, *extra,
             *REPORT, "--draws-out", "draws.csv")
+    table["calibrate-mcmc-literal-hpd"] = (
+        "calibrate", "--scenario", "scenario2", "--engine", "mcmc", *SHORT_MCMC,
+        "--conditional-form", "literal", "--interval", "hpd",
+        *REPORT, "--draws-out", "draws.csv")
+    # seed 6 puts scenario3's estimate on the lower edge of its parameter box
+    table["calibrate-scenario3-edge"] = (
+        "calibrate", "--scenario", "scenario3", "--seed", "6", *REPORT)
     for scenario in SCENARIOS:
         for workers in (1, 2):
             table[f"simulate-{scenario}-w{workers}"] = (
                 "simulate", "--scenario", scenario, "--replicates", "20",
                 "--workers", str(workers), "--records", *REPORT, *SUMMARY)
+    table["simulate-conditional-literal"] = (
+        "simulate", "--scenario", "scenario2", "--variant", "conditional",
+        "--conditional-form", "literal", "--replicates", "8", "--workers", "1",
+        "--records", *REPORT, *SUMMARY)
     # simulate has no sampler flags, so one analysis keeps this run short
     table["simulate-mcmc"] = (
         "simulate", "--scenario", "simple-linear", "--engine", "mcmc",
