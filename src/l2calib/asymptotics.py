@@ -27,7 +27,7 @@ import numpy as np
 
 from .calibration import CalibrationEstimate
 from .models import MathModel
-from .numerics import QuadratureRule
+from .numerics import QuadratureRule, check_definite
 from .smoother import SmootherFit
 
 CONDITIONAL_FORMS = ("derived", "literal")
@@ -56,16 +56,6 @@ class SandwichMatrices:
         return self.W if self.W_E is None else self.W + self.W_E
 
 
-def _check_v(v: np.ndarray) -> np.ndarray:
-    v = 0.5 * (v + v.T)
-    eig = np.linalg.eigvalsh(v)
-    if eig[0] <= 1e-12 * max(eig[-1], 1.0):
-        raise SingularCurvatureError(
-            "loss Hessian at the estimate is not positive definite; "
-            f"eigenvalues {eig}")
-    return v
-
-
 def _check_psd(w: np.ndarray, what: str) -> np.ndarray:
     w = 0.5 * (w + w.T)
     eig = np.linalg.eigvalsh(w)
@@ -74,11 +64,16 @@ def _check_psd(w: np.ndarray, what: str) -> np.ndarray:
     return w
 
 
-def _sigma2_from(fit: SmootherFit) -> float:
+def _preamble(est: CalibrationEstimate, fit: SmootherFit) -> tuple[np.ndarray, float, int]:
+    """(V, sigma2, n) every sandwich starts from: the loss Hessian at the
+    estimate, checked positive definite, and the fit's noise estimate, checked
+    finite and non-negative."""
+    v = check_definite(est.hessian, lambda eig: SingularCurvatureError(
+        f"loss Hessian at the estimate is not positive definite; eigenvalues {eig}"))
     s2 = fit.sigma2_hat
     if not np.isfinite(s2) or s2 < 0:
         raise ValueError(f"invalid noise variance {s2}")
-    return s2
+    return v, s2, fit.data.n
 
 
 def _weighted_gram(model: MathModel, theta: np.ndarray,
@@ -91,9 +86,7 @@ def _weighted_gram(model: MathModel, theta: np.ndarray,
 def marginal_matrices(est: CalibrationEstimate, fit: SmootherFit, model: MathModel,
                       rule: QuadratureRule) -> SandwichMatrices:
     """Design-marginal sandwich for the l2 estimator."""
-    v = _check_v(est.hessian)
-    s2 = _sigma2_from(fit)
-    n = fit.data.n
+    v, s2, n = _preamble(est, fit)
     scale = 4.0 * s2 / (n * model.x_box.volume)
     w = _check_psd(scale * _weighted_gram(model, est.theta, rule), "W")
     return SandwichMatrices(V=v, W=w, variant="marginal", n=n, sigma2=s2)
@@ -108,9 +101,7 @@ def ols_matrices(est: CalibrationEstimate, fit: SmootherFit, model: MathModel,
     """
     if est.method != "ols":
         raise ValueError("ols_matrices expects an estimate fitted with method 'ols'")
-    v = _check_v(est.hessian)
-    s2 = _sigma2_from(fit)
-    n = fit.data.n
+    v, s2, n = _preamble(est, fit)
     scale = 4.0 / (n * model.x_box.volume)
     w = s2 * scale * _weighted_gram(model, est.theta, rule)
     bias2 = (fit.predict(rule.nodes) - model.eta(est.theta, rule.nodes)) ** 2
@@ -124,9 +115,7 @@ def conditional_matrices(est: CalibrationEstimate, fit: SmootherFit, model: Math
     """Design-conditional sandwich at the fitted smoother settings."""
     if form not in CONDITIONAL_FORMS:
         raise ValueError(f"unknown conditional form {form!r}; choose from {CONDITIONAL_FORMS}")
-    v = _check_v(est.hessian)
-    s2 = _sigma2_from(fit)
-    n = fit.data.n
+    v, s2, n = _preamble(est, fit)
     g_nodes = fit.weights(rule.nodes)              # (m, n)
     grad = model.grad_eta(est.theta, rule.nodes)   # (m, p)
     if form == "derived":

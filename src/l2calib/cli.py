@@ -26,7 +26,7 @@ from .asymptotics import (CONDITIONAL_FORMS, conditional_matrices,
                           marginal_matrices, ols_matrices)
 from .calibration import estimate_theta
 from .models import SCENARIO_NAMES, make_scenario
-from .numerics import DEFAULT_QUAD_ORDER, build_rule
+from .numerics import build_rule
 from .posterior import INTERVAL_MODES, SamplerSettings, sample_posterior, write_draws_csv
 from .simharness import (ENGINES, SCALINGS, SHARED_BOUNDS, VARIANTS,
                          ClosedFormStudyConfig, StudyConfig, analysis_names, at_least,
@@ -59,11 +59,11 @@ class Setting:
 
 # defaults the library declares are read from it; None means unset
 SETTINGS = {
-    "seed": Setting(int, StudyConfig.seed, bound=at_least(0)),
+    "seed": Setting(int, StudyConfig.seed, bound=SHARED_BOUNDS["seed"]),
     "out": Setting(str, help="path for the JSON report"),
     "scenario": Setting(str, choices=SCENARIO_NAMES),
     "data": Setting(str, help="CSV dataset (x1..xk,y header)"),
-    "n": Setting(int, bound=at_least(MIN_OBSERVATIONS),
+    "n": Setting(int, bound=SHARED_BOUNDS["n"],
                  help="sample size when generating data"),
     "kernel": Setting(str, StudyConfig.kernel_family, choices=KERNEL_FAMILIES),
     "engine": Setting(str, StudyConfig.engine, choices=ENGINES),
@@ -71,7 +71,7 @@ SETTINGS = {
     "variant": Setting(str, "both", choices=VARIANTS + ("both",)),
     "interval": Setting(str, StudyConfig.interval, choices=INTERVAL_MODES),
     "level": Setting(float, StudyConfig.level, bound=SHARED_BOUNDS["level"]),
-    "quad_order": Setting(int, DEFAULT_QUAD_ORDER, bound=at_least(2)),
+    "quad_order": Setting(int, StudyConfig.quad_order, bound=SHARED_BOUNDS["quad_order"]),
     "conditional_form": Setting(str, StudyConfig.conditional_form,
                                 choices=CONDITIONAL_FORMS),
     "chains": Setting(int, SamplerSettings.chains, bound=at_least(2)),
@@ -83,8 +83,7 @@ SETTINGS = {
     "summary_out": Setting(str, help="CSV file for the aggregate table"),
     "records": Setting(bool, False,
                        help="include per-replicate records in the JSON report"),
-    "tau2": Setting(float, ClosedFormStudyConfig.tau2,
-                    bound=(lambda v: v > 0.0, "must be positive")),
+    "tau2": Setting(float, ClosedFormStudyConfig.tau2, bound=SHARED_BOUNDS["tau2"]),
     "prior_in_interval": Setting(
         bool, ClosedFormStudyConfig.prior_in_interval,
         help="keep the normal prior inside the reported intervals"),

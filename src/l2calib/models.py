@@ -118,6 +118,13 @@ class DesignRule:
         if self.kind == "equidistant" and lo.size != 1:
             raise ValueError("equidistant designs are defined for one input only")
 
+    def points(self, n: int, rng=None) -> np.ndarray:
+        """n sites (n, k): iid uniform ones drawn from ``rng``, or the
+        equidistant ones, which need no generator."""
+        if self.kind == "uniform":
+            return self.lower + rng.random((n, self.lower.size)) * (self.upper - self.lower)
+        return np.linspace(self.lower[0], self.upper[0], n).reshape(-1, 1)
+
 
 @dataclass(frozen=True)
 class PhysicalSystem:

@@ -285,6 +285,17 @@ def minimize_boxes(f, grad_hess, lower, upper, seeds,
     return results
 
 
+def check_definite(a: np.ndarray, fail) -> np.ndarray:
+    """The symmetric part of the square matrix a, which must be positive
+    definite: its smallest eigenvalue must exceed 1e-12 max(|largest|, 1).
+    Otherwise raises ``fail(eigenvalues)``, the caller's own exception."""
+    a = 0.5 * (a + a.T)
+    eig = np.linalg.eigvalsh(a)
+    if eig[0] <= 1e-12 * max(abs(eig[-1]), 1.0):
+        raise fail(eig)
+    return a
+
+
 def sym_psd_factor(a: np.ndarray, tol: float = 1e-10) -> np.ndarray:
     """Factor F of a symmetric PSD matrix A with F.T @ F == A.
 

@@ -22,7 +22,7 @@ import numpy as np
 
 from .calibration import CalibrationEstimate, StraightLine, normal_posterior
 from .models import DomainBox
-from .numerics import QuadratureRule, build_rule
+from .numerics import QuadratureRule, build_rule, check_definite
 from .scaling import ScalingAdjustment
 
 MIN_INTERVAL_DRAWS = 100
@@ -40,40 +40,25 @@ PREFETCH_ROWS = 64      # proposal rows one prefetching loss call may carry
 
 @dataclass(frozen=True)
 class Prior:
-    """Uniform-on-a-box or independent normal prior."""
+    """Uniform prior on a box."""
 
-    kind: str
-    box: DomainBox | None = None
-    mean: np.ndarray | None = None
-    var: np.ndarray | None = None
+    box: DomainBox
 
     @staticmethod
     def uniform(box: DomainBox) -> "Prior":
-        return Prior(kind="uniform", box=box)
-
-    @staticmethod
-    def normal(mean, var) -> "Prior":
-        mean = np.atleast_1d(np.asarray(mean, dtype=float))
-        var = np.atleast_1d(np.asarray(var, dtype=float))
-        if mean.shape != var.shape or np.any(var <= 0):
-            raise ValueError("normal prior needs matching mean/var with var > 0")
-        return Prior(kind="normal", mean=mean, var=var)
+        return Prior(box)
 
     @property
     def dim(self) -> int:
-        return self.box.dim if self.kind == "uniform" else self.mean.size
+        return self.box.dim
 
     def log_density(self, theta):
         """Log prior density up to a constant: float for theta (p,), (c,) for (c, p)."""
         theta = np.asarray(theta, dtype=float)
-        if self.kind == "uniform":
-            if self.box.strictly_contains(theta):
-                lp = np.zeros(theta.shape[:-1])
-            else:
-                lp = np.where(self.box.inside(theta), 0.0, -np.inf)
+        if self.box.strictly_contains(theta):
+            lp = np.zeros(theta.shape[:-1])
         else:
-            d = theta - self.mean
-            lp = -0.5 * (d * d / self.var).sum(axis=-1)
+            lp = np.where(self.box.inside(theta), 0.0, -np.inf)
         return lp if theta.ndim == 2 else float(lp)
 
 
@@ -189,10 +174,11 @@ def sample_posterior(loss, prior: Prior, n: int, seed: int = 0,
 
     ``loss`` maps a batch (c, p) to (c,) values, as the losses of
     ``calibration`` and ``scaling`` do: the chains advance in lockstep, and
-    each loss call sees only proposals inside the prior. Chain c draws its
-    start jitter, all its proposal normals, then all its log-uniforms from a
-    stream seeded by (seed, c), so results are reproducible and independent of
-    the chain count. The proposal is x + s L z with L a Cholesky factor of
+    each loss call sees only proposals inside the prior, whose ``dim`` and
+    ``log_density`` are all the sampler reads of it. Chain c draws its start
+    jitter, all its proposal normals, then all its log-uniforms from a stream
+    seeded by (seed, c), so results are reproducible and independent of the
+    chain count. The proposal is x + s L z with L a Cholesky factor of
     ``init_cov`` (identity if absent) and each chain's s adapted by
     Robbins-Monro during burn-in only: every burn-in step adds its own
     acceptance-rate error, weighted (t + 1)^-0.6, to log s, and s takes the
@@ -311,10 +297,8 @@ def laplace_approx(est: CalibrationEstimate, adj: ScalingAdjustment,
         h = adj.gamma * v
     else:
         h = adj.Gamma.T @ v @ adj.Gamma
-    h = 0.5 * (h + h.T)
-    eig = np.linalg.eigvalsh(h)
-    if eig[0] <= 1e-12 * max(eig[-1], 1.0):
-        raise ValueError("scaled Hessian is not positive definite at the estimate")
+    h = check_definite(h, lambda _: ValueError(
+        "scaled Hessian is not positive definite at the estimate"))
     cov = np.linalg.inv(n * h)
     return LaplaceApprox(mean=est.theta.copy(), cov=0.5 * (cov + cov.T), flags=est.flags)
 

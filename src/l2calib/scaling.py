@@ -24,7 +24,7 @@ import numpy as np
 
 from .asymptotics import SandwichMatrices
 from .models import DomainBox
-from .numerics import sym_psd_factor
+from .numerics import check_definite, sym_psd_factor
 
 
 class ScalingError(ValueError):
@@ -85,10 +85,8 @@ def curvature_adjustment(sw: SandwichMatrices, anchor) -> ScalingAdjustment:
     """Matrix remap with Gamma^T V Gamma = V (n W)^-1 V."""
     anchor = np.atleast_1d(np.asarray(anchor, dtype=float))
     w = sw.w_total()
-    eig = np.linalg.eigvalsh(0.5 * (w + w.T))
-    if eig[0] <= 1e-12 * max(abs(eig[-1]), 1.0):
-        raise ScalingError(
-            "W is singular; curvature scaling undefined, use magnitude scaling instead")
+    check_definite(w, lambda _: ScalingError(
+        "W is singular; curvature scaling undefined, use magnitude scaling instead"))
     target = sw.V @ np.linalg.solve(sw.n * w, sw.V)
     f2 = sym_psd_factor(0.5 * (target + target.T))
     f1 = sym_psd_factor(sw.V)

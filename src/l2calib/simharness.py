@@ -27,7 +27,7 @@ from .asymptotics import (CONDITIONAL_FORMS, conditional_matrices,
 from .calibration import (StraightLine, estimate_many, estimate_theta,
                           l2_loss_fn, linear_theta_hat, matched_gamma,
                           normal_posterior)
-from .models import make_scenario
+from .models import SCENARIO_NAMES, make_scenario
 from .numerics import DEFAULT_QUAD_ORDER, blas_threads, build_rule, set_blas_threads
 from .posterior import (INTERVAL_MODES, LEVEL_BOUND, Prior, SamplerSettings,
                         conjugate_posterior, credible_interval, laplace_approx,
@@ -48,8 +48,14 @@ def at_least(low: int) -> tuple:
     return (lambda v: v >= low, f"must be >= {low}")
 
 
-# (test, message) on the fields both study configs share, and on the CLI's settings
-SHARED_BOUNDS = {"replicates": at_least(1), "level": LEVEL_BOUND, "workers": at_least(1)}
+# (test, message) on the study configs' fields, each config checking those it has,
+# and on the CLI's settings of the same names
+SHARED_BOUNDS = {
+    "replicates": at_least(1), "level": LEVEL_BOUND, "workers": at_least(1),
+    "seed": at_least(0), "quad_order": at_least(2),
+    "n": (lambda v: v is None or v >= MIN_OBSERVATIONS, f"must be >= {MIN_OBSERVATIONS}"),
+    "tau2": (lambda v: v > 0.0, "must be > 0"),     # also refuses NaN; inf is the flat prior
+}
 
 
 def analysis_names(variants=VARIANTS, scalings=SCALINGS) -> tuple:
@@ -78,6 +84,7 @@ class StudyConfig:
 
     def __post_init__(self):
         _check_shared_fields(self)
+        _check_choice(self, "scenario", SCENARIO_NAMES)
         _check_choice(self, "engine", ENGINES)
         _check_choice(self, "interval", INTERVAL_MODES)
         _check_choice(self, "conditional_form", CONDITIONAL_FORMS)
@@ -89,9 +96,9 @@ class StudyConfig:
 
 
 def _check_shared_fields(config) -> None:
-    """Validate the fields both study configs have."""
+    """Validate the fields of ``SHARED_BOUNDS`` the config has, and its kernel."""
     for name, (test, message) in SHARED_BOUNDS.items():
-        if not test(getattr(config, name)):
+        if hasattr(config, name) and not test(getattr(config, name)):
             raise ValueError(f"{name} {message}")
     _check_choice(config, "kernel_family", KERNEL_FAMILIES)
 
@@ -149,13 +156,8 @@ def parse_analysis(name: str):
 
 def generate_replicate(system, n: int, seed: int) -> Dataset:
     """Draw one dataset from the system's design rule and noise level."""
-    rule = system.design
     rng = np.random.default_rng(seed)
-    if rule.kind == "uniform":
-        k = rule.lower.size
-        x = rule.lower + rng.random((n, k)) * (rule.upper - rule.lower)
-    else:
-        x = np.linspace(rule.lower[0], rule.upper[0], n).reshape(-1, 1)
+    x = system.design.points(n, rng)
     y = np.asarray(system.mu(x), dtype=float)
     if system.sigma > 0:
         y = y + system.sigma * rng.standard_normal(n)
@@ -259,8 +261,7 @@ def _study_slice(config: StudyConfig, theta_star: np.ndarray,
     n = config.n if config.n is not None else defaults["n"]
     grid = None
     if system.design.kind == "equidistant":
-        xs = np.linspace(system.design.lower[0], system.design.upper[0], n)
-        grid = GcvGrid(xs.reshape(-1, 1), family=config.kernel_family)
+        grid = GcvGrid(system.design.points(n), family=config.kernel_family)
     records = []
     for start in range(0, len(indices), STUDY_CHUNK):
         chunk = indices[start:start + STUDY_CHUNK]
@@ -416,8 +417,6 @@ class ClosedFormStudyConfig:
 
     def __post_init__(self):
         _check_shared_fields(self)
-        if not self.tau2 > 0.0:     # also refuses NaN; inf is the flat prior
-            raise ValueError("tau2 must be > 0")
         if not all(0.0 < g < np.inf for g in self.gamma_fixed) or \
                 len(set(_gamma_labels(self.gamma_fixed))) <= len(self.gamma_fixed):
             # each value labels a table cell, and equal labels would share one
@@ -442,7 +441,7 @@ def _closed_form_slice(cfg: ClosedFormStudyConfig, indices: list[int]) -> np.nda
                       .standard_normal(max(cfg.sample_sizes)) for i in indices])
     blocks = []
     for n in cfg.sample_sizes:
-        xs = np.linspace(0.0, 1.0, n).reshape(-1, 1)
+        xs = system.design.points(n)
         grid = GcvGrid(xs, family=cfg.kernel_family)
         # the response-free part of the estimator and its variance, per bandwidth
         qt_qs = np.stack([line.qt_q(spec, grid.design, qmat)

@@ -5,12 +5,12 @@ Writing A = K (K + lam I)^-1 for the hat matrix, model selection minimises
 
     GCV(lam, rho) = n ||(I - A) y||^2 / tr(I - A)^2
 
-over a grid of ridge and bandwidth values. The noise level is estimated by the
-selected GCV score itself, sigma2_hat = n ||(I - A) y||^2 / tr(I - A)^2; the
-naive residual estimator rss / (n - tr A) runs far low here because the
-selected lam adapts to each noise draw. All linear algebra runs through one
-symmetric eigendecomposition of the jittered kernel matrix per bandwidth, so
-grid scores, coefficients and traces are mutually consistent.
+over a grid of ridge and bandwidth values. The noise estimate is the selected
+GCV score itself, sigma2_hat = GCV(lam, rho) at the selected cell (Golub, Heath
+& Wahba, 1979); the naive residual estimator rss / (n - tr A) runs far low here
+because the selected lam adapts to each noise draw. All linear algebra runs
+through one symmetric eigendecomposition of the jittered kernel matrix per
+bandwidth, so grid scores, coefficients and traces are mutually consistent.
 """
 
 from __future__ import annotations
@@ -177,36 +177,11 @@ class SmootherFit:
         return self.solve_phi(kx.T).T
 
 
-def _gcv_terms(rss, trm, n: int):
-    """(score, sigma2_hat) from rss = ||(I - A) y||^2 and trm = tr(I - A).
-
-    Both are n rss / trm^2; the score is inf where trm < 1e-12 and GCV is
-    undefined, while sigma2_hat floors trm there. Broadcasts over arrays.
-    """
-    sigma2 = n * rss / np.maximum(trm, 1e-12) ** 2
-    return np.where(trm < 1e-12, np.inf, sigma2), sigma2
-
-
 def _bandwidth(spec: KernelSpec, design: np.ndarray):
     """(spec, d, q) with (d, q) the eigenpairs of the jittered K + JITTER I."""
     with blas_threads(1) if len(design) < ONE_BLAS_THREAD_BELOW else nullcontext():
         d, q = np.linalg.eigh(kernel_matrix(spec, design, design) + JITTER * np.eye(len(design)))
     return spec, d, q
-
-
-def _eigen_fit(data: Dataset, lam: float, kernel: KernelSpec, d: np.ndarray,
-               q: np.ndarray) -> SmootherFit:
-    """SmootherFit at ridge lam on one bandwidth triple (kernel, d, q)."""
-    n = data.n
-    z = q.T @ data.responses
-    shr = lam / (d + lam)
-    rss = float(np.sum((shr * z) ** 2))
-    trm = float(np.sum(shr))
-    score, sigma2 = _gcv_terms(rss, trm, n)
-    flags = ("degenerate-smoother",) if trm < 1e-6 * n else ()
-    return SmootherFit(data=data, kernel=kernel, lam=float(lam), coef=q @ (z / (d + lam)),
-                       sigma2_hat=float(sigma2), trace_hat=n - trm,
-                       gcv_value=float(score), flags=flags, eig_values=d, eig_vectors=q)
 
 
 def default_rho_grid(design: np.ndarray) -> np.ndarray:
@@ -275,9 +250,12 @@ class GcvGrid:
             y = ys[start:start + SELECT_CHUNK]
             # (c, g, 1, n): one matrix-vector product Q'y per row and bandwidth
             z = np.swapaxes(self._qt @ y[:, None, :, None], -1, -2)
-            # same arithmetic as _eigen_fit: rounding alone orders cells flat in lam (K = I)
+            # n rss / tr(I - A)^2, undefined (inf) where tr(I - A) < 1e-12, and at the
+            # selected cell also the noise estimate; rounding alone orders cells flat
+            # in lam (K = I)
             rss = np.sum((self._shr * z) ** 2, axis=-1)
-            score = _gcv_terms(rss, self._trace, y.shape[1])[0]
+            score = np.where(self._trace < 1e-12, np.inf,
+                             y.shape[1] * rss / np.maximum(self._trace, 1e-12) ** 2)
             best = score.min(axis=(1, 2))
             if not np.isfinite(best).all():
                 raise DegenerateSmootherError("GCV denominator vanished on the whole grid")
@@ -294,10 +272,24 @@ class GcvGrid:
 
     def fit_many(self, ys: np.ndarray) -> list[SmootherFit]:
         """The GCV-selected fit of each row of ys (R, n), from one
-        ``select_many`` call; each equals ``fit`` on that row bit for bit."""
-        idx, j = self.select_many(ys)[:2]
-        return [_eigen_fit(Dataset(design=self.design, responses=y), self.lambda_grid[jr],
-                           *self.bandwidths[b]) for y, b, jr in zip(ys, idx, j)]
+        ``select_many`` call; each equals ``fit`` on that row bit for bit.
+
+        A fit takes its numbers from the selection: its noise estimate is the
+        selected GCV score, and its trace n - tr(I - A). Only the coefficients
+        are computed here."""
+        ys = np.asarray(ys, dtype=float)
+        n = self.design.shape[0]
+        idx, j, scores, _, trms = self.select_many(ys)
+        fits = []
+        for y, b, lam, score, trm in zip(ys, idx, self.lambda_grid[j], scores, trms):
+            spec, d, q = self.bandwidths[b]
+            fits.append(SmootherFit(
+                data=Dataset(design=self.design, responses=y), kernel=spec, lam=float(lam),
+                coef=q @ ((q.T @ y) / (d + lam)), sigma2_hat=float(score),
+                trace_hat=float(n - trm), gcv_value=float(score),
+                flags=("degenerate-smoother",) if trm < 1e-6 * n else (),
+                eig_values=d, eig_vectors=q))
+        return fits
 
 
 def fit_smoother(data: Dataset, family: str = "gaussian", lambda_grid=None,

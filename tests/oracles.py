@@ -8,6 +8,7 @@ differences, a grid search, a closed form), or a helper that only tests need.
 from __future__ import annotations
 
 import csv
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -16,7 +17,7 @@ from l2calib.calibration import StraightLine, l2_loss_fn, matched_gamma
 from l2calib.models import MathModel, make_scenario
 from l2calib.numerics import DEFAULT_QUAD_ORDER, QuadratureRule, build_rule
 from l2calib.scaling import ScalingError
-from l2calib.smoother import Dataset, KernelSpec, SmootherFit, _bandwidth, _eigen_fit
+from l2calib.smoother import Dataset, KernelSpec, SmootherFit, _bandwidth
 
 
 def validate_derivatives(model: MathModel, seed: int = 0, n_points: int = 100,
@@ -126,7 +127,55 @@ def estimator_cov(sw: SandwichMatrices) -> np.ndarray:
 
 
 def fit_smoother_fixed(data: Dataset, kernel: KernelSpec, lam: float) -> SmootherFit:
-    """Fit the smoother at fixed (kernel, lam), no selection step."""
+    """Fit the smoother at fixed (kernel, lam), no selection step.
+
+    States the GCV formulas directly: rss = ||(I - A) y||^2 and trm = tr(I - A)
+    from the eigenpairs, the score n rss / trm^2 (inf where trm < 1e-12), and a
+    noise estimate of the same n rss / trm^2 with trm floored at 1e-12. Unlike
+    ``GcvGrid`` it accepts lam = 0.
+    """
     if lam < 0:
         raise ValueError("ridge parameter must be nonnegative")
-    return _eigen_fit(data, lam, *_bandwidth(kernel, data.design))
+    n = data.n
+    _, d, q = _bandwidth(kernel, data.design)
+    z = q.T @ data.responses
+    shr = lam / (d + lam)
+    rss = float(np.sum((shr * z) ** 2))
+    trm = float(np.sum(shr))
+    # t * t, not t ** 2: a float power goes through libm pow, which can miss the
+    # correctly rounded square that GcvGrid's array arithmetic gives by one ulp
+    t = max(trm, 1e-12)
+    sigma2 = n * rss / (t * t)
+    return SmootherFit(data=data, kernel=kernel, lam=float(lam), coef=q @ (z / (d + lam)),
+                       sigma2_hat=sigma2, trace_hat=n - trm,
+                       gcv_value=np.inf if trm < 1e-12 else sigma2,
+                       flags=("degenerate-smoother",) if trm < 1e-6 * n else (),
+                       eig_values=d, eig_vectors=q)
+
+
+@dataclass(frozen=True)
+class NormalPrior:
+    """Independent normal prior N(mean, diag(var)), for closed-form checks of
+    the sampler, which reads a prior's ``dim`` and ``log_density`` only."""
+
+    mean: np.ndarray
+    var: np.ndarray
+
+    def __post_init__(self):
+        mean = np.atleast_1d(np.asarray(self.mean, dtype=float))
+        var = np.atleast_1d(np.asarray(self.var, dtype=float))
+        if mean.shape != var.shape or np.any(var <= 0):
+            raise ValueError("normal prior needs matching mean/var with var > 0")
+        object.__setattr__(self, "mean", mean)
+        object.__setattr__(self, "var", var)
+
+    @property
+    def dim(self) -> int:
+        return self.mean.size
+
+    def log_density(self, theta):
+        """Log density up to a constant: float for theta (p,), (c,) for (c, p)."""
+        theta = np.asarray(theta, dtype=float)
+        d = theta - self.mean
+        lp = -0.5 * (d * d / self.var).sum(axis=-1)
+        return lp if theta.ndim == 2 else float(lp)

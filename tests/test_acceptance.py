@@ -18,14 +18,14 @@ from l2calib.calibration import (CalibrationEstimate, estimate_theta,
                                  l2_loss_fn, linear_theta_hat)
 from l2calib.models import make_scenario
 from l2calib.numerics import build_rule
-from l2calib.posterior import (Prior, SamplerSettings, conjugate_posterior,
-                               laplace_approx, sample_posterior)
+from l2calib.posterior import (SamplerSettings, conjugate_posterior, laplace_approx,
+                               sample_posterior)
 from l2calib.scaling import curvature_adjustment, fixed_gamma, scaled_loss
 from l2calib.simharness import (ClosedFormStudyConfig, StudyConfig,
                                 generate_replicate, oracle_theta,
                                 run_closed_form_study, run_study)
 from l2calib.smoother import GcvGrid, fit_smoother
-from oracles import (batch_mcse, brute_force_theta, estimator_cov,
+from oracles import (NormalPrior, batch_mcse, brute_force_theta, estimator_cov,
                      linear_estimator_variance, validate_derivatives)
 
 _WORKERS = os.cpu_count() or 1
@@ -45,7 +45,7 @@ def test_sampler_matches_closed_form_posterior():
     data = generate_replicate(system, 4, seed=0)
     fit = fit_smoother(data)
     base = l2_loss_fn(fit, model, rule)
-    prior = Prior.normal([0.0], [1.0])
+    prior = NormalPrior([0.0], [1.0])
     ok = True
     details = []
     for g in (1.0, 15.0):

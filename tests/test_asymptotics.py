@@ -135,10 +135,13 @@ def test_estimator_cov_is_symmetric_sandwich():
 
 def test_singular_curvature_raises():
     model, system, rule, data, fit, est = _pipeline("simple-linear", 8, 3)
-    bad = type(est)(theta=est.theta, value=est.value, method="l2",
-                    hessian=np.array([[0.0]]), converged=True)
-    with pytest.raises(SingularCurvatureError):
-        marginal_matrices(bad, fit, model, rule)
+    # singular, then negative definite with its largest eigenvalue below -1
+    for hessian in ([[0.0]], [[-2.0]]):
+        bad = type(est)(theta=est.theta, value=est.value, method="l2",
+                        hessian=np.array(hessian), converged=True)
+        with pytest.raises(SingularCurvatureError,
+                           match="loss Hessian at the estimate is not positive definite"):
+            marginal_matrices(bad, fit, model, rule)
 
 
 @pytest.mark.parametrize("sigma2", [-1.0, np.nan])

@@ -409,6 +409,11 @@ def test_validation_errors(capsys):
     assert rc == 2
     assert "n must be >= 3" in capsys.readouterr().err
 
+    # the message ClosedFormStudyConfig gives
+    rc = main(["table1", "--replicates", "2", "--tau2", "0"])
+    assert rc == 2
+    assert "tau2 must be > 0" in capsys.readouterr().err
+
     for command in ("fit", "calibrate"):
         rc = main([command, "--scenario", "scenario2", "--data", "data.csv",
                    "--n", "12"])

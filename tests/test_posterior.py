@@ -16,7 +16,7 @@ from l2calib.posterior import (ACCEPT_BAND, ADAPT_BLOCK, BURNIN_FRAC, RHAT_LIMIT
                                sample_posterior, split_rhat, write_draws_csv)
 from l2calib.scaling import curvature_adjustment, fixed_gamma, no_scaling
 from l2calib.asymptotics import SandwichMatrices
-from oracles import batch_mcse, estimator_cov
+from oracles import NormalPrior, batch_mcse, estimator_cov
 
 Z975 = 1.959963984540054
 
@@ -94,7 +94,7 @@ def test_log_gen_posterior_matches_conjugate_density():
     # closed-form normal posterior up to one additive constant.
     n, den = 4, 1.0 / 3.0
     loss = lambda th: den * (3.5 - th[:, 0]) ** 2
-    prior = Prior.normal([0.0], [1.0])
+    prior = NormalPrior([0.0], [1.0])
     post = conjugate_posterior(3.5, n=n, tau2=1.0, gamma=1.0)
     m, v = post.mean[0], post.cov[0, 0]
     grid = np.linspace(0.0, 5.0, 23)
@@ -314,10 +314,10 @@ def test_split_rhat_behaviour():
 
 def test_prior_validation():
     with pytest.raises(ValueError):
-        Prior.normal([0.0, 1.0], [1.0])
+        NormalPrior([0.0, 1.0], [1.0])
     with pytest.raises(ValueError):
-        Prior.normal([0.0], [0.0])
-    p = Prior.normal([1.0], [4.0])
+        NormalPrior([0.0], [0.0])
+    p = NormalPrior([1.0], [4.0])
     assert_allclose(p.log_density(np.array([3.0])), -0.5 * 4.0 / 4.0)
 
 
@@ -347,10 +347,13 @@ def test_laplace_approx_flags_and_failures():
                               hessian=np.array([[1.0]]), converged=False)
     lap = laplace_approx(est, no_scaling(), n=4)
     assert "estimate-not-converged" in lap.flags
-    bad = CalibrationEstimate(theta=np.array([1.0]), value=0.0, method="l2",
-                              hessian=np.array([[-1.0]]), converged=True)
-    with pytest.raises(ValueError, match="positive definite"):
-        laplace_approx(bad, no_scaling(), n=4)
+    # largest eigenvalue -1, then below -1
+    for hessian in ([[-1.0]], [[-2.0]]):
+        bad = CalibrationEstimate(theta=np.array([1.0]), value=0.0, method="l2",
+                                  hessian=np.array(hessian), converged=True)
+        with pytest.raises(ValueError, match="scaled Hessian is not positive definite") as exc:
+            laplace_approx(bad, no_scaling(), n=4)
+        assert type(exc.value) is ValueError
 
 
 def test_credible_interval_laplace():
@@ -436,7 +439,7 @@ def test_prior_log_density_batch_rows_equal_single_theta(p, chains, seed):
     lower = rng.uniform(-2.0, 0.0, p)
     box = DomainBox(lower, lower + rng.uniform(0.1, 2.0, p))
     priors = (Prior.uniform(box),
-              Prior.normal(rng.normal(size=p), rng.uniform(0.1, 3.0, p)))
+              NormalPrior(rng.normal(size=p), rng.uniform(0.1, 3.0, p)))
     # rows from three times the box: some inside the uniform prior, some not;
     # rows all inside it; rows within 1e-12 of a face, on either side
     width = box.upper - box.lower

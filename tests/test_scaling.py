@@ -102,10 +102,11 @@ def test_curvature_scenario1_matrices():
 
 def test_curvature_rejects_singular_w():
     v = np.eye(2)
-    w = np.array([[1.0, 0.0], [0.0, 0.0]]) / 10
-    sw = SandwichMatrices(V=v, W=w, variant="marginal", n=10, sigma2=1.0)
-    with pytest.raises(ScalingError, match="magnitude"):
-        curvature_adjustment(sw, anchor=[0.0, 0.0])
+    # singular, then negative definite with its largest eigenvalue below -1
+    for w in (np.array([[1.0, 0.0], [0.0, 0.0]]) / 10, -2.0 * np.eye(2)):
+        sw = SandwichMatrices(V=v, W=w, variant="marginal", n=10, sigma2=1.0)
+        with pytest.raises(ScalingError, match="W is singular.*use magnitude"):
+            curvature_adjustment(sw, anchor=[0.0, 0.0])
 
 
 def test_scaled_loss_magnitude():

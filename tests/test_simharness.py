@@ -47,7 +47,9 @@ def test_parse_analysis():
     # a repeated size gave 3 table cells and 6 summary rows, no size an empty
     # report, and a size below 3 or a float failed only inside the study
     ("sample_sizes", ()), ("sample_sizes", (4, 4)), ("sample_sizes", (2,)),
-    ("sample_sizes", (4.5,)), ("sample_sizes", (4, 8.0))])
+    ("sample_sizes", (4.5,)), ("sample_sizes", (4, 8.0)),
+    # a negative seed failed only inside the study, and order 1 ran a one-node rule
+    ("seed", -1), ("quad_order", 1)])
 def test_closed_form_config_validation(field, value):
     with pytest.raises(ValueError, match=field):
         ClosedFormStudyConfig(**{"replicates": 5, "prior_in_interval": True,
@@ -79,6 +81,15 @@ def test_study_config_validation():
         StudyConfig(scenario="scenario2", replicates=1, engine="mcmc",
                     mcmc_chains=2, mcmc_iterations=200, mcmc_thin=20)
     assert StudyConfig(scenario="scenario2", replicates=1, **short).mcmc_thin == 50
+    # each failed only inside the study, ran a one-node rule, or was accepted;
+    # the bounds are the CLI's
+    for field, value, message in (("seed", -1, "seed must be >= 0"),
+                                  ("n", 2, "n must be >= 3"),
+                                  ("quad_order", 1, "quad_order must be >= 2"),
+                                  ("scenario", "bogus", "unknown scenario 'bogus'")):
+        with pytest.raises(ValueError, match=message):
+            StudyConfig(**{"scenario": "scenario2", "replicates": 1, field: value})
+    assert StudyConfig(scenario="scenario2", replicates=1, n=None).n is None
 
 
 @pytest.mark.parametrize("make, field", [

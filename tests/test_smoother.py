@@ -468,6 +468,24 @@ def test_fit_many_equals_fit_row_by_row(case):
             assert np.array_equal(got, one) and np.array_equal(got, want)
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.integers(3, 60), st.sampled_from(["equidistant", "uniform"]),
+       st.sampled_from(smoother.KERNEL_FAMILIES), st.sampled_from([1e-3, 0.1, 1.0]),
+       st.integers(0, 2**32 - 1))
+def test_fit_takes_the_selected_cells_numbers(n, design, family, noise, seed):
+    # the fit reuses select_many's score and tr(I - A); the reference
+    # recomputes them at the selected cell from the fixed-(lam, rho) formulas
+    rng = np.random.default_rng(seed)
+    x = (np.linspace(0.0, 1.0, n) if design == "equidistant" else rng.random(n)).reshape(-1, 1)
+    y = np.sin(3.0 * x[:, 0]) + noise * rng.standard_normal(n)
+    grid = GcvGrid(x, family=family)
+    fit = grid.fit(y)
+    idx, lam = grid.select(y)[:2]
+    ref = fit_smoother_fixed(Dataset(design=x, responses=y), grid.bandwidths[idx][0], lam)
+    for name in ("coef", "sigma2_hat", "trace_hat", "gcv_value", "flags"):
+        assert np.array_equal(getattr(fit, name), getattr(ref, name)), name
+
+
 def test_fixed_fit_rejects_negative_lambda():
     data = _line_data(n=4)
     with pytest.raises(ValueError):

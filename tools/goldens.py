@@ -75,6 +75,12 @@ def runs() -> dict[str, tuple[str, ...]]:
     table["table1-prior-tau2"] = (
         "table1", "--replicates", "400", "--workers", "1", "--prior-in-interval",
         "--tau2", "0.05", *REPORT, *SUMMARY)
+    # 400 points or more: the smoother's eigh and solves run on the host's BLAS threads
+    table["fit-n450"] = ("fit", "--scenario", "scenario2", "--n", "450", *REPORT)
+    table["calibrate-n420"] = ("calibrate", "--scenario", "scenario1", "--n", "420", *REPORT)
+    table["simulate-n400"] = (
+        "simulate", "--scenario", "scenario2", "--n", "400", "--replicates", "2",
+        "--workers", "1", "--records", *REPORT, *SUMMARY)
     # the conjugate engine needs a straight line: both commands exit 2
     conjugate = ("--scenario", "scenario1", "--engine", "conjugate", *REPORT)
     table["calibrate-conjugate-scenario1"] = ("calibrate", *conjugate)
