@@ -55,6 +55,7 @@ SHARED_BOUNDS = {
     "seed": at_least(0), "quad_order": at_least(2),
     "n": (lambda v: v is None or v >= MIN_OBSERVATIONS, f"must be >= {MIN_OBSERVATIONS}"),
     "tau2": (lambda v: v > 0.0, "must be > 0"),     # also refuses NaN; inf is the flat prior
+    "n_starts": at_least(1),
 }
 
 
@@ -143,8 +144,8 @@ def parse_analysis(name: str):
             g = float(name.split(":", 1)[1])
         except ValueError:
             raise ValueError(f"bad fixed-gamma analysis {name!r}") from None
-        if g <= 0:
-            raise ValueError(f"fixed gamma must be positive in {name!r}")
+        if not 0.0 < g < np.inf:
+            raise ValueError(f"fixed gamma must be positive and finite in {name!r}")
         return None, "fixed", g
     parts = name.split("-")
     if len(parts) == 2 and parts[0] in VARIANTS and parts[1] in SCALINGS:
@@ -446,18 +447,11 @@ def _closed_form_slice(cfg: ClosedFormStudyConfig, indices: list[int]) -> np.nda
         # the response-free part of the estimator and its variance, per bandwidth
         qt_qs = np.stack([line.qt_q(spec, grid.design, qmat)
                           for spec, _, qmat in grid.bandwidths])
-        eig = np.stack([d for _, d, _ in grid.bandwidths])
         y0 = np.asarray(system.mu(xs), dtype=float)
         ys = y0 + system.sigma * noise[:, :n]
-        idx, j = grid.select_many(ys)[:2]
+        idx, j, _, _, _, z = grid.select_many(ys)
         lam = grid.lambda_grid[j]
-        # z = Q'y as the one-response product qmat.T @ y, per selected bandwidth:
-        # the same BLAS call as StraightLine.fit_terms, so theta_hat is unchanged
-        z = np.empty_like(ys)
-        for b in np.unique(idx):
-            rows = idx == b
-            z[rows] = (grid.bandwidths[b][2].T @ ys[rows, :, None])[..., 0]
-        qt_q, d = qt_qs[idx], eig[idx]
+        qt_q, d = qt_qs[idx], grid.eig_values[idx]
         blocks.append(np.stack([line.theta_hat(qt_q, z, d, lam),
                                 line.variance(qt_q, d, lam, system.sigma**2)], axis=1))
     return np.stack(blocks)

@@ -177,11 +177,10 @@ class SmootherFit:
         return self.solve_phi(kx.T).T
 
 
-def _bandwidth(spec: KernelSpec, design: np.ndarray):
-    """(spec, d, q) with (d, q) the eigenpairs of the jittered K + JITTER I."""
+def _kernel_eigh(spec: KernelSpec, design: np.ndarray):
+    """(d, q), the eigenpairs of the jittered K + JITTER I."""
     with blas_threads(1) if len(design) < ONE_BLAS_THREAD_BELOW else nullcontext():
-        d, q = np.linalg.eigh(kernel_matrix(spec, design, design) + JITTER * np.eye(len(design)))
-    return spec, d, q
+        return np.linalg.eigh(kernel_matrix(spec, design, design) + JITTER * np.eye(len(design)))
 
 
 def default_rho_grid(design: np.ndarray) -> np.ndarray:
@@ -196,11 +195,11 @@ class GcvGrid:
     """GCV selection machinery for a fixed design.
 
     The constructor takes one eigendecomposition K + jitter = Q diag(d) Q' per
-    bandwidth, kept public in ``bandwidths`` as (spec, d, Q) triples, and
-    stores everything GCV needs that does not depend on the response: the
-    stacked Q' (g, n, n), the shrinkage factors lam / (d + lam) (g, L, n) and
-    tr(I - A) (g, L). A select then costs one batched rotation Q'y and one
-    reduction over the whole (rho, lam) grid, O(g * n * (n + L)) per response.
+    bandwidth into the stacks ``eig_values`` (g, n) and ``eig_vectors`` (g, n, n),
+    the one copy of each, which ``bandwidths`` views as (spec, d, Q) triples. It
+    also stores the shrinkage factors lam / (d + lam) (g, L, n) and tr(I - A)
+    (g, L). A select then costs one batched rotation Q'y and one reduction over
+    the whole (rho, lam) grid, O(g * n * (n + L)) per response.
     """
 
     def __init__(self, design, family: str = "gaussian", lambda_grid=None,
@@ -220,36 +219,42 @@ class GcvGrid:
         # sort rows lexicographically so selection ignores input ordering
         self.rho_grid = rho[np.lexsort(rho.T[::-1])]
         self.family = family
-        self.bandwidths = tuple(_bandwidth(KernelSpec(family, r), self.design)
-                                for r in self.rho_grid)
-        self._qt = np.stack([q.T for _, _, q in self.bandwidths])
-        d = np.stack([d for _, d, _ in self.bandwidths])[:, None, :]
+        specs = [KernelSpec(family, r) for r in self.rho_grid]
+        self.eig_values = np.empty((len(specs), n))
+        self.eig_vectors = np.empty((len(specs), n, n))
+        for b, spec in enumerate(specs):
+            self.eig_values[b], self.eig_vectors[b] = _kernel_eigh(spec, self.design)
+        self.bandwidths = tuple(zip(specs, self.eig_values, self.eig_vectors))
+        d = self.eig_values[:, None]
         self._shr = self.lambda_grid[:, None] / (d + self.lambda_grid[:, None])
         self._trace = self._shr.sum(axis=-1)
 
     def select(self, y: np.ndarray):
         """Grid-minimise GCV for one response (n,); returns (rho index, lam,
         score, rss, tr(I - A)) as Python scalars. See ``select_many``."""
-        idx, j, score, rss, trm = self.select_many(np.asarray(y, dtype=float)[None])
+        idx, j, score, rss, trm, _ = self.select_many(np.asarray(y, dtype=float)[None])
         return (int(idx[0]), float(self.lambda_grid[j[0]]), float(score[0]),
                 float(rss[0]), float(trm[0]))
 
     def select_many(self, ys: np.ndarray):
         """Grid-minimise GCV for each row of ys (R, n); returns arrays (rho
-        index, lam index, score, rss, tr(I - A)), each (R,).
+        index, lam index, score, rss, tr(I - A)), each (R,), and the selected
+        bandwidth's rotation Q'y of each row, (R, n).
 
         Ties go to the first bandwidth that reaches the minimum and, within
         it, to the largest ridge value. Rows are scored SELECT_CHUNK at a time;
         each row's arithmetic is that of a batch of one, so the result does
-        not depend on the batch.
+        not depend on the batch. Q'y is rotated by the transposed view of the
+        eigenvector stack, the BLAS call of ``q.T @ y``, and equals it bit for bit.
         """
         ys = np.asarray(ys, dtype=float)
         n_lam = self.lambda_grid.size
+        qt = np.swapaxes(self.eig_vectors, -1, -2)
         parts = []
         for start in range(0, len(ys), SELECT_CHUNK):
             y = ys[start:start + SELECT_CHUNK]
             # (c, g, 1, n): one matrix-vector product Q'y per row and bandwidth
-            z = np.swapaxes(self._qt @ y[:, None, :, None], -1, -2)
+            z = np.swapaxes(qt @ y[:, None, :, None], -1, -2)
             # n rss / tr(I - A)^2, undefined (inf) where tr(I - A) < 1e-12, and at the
             # selected cell also the noise estimate; rounding alone orders cells flat
             # in lam (K = I)
@@ -263,9 +268,9 @@ class GcvGrid:
             at = np.arange(len(y))
             idx = np.argmax(hits.any(axis=2), axis=1)
             j = n_lam - 1 - np.argmax(hits[at, idx, ::-1], axis=1)
-            parts.append((idx, j, best, rss[at, idx, j]))
-        idx, j, best, rss = map(np.concatenate, zip(*parts))
-        return idx, j, best, rss, self._trace[idx, j]
+            parts.append((idx, j, best, rss[at, idx, j], z[at, idx, 0]))
+        idx, j, best, rss, z = map(np.concatenate, zip(*parts))
+        return idx, j, best, rss, self._trace[idx, j], z
 
     def fit(self, y: np.ndarray) -> SmootherFit:
         return self.fit_many(np.asarray(y, dtype=float)[None])[0]
@@ -275,20 +280,20 @@ class GcvGrid:
         ``select_many`` call; each equals ``fit`` on that row bit for bit.
 
         A fit takes its numbers from the selection: its noise estimate is the
-        selected GCV score, and its trace n - tr(I - A). Only the coefficients
-        are computed here."""
+        selected GCV score, its trace n - tr(I - A), and its coefficients use the
+        selected Q'y. It copies its eigenpairs, so as not to keep the grid's stacks alive."""
         ys = np.asarray(ys, dtype=float)
         n = self.design.shape[0]
-        idx, j, scores, _, trms = self.select_many(ys)
+        idx, j, scores, _, trms, zs = self.select_many(ys)
         fits = []
-        for y, b, lam, score, trm in zip(ys, idx, self.lambda_grid[j], scores, trms):
+        for y, z, b, lam, score, trm in zip(ys, zs, idx, self.lambda_grid[j], scores, trms):
             spec, d, q = self.bandwidths[b]
             fits.append(SmootherFit(
                 data=Dataset(design=self.design, responses=y), kernel=spec, lam=float(lam),
-                coef=q @ ((q.T @ y) / (d + lam)), sigma2_hat=float(score),
+                coef=q @ (z / (d + lam)), sigma2_hat=float(score),
                 trace_hat=float(n - trm), gcv_value=float(score),
                 flags=("degenerate-smoother",) if trm < 1e-6 * n else (),
-                eig_values=d, eig_vectors=q))
+                eig_values=d.copy(), eig_vectors=q.copy()))
         return fits
 
 

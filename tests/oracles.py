@@ -17,7 +17,7 @@ from l2calib.calibration import StraightLine, l2_loss_fn, matched_gamma
 from l2calib.models import MathModel, make_scenario
 from l2calib.numerics import DEFAULT_QUAD_ORDER, QuadratureRule, build_rule
 from l2calib.scaling import ScalingError
-from l2calib.smoother import Dataset, KernelSpec, SmootherFit, _bandwidth
+from l2calib.smoother import Dataset, KernelSpec, SmootherFit, _kernel_eigh
 
 
 def validate_derivatives(model: MathModel, seed: int = 0, n_points: int = 100,
@@ -137,7 +137,7 @@ def fit_smoother_fixed(data: Dataset, kernel: KernelSpec, lam: float) -> Smoothe
     if lam < 0:
         raise ValueError("ridge parameter must be nonnegative")
     n = data.n
-    _, d, q = _bandwidth(kernel, data.design)
+    d, q = _kernel_eigh(kernel, data.design)
     z = q.T @ data.responses
     shr = lam / (d + lam)
     rss = float(np.sum((shr * z) ** 2))

@@ -86,9 +86,14 @@ def test_study_config_validation():
     for field, value, message in (("seed", -1, "seed must be >= 0"),
                                   ("n", 2, "n must be >= 3"),
                                   ("quad_order", 1, "quad_order must be >= 2"),
-                                  ("scenario", "bogus", "unknown scenario 'bogus'")):
+                                  ("scenario", "bogus", "unknown scenario 'bogus'"),
+                                  ("n_starts", 0, "n_starts must be >= 1")):
         with pytest.raises(ValueError, match=message):
             StudyConfig(**{"scenario": "scenario2", "replicates": 1, field: value})
+    # each parsed, and every replicate of it then failed its analysis
+    for gamma in ("inf", "nan", "1e400"):
+        with pytest.raises(ValueError, match="fixed gamma must be positive and finite"):
+            StudyConfig(scenario="scenario2", replicates=1, analyses=(f"fixed-gamma:{gamma}",))
     assert StudyConfig(scenario="scenario2", replicates=1, n=None).n is None
 
 

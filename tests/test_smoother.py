@@ -435,11 +435,13 @@ def test_select_many_equals_select_row_by_row(case):
                 grid.select_many(ys)
         assert str(many.value) == str(one.value)
         return
-    idx, j, score, rss, trm = grid.select_many(ys)
+    idx, j, score, rss, trm, z = grid.select_many(ys)
     for r, y in enumerate(ys):
         # exact: == on Python floats, so any bit of difference fails
         assert grid.select(y) == (int(idx[r]), float(grid.lambda_grid[j[r]]),
                                   float(score[r]), float(rss[r]), float(trm[r]))
+        # the selected Q'y is the one-response product of that bandwidth, bit for bit
+        assert np.array_equal(z[r], grid.bandwidths[idx[r]][2].T @ y)
     if not ys.any():
         assert set(idx) == {0} and set(j) == {grid.lambda_grid.size - 1}
 
@@ -466,6 +468,29 @@ def test_fit_many_equals_fit_row_by_row(case):
         ref = fit_smoother_fixed(Dataset(design=x, responses=y), grid.bandwidths[idx][0], lam)
         for got, one, want in zip(_fit_fields(fit), _fit_fields(grid.fit(y)), _fit_fields(ref)):
             assert np.array_equal(got, one) and np.array_equal(got, want)
+
+
+def test_grid_holds_each_eigenbasis_once_and_fits_copy_theirs():
+    n = 60
+    x = np.linspace(0.0, 1.0, n).reshape(-1, 1)
+    grid = GcvGrid(x)
+    g = len(grid.bandwidths)
+    assert grid.eig_values.shape == (g, n) and grid.eig_vectors.shape == (g, n, n)
+    for b, (_, d, q) in enumerate(grid.bandwidths):
+        assert d.base is grid.eig_values and q.base is grid.eig_vectors
+        assert np.array_equal(q, grid.eig_vectors[b])
+    # every other array the grid holds is smaller than one eigenvector stack
+    others = [v for v in vars(grid).values()
+              if isinstance(v, np.ndarray) and v is not grid.eig_vectors]
+    assert sum(v.nbytes for v in others) < grid.eig_vectors.nbytes
+    assert not any(np.shares_memory(v, grid.eig_vectors) for v in others)
+    fit = grid.fit(np.sin(3.0 * x[:, 0]))
+    for got in (fit.eig_values, fit.eig_vectors):
+        assert not np.shares_memory(got, grid.eig_values)
+        assert not np.shares_memory(got, grid.eig_vectors)
+    idx = grid.select(fit.data.responses)[0]
+    assert np.array_equal(fit.eig_values, grid.eig_values[idx])
+    assert np.array_equal(fit.eig_vectors, grid.eig_vectors[idx])
 
 
 @settings(max_examples=60, deadline=None)

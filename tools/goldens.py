@@ -75,6 +75,13 @@ def runs() -> dict[str, tuple[str, ...]]:
     table["table1-prior-tau2"] = (
         "table1", "--replicates", "400", "--workers", "1", "--prior-in-interval",
         "--tau2", "0.05", *REPORT, *SUMMARY)
+    # the second kernel family's grids, on the closed-form and the study paths
+    table["table1-matern52"] = (
+        "table1", "--kernel", "matern52", "--replicates", "400", "--workers", "1",
+        *REPORT, *SUMMARY)
+    table["simulate-matern52"] = (
+        "simulate", "--scenario", "scenario2", "--kernel", "matern52", "--replicates", "8",
+        "--workers", "1", "--records", *REPORT, *SUMMARY)
     # 400 points or more: the smoother's eigh and solves run on the host's BLAS threads
     table["fit-n450"] = ("fit", "--scenario", "scenario2", "--n", "450", *REPORT)
     table["calibrate-n420"] = ("calibrate", "--scenario", "scenario1", "--n", "420", *REPORT)
