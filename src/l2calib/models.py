@@ -288,7 +288,8 @@ SCENARIO_NAMES = tuple(sorted(_SCENARIOS))
 def make_scenario(name: str):
     """Return (model, system, defaults) for a named scenario.
 
-    defaults carries the conventional sample size under key "n".
+    defaults carries the conventional sample size under key "n", and under
+    "theta0" the parameter at which the model is the truth, where there is one.
     """
     try:
         factory = _SCENARIOS[name]

@@ -42,6 +42,8 @@ ENGINES = ("laplace", "mcmc", "conjugate")
 # replicates a study slice fits and estimates together: a uniform design keeps
 # this many smoother fits alive, each with its n x n eigenvectors
 STUDY_CHUNK = 8
+# closed-form replicates a pool worker needs to pay for itself on 2 CPUs (BENCH_24.json)
+CLOSED_FORM_PER_WORKER = 500
 
 
 def at_least(low: int) -> tuple:
@@ -169,13 +171,21 @@ _ORACLE_CACHE: dict = {}
 
 
 def oracle_theta(scenario: str, quad_order: int = DEFAULT_QUAD_ORDER) -> np.ndarray:
-    """Population loss minimiser for a scenario, cached per quadrature order."""
+    """Population loss minimiser for a scenario, cached per quadrature order: a
+    declared ``theta0`` where the truth is the model there, a straight line's
+    box-clipped vertex int x mu / int x^2, else a 20-start estimate."""
     key = (scenario, quad_order)
     if key not in _ORACLE_CACHE:
-        model, system, _ = make_scenario(scenario)
+        model, system, defaults = make_scenario(scenario)
         rule = build_rule(model.x_box.lower, model.x_box.upper, quad_order)
-        est = estimate_theta(system.mu, model, rule, method="l2", seed=1, n_starts=20)
-        _ORACLE_CACHE[key] = est.theta
+        if "theta0" in defaults:
+            theta = np.array(defaults["theta0"], dtype=float)
+        elif model.scalar_linear:
+            line = StraightLine(rule)
+            theta = model.theta_box.clip([line.wx @ system.mu(rule.nodes) / line.den])
+        else:
+            theta = estimate_theta(system.mu, model, rule, "l2", seed=1, n_starts=20).theta
+        _ORACLE_CACHE[key] = theta
     return _ORACLE_CACHE[key].copy()
 
 
@@ -486,9 +496,9 @@ def run_closed_form_study(cfg: ClosedFormStudyConfig) -> ClosedFormReport:
     prior_prec = 1.0 / cfg.tau2 if cfg.prior_in_interval else 0.0
     tables = {}
     flags = {}
-    # one pool for every sample size: each slice returns one block per size
-    est = np.concatenate(_map_slices(_closed_form_slice, cfg.workers, cfg.replicates, cfg),
-                         axis=1)
+    # one pool for all sample sizes, and none unless it pays (CLOSED_FORM_PER_WORKER)
+    workers = min(cfg.workers, max(1, cfg.replicates // CLOSED_FORM_PER_WORKER))
+    est = np.concatenate(_map_slices(_closed_form_slice, workers, cfg.replicates, cfg), axis=1)
     for n, (theta_hat, var_hat) in zip(cfg.sample_sizes, est.transpose(0, 2, 1)):
         # NaN where var_hat >= tau2: no gamma matches, and that posterior is left out
         matched = np.where(var_hat < cfg.tau2,

@@ -37,6 +37,9 @@ ONE_BLAS_THREAD_BELOW = 400
 # responses scored per step of GcvGrid.select_many: the (rows, g, L, n)
 # temporary is about 0.5 MB on the default 13 x 19 grid at n = 8
 SELECT_CHUNK = 32
+# kernel-matrix elements per eigh call of GcvGrid.__init__: the whole default grid
+# up to n = 35, one bandwidth at a time from n = 91; larger blocks were slower at n >= 80
+EIGH_BLOCK = 1 << 14
 
 
 class DegenerateSmootherError(ValueError):
@@ -61,14 +64,16 @@ class KernelSpec:
 
 
 def kernel_matrix(spec: KernelSpec, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Cross-kernel matrix between point sets a (ma, k) and b (mb, k)."""
+    """Cross-kernel matrix between point sets a (ma, k) and b (mb, k); for a
+    stack of bandwidths rho (g, k), the stack (g, ma, mb), each matrix equal
+    bit for bit to the one-bandwidth call."""
     a = np.atleast_2d(np.asarray(a, dtype=float))
     b = np.atleast_2d(np.asarray(b, dtype=float))
-    if a.shape[1] != spec.rho.size or b.shape[1] != spec.rho.size:
+    if a.shape[1] != spec.rho.shape[-1] or b.shape[1] != spec.rho.shape[-1]:
         raise ValueError("points and bandwidth vector disagree in dimension")
-    d2 = np.zeros((a.shape[0], b.shape[0]))
+    d2 = np.zeros(spec.rho.shape[:-1] + (a.shape[0], b.shape[0]))
     for j in range(a.shape[1]):
-        d2 += ((a[:, j, None] - b[None, :, j]) / spec.rho[j]) ** 2
+        d2 += ((a[:, j, None] - b[None, :, j]) / spec.rho[..., j, None, None]) ** 2
     if spec.family == "gaussian":
         return np.exp(-d2)
     r = np.sqrt(np.maximum(d2, 0.0))
@@ -177,12 +182,6 @@ class SmootherFit:
         return self.solve_phi(kx.T).T
 
 
-def _kernel_eigh(spec: KernelSpec, design: np.ndarray):
-    """(d, q), the eigenpairs of the jittered K + JITTER I."""
-    with blas_threads(1) if len(design) < ONE_BLAS_THREAD_BELOW else nullcontext():
-        return np.linalg.eigh(kernel_matrix(spec, design, design) + JITTER * np.eye(len(design)))
-
-
 def default_rho_grid(design: np.ndarray) -> np.ndarray:
     """Bandwidth grid: factors of the per-coordinate data range, (g, k)."""
     design = np.atleast_2d(np.asarray(design, dtype=float))
@@ -195,11 +194,12 @@ class GcvGrid:
     """GCV selection machinery for a fixed design.
 
     The constructor takes one eigendecomposition K + jitter = Q diag(d) Q' per
-    bandwidth into the stacks ``eig_values`` (g, n) and ``eig_vectors`` (g, n, n),
-    the one copy of each, which ``bandwidths`` views as (spec, d, Q) triples. It
-    also stores the shrinkage factors lam / (d + lam) (g, L, n) and tr(I - A)
-    (g, L). A select then costs one batched rotation Q'y and one reduction over
-    the whole (rho, lam) grid, O(g * n * (n + L)) per response.
+    bandwidth, up to EIGH_BLOCK kernel elements per ``eigh`` call, into the stacks
+    ``eig_values`` (g, n) and ``eig_vectors`` (g, n, n), the one copy of each, which
+    ``bandwidths`` views as (spec, d, Q) triples. It also stores the shrinkage
+    factors lam / (d + lam) (g, L, n) and tr(I - A) (g, L). A select then costs one
+    batched rotation Q'y and one reduction over the whole (rho, lam) grid,
+    O(g * n * (n + L)) per response.
     """
 
     def __init__(self, design, family: str = "gaussian", lambda_grid=None,
@@ -222,8 +222,12 @@ class GcvGrid:
         specs = [KernelSpec(family, r) for r in self.rho_grid]
         self.eig_values = np.empty((len(specs), n))
         self.eig_vectors = np.empty((len(specs), n, n))
-        for b, spec in enumerate(specs):
-            self.eig_values[b], self.eig_vectors[b] = _kernel_eigh(spec, self.design)
+        step = max(1, EIGH_BLOCK // (n * n))
+        with blas_threads(1) if n < ONE_BLAS_THREAD_BELOW else nullcontext():
+            for b in range(0, len(specs), step):
+                block = KernelSpec(family, self.rho_grid[b:b + step])
+                self.eig_values[b:b + step], self.eig_vectors[b:b + step] = np.linalg.eigh(
+                    kernel_matrix(block, self.design, self.design) + JITTER * np.eye(n))
         self.bandwidths = tuple(zip(specs, self.eig_values, self.eig_vectors))
         d = self.eig_values[:, None]
         self._shr = self.lambda_grid[:, None] / (d + self.lambda_grid[:, None])

@@ -8,6 +8,7 @@ differences, a grid search, a closed form), or a helper that only tests need.
 from __future__ import annotations
 
 import csv
+from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
@@ -15,9 +16,10 @@ import numpy as np
 from l2calib.asymptotics import SandwichMatrices
 from l2calib.calibration import StraightLine, l2_loss_fn, matched_gamma
 from l2calib.models import MathModel, make_scenario
-from l2calib.numerics import DEFAULT_QUAD_ORDER, QuadratureRule, build_rule
+from l2calib.numerics import DEFAULT_QUAD_ORDER, QuadratureRule, blas_threads, build_rule
 from l2calib.scaling import ScalingError
-from l2calib.smoother import Dataset, KernelSpec, SmootherFit, _kernel_eigh
+from l2calib.smoother import (JITTER, ONE_BLAS_THREAD_BELOW, Dataset, KernelSpec,
+                              SmootherFit, kernel_matrix)
 
 
 def validate_derivatives(model: MathModel, seed: int = 0, n_points: int = 100,
@@ -126,6 +128,14 @@ def estimator_cov(sw: SandwichMatrices) -> np.ndarray:
     return np.linalg.solve(sw.V, vinv_w.T).T
 
 
+def kernel_eigh(spec: KernelSpec, design: np.ndarray):
+    """(d, q), the eigenpairs of the jittered K + JITTER I of one bandwidth, from
+    its own ``eigh`` call, on one BLAS thread below ONE_BLAS_THREAD_BELOW points."""
+    n = len(design)
+    with blas_threads(1) if n < ONE_BLAS_THREAD_BELOW else nullcontext():
+        return np.linalg.eigh(kernel_matrix(spec, design, design) + JITTER * np.eye(n))
+
+
 def fit_smoother_fixed(data: Dataset, kernel: KernelSpec, lam: float) -> SmootherFit:
     """Fit the smoother at fixed (kernel, lam), no selection step.
 
@@ -137,7 +147,7 @@ def fit_smoother_fixed(data: Dataset, kernel: KernelSpec, lam: float) -> Smoothe
     if lam < 0:
         raise ValueError("ridge parameter must be nonnegative")
     n = data.n
-    d, q = _kernel_eigh(kernel, data.design)
+    d, q = kernel_eigh(kernel, data.design)
     z = q.T @ data.responses
     shr = lam / (d + lam)
     rss = float(np.sum((shr * z) ** 2))

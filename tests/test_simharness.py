@@ -13,7 +13,7 @@ from numpy.testing import assert_allclose
 
 from l2calib.calibration import (StraightLine, estimate_theta, linear_theta_hat,
                                  matched_gamma, normal_posterior)
-from l2calib.models import PhysicalSystem, make_scenario
+from l2calib.models import DomainBox, PhysicalSystem, make_scenario
 from l2calib.numerics import build_rule, set_blas_threads
 from l2calib import simharness as sh
 from l2calib.simharness import (ClosedFormStudyConfig, StudyConfig,
@@ -163,6 +163,40 @@ def test_oracle_theta_values_and_cache():
     again = oracle_theta("simple-linear")
     assert_allclose(again, [3.565276647705146], rtol=1e-7)
     assert_allclose(oracle_theta("scenario1"), [0.2, 0.3], atol=1e-4)
+
+
+@pytest.mark.parametrize("quad_order", [8, 16, 64])
+@pytest.mark.parametrize("scenario", ["scenario1", "simple-linear", "scenario3"])
+def test_oracle_closed_forms_equal_the_estimate(monkeypatch, scenario, quad_order):
+    # scenario1's truth is the model at theta0; the other two are straight lines
+    monkeypatch.setattr(sh, "_ORACLE_CACHE", {})
+    model, system, _ = make_scenario(scenario)
+    rule = build_rule(model.x_box.lower, model.x_box.upper, quad_order)
+    est = estimate_theta(system.mu, model, rule, method="l2", seed=1, n_starts=20)
+    assert_allclose(oracle_theta(scenario, quad_order), est.theta, rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("quad_order", [8, 16, 64])
+def test_oracle_without_a_closed_form_is_the_estimate(monkeypatch, quad_order):
+    monkeypatch.setattr(sh, "_ORACLE_CACHE", {})
+    model, system, _ = make_scenario("scenario2")
+    rule = build_rule(model.x_box.lower, model.x_box.upper, quad_order)
+    est = estimate_theta(system.mu, model, rule, method="l2", seed=1, n_starts=20)
+    assert np.array_equal(oracle_theta("scenario2", quad_order), est.theta)
+
+
+@pytest.mark.parametrize("lower, upper", [(0.0, 3.0), (4.0, 5.0)])
+def test_oracle_clips_a_straight_line_vertex_outside_the_box(monkeypatch, lower, upper):
+    # the simple-linear vertex is near 3.565: below the first box, above the second
+    model, system, defaults = make_scenario("simple-linear")
+    model = dataclasses.replace(model, theta_box=DomainBox([lower], [upper]))
+    monkeypatch.setattr(sh, "_ORACLE_CACHE", {})
+    monkeypatch.setattr(sh, "make_scenario", lambda name: (model, system, defaults))
+    edge = upper if lower == 0.0 else lower
+    assert oracle_theta("simple-linear", 16).tolist() == [edge]
+    rule = build_rule(model.x_box.lower, model.x_box.upper, 16)
+    est = estimate_theta(system.mu, model, rule, method="l2", seed=1, n_starts=20)
+    assert_allclose(est.theta, [edge], rtol=1e-12)
 
 
 def test_brute_force_oracle_agrees():
@@ -336,7 +370,8 @@ def test_closed_form_slice_matches_linear_estimator(n, seed):
         assert var_hat == linear_estimator_variance(fit, rule, sigma2=system.sigma**2)
 
 
-def test_closed_form_study_deterministic_and_partition_invariant():
+def test_closed_form_study_deterministic_and_partition_invariant(monkeypatch):
+    monkeypatch.setattr(sh, "CLOSED_FORM_PER_WORKER", 1)    # so two workers run
     cfg = ClosedFormStudyConfig(replicates=60, seed=5, workers=1)
     a = run_closed_form_study(cfg).to_json()
     b = run_closed_form_study(ClosedFormStudyConfig(replicates=60, seed=5,
@@ -395,8 +430,9 @@ def test_closed_form_slice_is_the_same_in_any_batch(n, tau2, prior):
 
 
 @pytest.mark.parametrize("prior", [False, True])
-def test_closed_form_study_partition_invariant_across_chunks(prior):
+def test_closed_form_study_partition_invariant_across_chunks(monkeypatch, prior):
     # 77 replicates: 39 + 38 at two workers, neither a multiple of the chunk
+    monkeypatch.setattr(sh, "CLOSED_FORM_PER_WORKER", 1)    # so two workers run
     cfg = ClosedFormStudyConfig(replicates=77, seed=9, prior_in_interval=prior)
     assert 77 % SELECT_CHUNK and 39 > SELECT_CHUNK
     one = run_closed_form_study(cfg).to_json()
@@ -406,11 +442,12 @@ def test_closed_form_study_partition_invariant_across_chunks(prior):
 
 @pytest.mark.parametrize("workers", [1, 2])
 @pytest.mark.parametrize("tau2", [0.05, 0.025])
-def test_closed_form_sizes_share_a_noise_stream(workers, tau2):
+def test_closed_form_sizes_share_a_noise_stream(monkeypatch, workers, tau2):
     # each size's cells and flags from one table over both sizes equal those
     # of the table run at that size alone: size n reads the first n draws of
     # the one stream a replicate draws for the largest size; tau2 0.05 sits
     # inside the spread of var_hat at n = 4, and 0.025 inside it at n = 8
+    monkeypatch.setattr(sh, "CLOSED_FORM_PER_WORKER", 1)    # so two workers run
     cfg = ClosedFormStudyConfig(replicates=45, seed=6, sample_sizes=(4, 8), tau2=tau2,
                                 prior_in_interval=True, workers=workers)
     both = run_closed_form_study(cfg)
@@ -422,6 +459,25 @@ def test_closed_form_sizes_share_a_noise_stream(workers, tau2):
                                          if k.startswith(f"n={n}:")}
         assert alone.oracle_theta == both.oracle_theta
     assert 0 < sum(both.replicate_flags.values()) < 2 * cfg.replicates
+
+
+@pytest.mark.parametrize("replicates, workers, pooled", [
+    (9, 4, 1), (10, 4, 2), (14, 4, 2), (40, 3, 3), (40, 1, 1)])
+def test_closed_form_study_pools_only_workers_with_enough_replicates(
+        monkeypatch, replicates, workers, pooled):
+    # a worker needs CLOSED_FORM_PER_WORKER replicates; the report is the same
+    monkeypatch.setattr(sh, "CLOSED_FORM_PER_WORKER", 5)
+    cfg = ClosedFormStudyConfig(replicates=replicates, seed=4, workers=workers)
+    one = run_closed_form_study(dataclasses.replace(cfg, workers=1)).to_json()
+    seen = []
+
+    def recording(slice_fn, w, *args):
+        seen.append(w)
+        return _map_slices(slice_fn, w, *args)
+
+    monkeypatch.setattr(sh, "_map_slices", recording)
+    assert run_closed_form_study(cfg).to_json() == one
+    assert seen == [pooled]
 
 
 def test_closed_form_summary_rows():

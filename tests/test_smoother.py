@@ -1,5 +1,6 @@
 import os
 import tempfile
+import tracemalloc
 import warnings
 from contextlib import contextmanager
 
@@ -13,11 +14,11 @@ from l2calib import numerics, smoother
 from l2calib.models import make_scenario
 from l2calib.numerics import set_blas_threads
 from l2calib.simharness import generate_replicate
-from l2calib.smoother import (JITTER, ONE_BLAS_THREAD_BELOW, SELECT_CHUNK, Dataset,
-                              DegenerateSmootherError, GcvGrid, KernelSpec,
-                              default_rho_grid,
+from l2calib.smoother import (DEFAULT_LAMBDA_GRID, JITTER, ONE_BLAS_THREAD_BELOW,
+                              SELECT_CHUNK, Dataset, DegenerateSmootherError, GcvGrid,
+                              KernelSpec, default_rho_grid,
                               fit_smoother, kernel_matrix, read_dataset_csv)
-from oracles import fit_smoother_fixed, write_dataset_csv
+from oracles import fit_smoother_fixed, kernel_eigh, write_dataset_csv
 
 
 def _line_data(n=8, slope=3.0, noise=0.0, seed=0):
@@ -54,6 +55,17 @@ def test_kernel_matrix_symmetry_random_pairs():
         assert np.all(k <= 1.0 + 1e-12) and np.all(k > 0.0)
         eig = np.linalg.eigvalsh(k + JITTER * np.eye(10))
         assert eig.min() > 0
+
+
+@pytest.mark.parametrize("family", smoother.KERNEL_FAMILIES)
+def test_kernel_matrix_stacks_bandwidths(family):
+    rng = np.random.default_rng(4)
+    a, b = rng.random((7, 2)), rng.random((5, 2))
+    rho = rng.uniform(0.05, 2.0, (4, 2))
+    stack = kernel_matrix(KernelSpec(family, rho), a, b)
+    assert stack.shape == (4, 7, 5)
+    for r, k in zip(rho, stack):
+        assert np.array_equal(k, kernel_matrix(KernelSpec(family, r), a, b))
 
 
 def test_matern52_value_at_zero_and_decay():
@@ -493,6 +505,55 @@ def test_grid_holds_each_eigenbasis_once_and_fits_copy_theirs():
     assert np.array_equal(fit.eig_vectors, grid.eig_vectors[idx])
 
 
+@pytest.mark.parametrize("family", smoother.KERNEL_FAMILIES)
+@pytest.mark.parametrize("design", ["equidistant", "uniform"])
+@pytest.mark.parametrize("n", [3, 4, 50, 399, 400, 450])
+def test_stacked_grid_equals_one_eigh_per_bandwidth(n, design, family):
+    # n = 3 and 4 put the whole grid into one eigh call, n = 50 blocks of 6, and
+    # large designs one bandwidth at a time; 399 and 400 sit either side of the
+    # BLAS thread switch. Designs of 100 points or more take every fourth bandwidth
+    rng = np.random.default_rng(n)
+    x = (np.linspace(0.0, 1.0, n) if design == "equidistant" else rng.random(n)).reshape(-1, 1)
+    rho = default_rho_grid(x)
+    grid = GcvGrid(x, family=family, rho_grid=rho if n < 100 else rho[::4])
+    lam = grid.lambda_grid[:, None]
+    for b, (spec, d, q) in enumerate(grid.bandwidths):
+        d0, q0 = kernel_eigh(spec, x)
+        assert np.array_equal(d, d0) and np.array_equal(q, q0)
+        shr = lam / (d0 + lam)
+        assert np.array_equal(grid._shr[b], shr)
+        assert np.array_equal(grid._trace[b], shr.sum(axis=-1))
+
+
+def test_grid_build_peaks_no_higher_than_one_eigh_per_bandwidth():
+    n = 1000
+    x = np.linspace(0.0, 1.0, n).reshape(-1, 1)
+    rho = default_rho_grid(x)[::4]
+
+    def per_bandwidth():
+        # the build before the bandwidths were stacked: one eigh call each,
+        # written into preallocated stacks, then the shrinkage factors
+        vals, vecs = np.empty((len(rho), n)), np.empty((len(rho), n, n))
+        for b, r in enumerate(rho):
+            vals[b], vecs[b] = kernel_eigh(KernelSpec("gaussian", r), x)
+        lam = DEFAULT_LAMBDA_GRID[:, None]
+        shr = lam / (vals[:, None] + lam)
+        return vecs, shr, shr.sum(axis=-1)
+
+    GcvGrid(x[:10])      # a first build imports and caches about 1 MB of objects
+    peaks = []
+    for build in (per_bandwidth, lambda: GcvGrid(x, rho_grid=rho)):
+        tracemalloc.start()
+        try:
+            build()
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    # 16 KiB covers the grid's Python objects, far below one extra (g, L, n)
+    # temporary (608 KB here) or n x n matrix (8 MB)
+    assert peaks[1] <= peaks[0] + 16384, peaks
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.integers(3, 60), st.sampled_from(["equidistant", "uniform"]),
        st.sampled_from(smoother.KERNEL_FAMILIES), st.sampled_from([1e-3, 0.1, 1.0]),
@@ -541,19 +602,21 @@ def _eigh_recording_blas_threads(monkeypatch, fail=False):
     return seen
 
 
-@pytest.mark.parametrize("n, threads", [(20, 1), (ONE_BLAS_THREAD_BELOW - 1, 1),
-                                        (ONE_BLAS_THREAD_BELOW, 2)])
+@pytest.mark.parametrize("n, threads, grid_calls", [
+    pytest.param(n, t, c, id=f"{n}-{t}") for n, t, c in
+    ((20, 1, 1), (ONE_BLAS_THREAD_BELOW - 1, 1, 2), (ONE_BLAS_THREAD_BELOW, 2, 2))])
 def test_eigenbasis_runs_on_one_blas_thread_below_the_threshold(monkeypatch,
                                                                 two_blas_threads,
-                                                                n, threads):
+                                                                n, threads, grid_calls):
     # one thread is as fast for small designs, and it wakes no OpenBLAS helper
-    # thread that would spin after the call; large designs keep the caller's count
+    # thread that would spin after the call; large designs keep the caller's count.
+    # The grid decomposes both bandwidths in one call at n = 20, one at a time above
     seen = _eigh_recording_blas_threads(monkeypatch)
     data = _line_data(n=n, noise=0.1)
     rho = [[0.1], [0.5]]
     GcvGrid(data.design, rho_grid=rho)
     fit_smoother_fixed(data, KernelSpec("gaussian", rho[0]), 1e-3)
-    assert seen == [threads] * 3
+    assert seen == [threads] * (grid_calls + 1)
     assert set_blas_threads(2) == 2          # the caller gets its count back
 
 

@@ -82,6 +82,13 @@ def runs() -> dict[str, tuple[str, ...]]:
     table["simulate-matern52"] = (
         "simulate", "--scenario", "scenario2", "--kernel", "matern52", "--replicates", "8",
         "--workers", "1", "--records", *REPORT, *SUMMARY)
+    # a straight line's theta* is its vertex on the quadrature rule, so it moves with the order
+    table["table1-quad16"] = (
+        "table1", "--quad-order", "16", "--replicates", "400", "--workers", "1",
+        *REPORT, *SUMMARY)
+    table["simulate-scenario3-quad16"] = (
+        "simulate", "--scenario", "scenario3", "--quad-order", "16", "--replicates", "8",
+        "--workers", "1", "--records", *REPORT, *SUMMARY)
     # 400 points or more: the smoother's eigh and solves run on the host's BLAS threads
     table["fit-n450"] = ("fit", "--scenario", "scenario2", "--n", "450", *REPORT)
     table["calibrate-n420"] = ("calibrate", "--scenario", "scenario1", "--n", "420", *REPORT)
