@@ -29,7 +29,7 @@ from .models import SCENARIO_NAMES, make_scenario
 from .numerics import build_rule
 from .posterior import INTERVAL_MODES, SamplerSettings, sample_posterior, write_draws_csv
 from .simharness import (ENGINES, SCALINGS, SHARED_BOUNDS, VARIANTS,
-                         ClosedFormStudyConfig, StudyConfig, analysis_names, at_least,
+                         ClosedFormStudyConfig, StudyConfig, analysis_names,
                          check_engine, generate_replicate, report_json,
                          run_analyses, run_closed_form_study, run_study)
 from .smoother import (KERNEL_FAMILIES, MIN_OBSERVATIONS, fit_smoother,
@@ -74,9 +74,9 @@ SETTINGS = {
     "quad_order": Setting(int, StudyConfig.quad_order, bound=SHARED_BOUNDS["quad_order"]),
     "conditional_form": Setting(str, StudyConfig.conditional_form,
                                 choices=CONDITIONAL_FORMS),
-    "chains": Setting(int, SamplerSettings.chains, bound=at_least(2)),
-    "iterations": Setting(int, SamplerSettings.iterations, bound=at_least(200)),
-    "thin": Setting(int, SamplerSettings.thin, bound=at_least(1)),
+    "chains": Setting(int, SamplerSettings.chains),
+    "iterations": Setting(int, SamplerSettings.iterations),
+    "thin": Setting(int, SamplerSettings.thin),
     "draws_out": Setting(str, help="CSV file for posterior draws (mcmc engine)"),
     "replicates": Setting(int, bound=SHARED_BOUNDS["replicates"]),
     "workers": Setting(int, bound=SHARED_BOUNDS["workers"]),

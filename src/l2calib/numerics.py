@@ -2,7 +2,7 @@
 
 Everything downstream takes its quadrature rules and minimisations from this
 module so that results are reproducible bit-for-bit for a given seed. It also
-holds numpy's BLAS thread count: one for pool workers and small smoother designs.
+holds numpy's BLAS thread count: one for study slices and small smoother designs.
 """
 
 from __future__ import annotations
@@ -27,17 +27,10 @@ class QuadratureRule:
 
     nodes   : (m, k) array of evaluation points inside the box
     weights : (m,) array of positive weights summing to the box volume
-    lower, upper : (k,) box bounds
     """
 
     nodes: np.ndarray
     weights: np.ndarray
-    lower: np.ndarray
-    upper: np.ndarray
-
-    @property
-    def dim(self) -> int:
-        return self.nodes.shape[1]
 
 
 @cache
@@ -71,7 +64,7 @@ def build_rule(lower, upper, order: int = DEFAULT_QUAD_ORDER) -> QuadratureRule:
     weights = np.ones(nodes.shape[0])
     for wg in wgrids:
         weights = weights * wg.reshape(-1)
-    return QuadratureRule(nodes=nodes, weights=weights, lower=lower, upper=upper)
+    return QuadratureRule(nodes=nodes, weights=weights)
 
 
 def _openblas_path() -> Path | None:

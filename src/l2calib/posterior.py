@@ -103,9 +103,12 @@ class SamplerSettings:
         return len(range(int(BURNIN_FRAC * self.iterations), self.iterations, self.thin))
 
     def check_kept_draws(self) -> None:
-        """Raise ValueError when the chains would keep too few draws for the
-        split R-hat or for an interval. The settings themselves allow short
-        chains; callers that report intervals check before sampling."""
+        """Raise ValueError when a reported run would have fewer than 2 chains, or
+        keep too few draws for the split R-hat or for an interval. The settings
+        themselves allow one short chain; callers that report intervals check
+        before sampling."""
+        if self.chains < 2:
+            raise ValueError(f"{self.chains} chain(s); the split R-hat needs at least 2")
         kept = self.kept_per_chain
         if kept < MIN_SPLIT_DRAWS:
             raise ValueError(f"{kept} kept draw(s) per chain; the split R-hat "

@@ -107,10 +107,11 @@ def _check_shared_fields(config) -> None:
 
 
 def check_engine(engine: str, scenario: str, **sampler) -> None:
-    """Refuse, before any work, MCMC ``SamplerSettings(**sampler)`` that keep
-    too few draws, or the conjugate engine on a model that is not a scalar line."""
+    """Refuse, before any work, ``SamplerSettings(**sampler)`` that do not build or,
+    for MCMC, keep too few draws, or the conjugate engine on a non-line model."""
+    settings = SamplerSettings(**sampler)
     if engine == "mcmc":
-        SamplerSettings(**sampler).check_kept_draws()
+        settings.check_kept_draws()
     if engine == "conjugate" and not make_scenario(scenario)[0].scalar_linear:
         raise ValueError("engine 'conjugate' needs a scalar linear model; "
                          f"scenario {scenario!r} is not")
@@ -198,6 +199,7 @@ def run_analyses(names, est, fit, model, rule, sandwich, engine: str, level: flo
     where the analysis failed before building them."""
     n = fit.data.n
     base_loss = l2_loss_fn(fit, model, rule) if engine == "mcmc" else None
+    theta_hat = linear_theta_hat(fit, rule) if engine == "conjugate" else None
     out = {}
     for name in names:
         variant, kind, gval = parse_analysis(name)
@@ -213,7 +215,7 @@ def run_analyses(names, est, fit, model, rule, sandwich, engine: str, level: flo
             if engine == "laplace":
                 post = laplace_approx(est, adj, n)
             elif engine == "conjugate":
-                post = conjugate_posterior(linear_theta_hat(fit, rule), n, tau2=np.inf,
+                post = conjugate_posterior(theta_hat, n, tau2=np.inf,
                                            gamma=adj.scalar_gamma, rule=rule)
             else:
                 # the default is looked up per call, so a patched module name is seen
@@ -365,26 +367,28 @@ def _map_slices(slice_fn, workers: int, replicates: int, *args) -> list:
     """``slice_fn(*args, chunk)`` for each chunk of replicates 0..replicates-1,
     in index order; the caller joins the results.
 
+    Every slice runs BLAS on one thread wherever it runs, as a two-thread
+    ``eigh`` or solve rounds differently, so no report depends on the worker
+    count. This process gets its own count back after the slices, also on raise.
+
     With more than one worker the indices are cut into one contiguous chunk
-    per worker and the chunks run in a process pool whose workers each run
-    BLAS on one thread, whatever the start method; ``pool.map`` yields the
-    results in the order the chunks were submitted. This process runs BLAS
-    on one thread while its pool lives, so fork workers inherit that count
-    and the initializer leaves them be (see ``set_blas_threads``); it gets
-    its own count back when the pool closes. Otherwise all indices are one
-    chunk, run in this process.
+    per worker and the chunks run in a process pool; ``pool.map`` yields the
+    results in the order the chunks were submitted. Fork workers inherit the
+    one thread, and the initializer leaves them be (see ``set_blas_threads``).
+    Otherwise all indices are one chunk, run in this process.
     """
     indices = list(range(replicates))
-    if workers <= 1 or replicates <= 1:
-        return [slice_fn(*args, indices)]
-    # only a pool needs it, and it takes 20-30 ms to import
-    from concurrent.futures import ProcessPoolExecutor
-    size = (replicates + workers - 1) // workers
-    chunks = [indices[i:i + size] for i in range(0, replicates, size)]
-    # fork starts every worker up front, so start no more than there are chunks
-    with blas_threads(1), ProcessPoolExecutor(
-            max_workers=len(chunks), initializer=set_blas_threads, initargs=(1,)) as pool:
-        return list(pool.map(partial(slice_fn, *args), chunks))
+    with blas_threads(1):
+        if workers <= 1 or replicates <= 1:
+            return [slice_fn(*args, indices)]
+        # only a pool needs it, and it takes 20-30 ms to import
+        from concurrent.futures import ProcessPoolExecutor
+        size = (replicates + workers - 1) // workers
+        chunks = [indices[i:i + size] for i in range(0, replicates, size)]
+        # fork starts every worker up front, so start no more than there are chunks
+        with ProcessPoolExecutor(max_workers=len(chunks), initializer=set_blas_threads,
+                                 initargs=(1,)) as pool:
+            return list(pool.map(partial(slice_fn, *args), chunks))
 
 
 def run_study(config: StudyConfig) -> SimulationReport:

@@ -30,9 +30,9 @@ DEFAULT_LAMBDA_GRID = np.logspace(-8.0, 1.0, 19)
 # bandwidth multipliers applied to the per-coordinate data range
 DEFAULT_RHO_FACTORS = np.logspace(np.log10(0.05), np.log10(2.0), 13)
 # smaller designs get their eigh, and the solves against it, on one BLAS thread:
-# a second one first pays off near n = 400 on 2 CPUs (BENCH_18.json), a woken idle
-# OpenBLAS helper thread busy-waits for about 0.13 s of CPU after the call, and
-# this process then rounds like a pool worker, which runs on one thread
+# a second one first pays off near n = 400 on 2 CPUs (BENCH_18.json), and a woken
+# idle OpenBLAS helper thread busy-waits for about 0.13 s of CPU after the call
+# (a study slice runs on one thread at any n, see simharness._map_slices)
 ONE_BLAS_THREAD_BELOW = 400
 # responses scored per step of GcvGrid.select_many: the (rows, g, L, n)
 # temporary is about 0.5 MB on the default 13 x 19 grid at n = 8
@@ -218,7 +218,6 @@ class GcvGrid:
             raise ValueError("bandwidth grid has wrong dimension")
         # sort rows lexicographically so selection ignores input ordering
         self.rho_grid = rho[np.lexsort(rho.T[::-1])]
-        self.family = family
         specs = [KernelSpec(family, r) for r in self.rho_grid]
         self.eig_values = np.empty((len(specs), n))
         self.eig_vectors = np.empty((len(specs), n, n))

@@ -277,12 +277,14 @@ def test_simulate_bytes_identical_across_workers(tmp_path):
     assert out1.read_bytes() == out2.read_bytes()
 
 
-def test_simulate_bytes_identical_across_workers_below_400_points(tmp_path):
-    # pool workers run BLAS on one thread; a 2-thread eigh rounds differently
-    # from about n = 150 and a 2-thread solve against it from about n = 385,
-    # so this process must run both alike on small designs
+@pytest.mark.parametrize("n", [399, 450])
+def test_simulate_bytes_identical_across_workers_on_two_blas_threads(tmp_path, n):
+    # a 2-thread eigh rounds differently from about n = 150 and a 2-thread solve
+    # against it from about n = 385; the smoother pins only designs below 400
+    # points, so from there on a study slice in this process must run as a pool
+    # worker's does, on one thread
     previous = set_blas_threads(2)
-    args = ["simulate", "--scenario", "scenario1", "--n", "399", "--replicates", "2",
+    args = ["simulate", "--scenario", "scenario1", "--n", str(n), "--replicates", "2",
             "--seed", "7"]
     out1, out2 = tmp_path / "a.json", tmp_path / "b.json"
     try:
@@ -444,6 +446,7 @@ def test_analysis_names_parse_back(variant, scaling):
 
 
 @pytest.mark.parametrize("chains, iterations, thin, message", [
+    (1, 2000, 4, "split R-hat needs at least 2"),   # 250 kept draws on one chain
     (4, 200, 50, "split R-hat needs 4"),        # 2 kept draws per chain
     (2, 200, 20, "interval needs 100"),          # 2 x 5 kept draws
     (3, 1000, 16, "interval needs 100"),         # 3 x 32 kept draws
@@ -458,6 +461,27 @@ def test_calibrate_rejects_too_few_kept_draws_before_sampling(
     assert rc == 2
     assert message in capsys.readouterr().err
     assert calls == []
+
+
+@pytest.mark.parametrize("engine", ["mcmc", "laplace"])
+# too few chains or kept draws, settings that do not build, and 2 x 100 kept draws
+@pytest.mark.parametrize("chains, iterations, thin", [
+    (1, 2000, 4), (2, 100, 1), (4, 199, 4), (4, 200, 50), (2, 200, 20),
+    (0, 2000, 4), (2, 2000, 0), (4, 9, 1), (2, 200, 1)])
+def test_calibrate_refuses_the_sampler_settings_the_study_config_refuses(
+        capsys, engine, chains, iterations, thin):
+    try:
+        StudyConfig(scenario="scenario1", replicates=1, engine=engine, mcmc_chains=chains,
+                    mcmc_iterations=iterations, mcmc_thin=thin)
+        message = None
+    except ValueError as exc:
+        message = str(exc)
+    rc = main(["calibrate", "--scenario", "scenario1", "--engine", engine,
+               "--chains", str(chains), "--iterations", str(iterations),
+               "--thin", str(thin), "--print-config"])
+    assert rc == (0 if message is None else 2)
+    if message is not None:
+        assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_simulate_refuses_data_flag(tmp_path, capsys):
@@ -543,8 +567,8 @@ def test_cli_import_loads_no_process_pool():
 
 
 def test_commands_keep_the_host_blas_thread_count(monkeypatch):
-    # only pool workers are pinned; a command in this process keeps every
-    # BLAS thread, which large fits (n in the thousands) need
+    # study slices are pinned to one BLAS thread; a command outside a study
+    # keeps the host's count, which large fits (n in the thousands) need
     previous = set_blas_threads(2)
     if previous is None:
         pytest.skip("numpy's bundled OpenBLAS not found")

@@ -268,6 +268,23 @@ def test_run_study_deterministic_and_partition_invariant():
         json.loads(a)  # stays parseable
 
 
+@pytest.mark.parametrize("scenario", ["scenario1", "scenario2"])
+def test_run_study_worker_invariant_on_large_designs(scenario):
+    # 450 points: above smoother.ONE_BLAS_THREAD_BELOW, so only the study pins
+    # BLAS; scenario1 draws a uniform design per replicate, scenario2 shares
+    # one equidistant grid
+    previous = set_blas_threads(2)
+    if previous is None:
+        pytest.skip("numpy's bundled OpenBLAS not found")
+    try:
+        one, two = (run_study(_tiny_study(scenario=scenario, n=450, replicates=2,
+                                          workers=w)).to_json(include_records=True)
+                    for w in (1, 2))
+    finally:
+        set_blas_threads(previous)
+    assert one == two
+
+
 def _one_replicate_at_a_time(config, theta_star, indices):
     """``_study_slice`` as a loop of single-replicate fits and estimates."""
     model, system, defaults = make_scenario(config.scenario)
@@ -590,6 +607,9 @@ def test_pool_workers_run_blas_on_one_thread():
     try:
         assert _map_slices(_blas_threads_of_worker, 2, 4) == [[1, 1], [1, 1]]
         assert set_blas_threads(2) == 2        # the parent keeps its count
+        # and a slice run in this process is pinned as a pool worker is
+        assert _map_slices(_blas_threads_of_worker, 1, 2) == [[1, 1]]
+        assert set_blas_threads(2) == 2
     finally:
         set_blas_threads(previous)
 

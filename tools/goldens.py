@@ -89,12 +89,14 @@ def runs() -> dict[str, tuple[str, ...]]:
     table["simulate-scenario3-quad16"] = (
         "simulate", "--scenario", "scenario3", "--quad-order", "16", "--replicates", "8",
         "--workers", "1", "--records", *REPORT, *SUMMARY)
-    # 400 points or more: the smoother's eigh and solves run on the host's BLAS threads
+    # 400 points or more: fit and calibrate run the smoother's eigh and solves on
+    # the host's BLAS threads, a study slice on one, so both simulate runs agree
     table["fit-n450"] = ("fit", "--scenario", "scenario2", "--n", "450", *REPORT)
     table["calibrate-n420"] = ("calibrate", "--scenario", "scenario1", "--n", "420", *REPORT)
-    table["simulate-n400"] = (
-        "simulate", "--scenario", "scenario2", "--n", "400", "--replicates", "2",
-        "--workers", "1", "--records", *REPORT, *SUMMARY)
+    for workers, suffix in ((1, ""), (2, "-w2")):
+        table[f"simulate-n400{suffix}"] = (
+            "simulate", "--scenario", "scenario2", "--n", "400", "--replicates", "2",
+            "--workers", str(workers), "--records", *REPORT, *SUMMARY)
     # the conjugate engine needs a straight line: both commands exit 2
     conjugate = ("--scenario", "scenario1", "--engine", "conjugate", *REPORT)
     table["calibrate-conjugate-scenario1"] = ("calibrate", *conjugate)
