@@ -56,12 +56,8 @@ class SandwichMatrices:
         return self.W if self.W_E is None else self.W + self.W_E
 
 
-def _check_psd(w: np.ndarray, what: str) -> np.ndarray:
-    w = 0.5 * (w + w.T)
-    eig = np.linalg.eigvalsh(w)
-    if eig[0] < -1e-10 * max(abs(eig[-1]), 1.0):
-        raise ValueError(f"{what} is not positive semidefinite; eigenvalues {eig}")
-    return w
+def _not_psd(what: str):
+    return lambda eig: ValueError(f"{what} is not positive semidefinite; eigenvalues {eig}")
 
 
 def _preamble(est: CalibrationEstimate, fit: SmootherFit) -> tuple[np.ndarray, float, int]:
@@ -88,7 +84,7 @@ def marginal_matrices(est: CalibrationEstimate, fit: SmootherFit, model: MathMod
     """Design-marginal sandwich for the l2 estimator."""
     v, s2, n = _preamble(est, fit)
     scale = 4.0 * s2 / (n * model.x_box.volume)
-    w = _check_psd(scale * _weighted_gram(model, est.theta, rule), "W")
+    w = check_definite(scale * _weighted_gram(model, est.theta, rule), _not_psd("W"), semi=True)
     return SandwichMatrices(V=v, W=w, variant="marginal", n=n, sigma2=s2)
 
 
@@ -106,8 +102,8 @@ def ols_matrices(est: CalibrationEstimate, fit: SmootherFit, model: MathModel,
     w = s2 * scale * _weighted_gram(model, est.theta, rule)
     bias2 = (fit.predict(rule.nodes) - model.eta(est.theta, rule.nodes)) ** 2
     w_e = scale * _weighted_gram(model, est.theta, rule, extra=bias2)
-    return SandwichMatrices(V=v, W=_check_psd(w, "W"), variant="ols", n=n,
-                            sigma2=s2, W_E=_check_psd(w_e, "W_E"))
+    return SandwichMatrices(V=v, W=check_definite(w, _not_psd("W"), semi=True), variant="ols",
+                            n=n, sigma2=s2, W_E=check_definite(w_e, _not_psd("W_E"), semi=True))
 
 
 def conditional_matrices(est: CalibrationEstimate, fit: SmootherFit, model: MathModel,
@@ -124,5 +120,5 @@ def conditional_matrices(est: CalibrationEstimate, fit: SmootherFit, model: Math
     else:
         gnorm2 = np.sum(g_nodes * g_nodes, axis=1)
         w = 4.0 * s2 * _weighted_gram(model, est.theta, rule, extra=gnorm2)
-    w = _check_psd(w, "W")
-    return SandwichMatrices(V=v, W=w, variant=f"conditional-{form}", n=n, sigma2=s2)
+    return SandwichMatrices(V=v, W=check_definite(w, _not_psd("W"), semi=True),
+                            variant=f"conditional-{form}", n=n, sigma2=s2)

@@ -93,14 +93,14 @@ REQUIRED = ("scenario", "replicates")
 _DATA = ("scenario", "data", "n", "kernel")
 _ANALYSIS = ("engine", "scaling", "variant", "interval", "level", "quad_order",
              "conditional_form")
+_SAMPLER = ("chains", "iterations", "thin")
 # command: (help, its settings in flag order, defaults that differ from SETTINGS)
 COMMANDS = {
     "fit": ("select a smoother by cross validation", ("seed", "out") + _DATA, {}),
     "calibrate": ("single-dataset calibration report",
-                  ("seed", "out") + _DATA + _ANALYSIS
-                  + ("chains", "iterations", "thin", "draws_out"), {}),
+                  ("seed", "out") + _DATA + _ANALYSIS + _SAMPLER + ("draws_out",), {}),
     "simulate": ("replicated coverage study",
-                 ("seed", "out", "scenario", "n", "kernel") + _ANALYSIS
+                 ("seed", "out", "scenario", "n", "kernel") + _ANALYSIS + _SAMPLER
                  + ("replicates", "workers", "summary_out", "records"), {}),
     "table1": ("closed-form coverage study, straight line",
                ("seed", "out", "replicates", "tau2", "level", "quad_order",
@@ -183,10 +183,10 @@ def validate_config(cfg: dict) -> None:
             raise ConfigError(f"config key '{key}': required")
     if cfg.get("data") and cfg.get("n") is not None:
         raise ConfigError("n and data are exclusive: a dataset has its own size")
-    if "engine" in cfg:     # simulate keeps the library's sampler settings
+    if "engine" in cfg:
         try:
-            check_engine(cfg["engine"], cfg["scenario"],
-                         **{k: cfg[k] for k in ("chains", "iterations", "thin") if k in cfg})
+            check_engine(cfg["engine"], cfg["scenario"], chains=cfg["chains"],
+                         iterations=cfg["iterations"], thin=cfg["thin"])
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
 
@@ -347,7 +347,8 @@ def cmd_simulate(cfg: dict) -> int:
     report = run_study(_study_config(
         StudyConfig, cfg, scenario=cfg["scenario"], n=cfg["n"],
         analyses=analyses_from(cfg), engine=cfg["engine"], interval=cfg["interval"],
-        conditional_form=cfg["conditional_form"]))
+        conditional_form=cfg["conditional_form"], mcmc_chains=cfg["chains"],
+        mcmc_iterations=cfg["iterations"], mcmc_thin=cfg["thin"]))
     return _finish_study(
         cfg, report,
         f"{'analysis':<28}{'coord':>6}{'coverage':>10}{'mean_len':>12}{'n_used':>8}",

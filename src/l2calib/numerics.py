@@ -278,13 +278,15 @@ def minimize_boxes(f, grad_hess, lower, upper, seeds,
     return results
 
 
-def check_definite(a: np.ndarray, fail) -> np.ndarray:
+def check_definite(a: np.ndarray, fail, semi: bool = False) -> np.ndarray:
     """The symmetric part of the square matrix a, which must be positive
-    definite: its smallest eigenvalue must exceed 1e-12 max(|largest|, 1).
+    definite: its smallest eigenvalue must exceed 1e-12 max(|largest|, 1). With
+    ``semi``, positive semidefinite: it must be at least -1e-10 max(|largest|, 1).
     Otherwise raises ``fail(eigenvalues)``, the caller's own exception."""
     a = 0.5 * (a + a.T)
     eig = np.linalg.eigvalsh(a)
-    if eig[0] <= 1e-12 * max(abs(eig[-1]), 1.0):
+    scale = max(abs(eig[-1]), 1.0)
+    if (eig[0] < -1e-10 * scale) if semi else (eig[0] <= 1e-12 * scale):
         raise fail(eig)
     return a
 

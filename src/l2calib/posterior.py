@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, field
+from functools import cache
 from statistics import NormalDist
 
 import numpy as np
@@ -36,6 +37,7 @@ TARGET_ACCEPT = 0.35    # acceptance rate the burn-in step-size adaptation aims 
 ADAPT_BLOCK = 4         # burn-in steps between step-size updates
 MAX_PREFETCH_DEPTH = 4  # steps one loss call can cover
 PREFETCH_ROWS = 64      # proposal rows one prefetching loss call may carry
+LP_FLOOR = -np.finfo(float).max  # the least finite log posterior
 
 
 @dataclass(frozen=True)
@@ -72,11 +74,11 @@ def log_gen_posterior(theta, loss, prior: Prior, n: int):
     theta = np.asarray(theta, dtype=float)
     if theta.ndim < 2:
         return float(log_gen_posterior(np.atleast_1d(theta)[None], loss, prior, n)[0])
+    if isinstance(prior, Prior) and prior.box.strictly_contains(theta):
+        val = loss(theta)       # the uniform prior adds 0 strictly inside its box
+        return np.where(np.isfinite(val), -n * val, -np.inf)
     lp = prior.log_density(theta)
     inside = np.isfinite(lp)
-    if inside.all():
-        val = loss(theta)
-        return np.where(np.isfinite(val), -n * val + lp, -np.inf)
     if inside.any():
         val = loss(theta[inside])
         lp[inside] = np.where(np.isfinite(val), -n * val + lp[inside], -np.inf)
@@ -171,6 +173,22 @@ def prefetch_depth(chains: int) -> int:
     return min(MAX_PREFETCH_DEPTH, max(1, fits))
 
 
+@cache
+def walk_table(d: int) -> np.ndarray:
+    """The walks of ``d`` steps through a pre-fetched tree, built on first use: uint8
+    row k is the walk that accept bits k give (bit h - 1 for node h). Columns: the
+    node after each step, the bit of the move each step considers, the accept count."""
+    keys = np.arange(2 ** (2 ** d - 1), dtype=np.int16)     # small temporaries, d <= 4
+    table = np.empty((keys.size, 2 * d + 1), np.uint8)
+    at = np.zeros_like(keys)
+    for j in range(d):
+        table[:, d + j] = move = at + (1 << j) - 1        # node at + 2^j
+        table[:, j] = at = at + (((keys >> move) & 1) << j)
+    table[:, 2 * d] = np.count_nonzero(np.diff(table[:, :d], prepend=np.uint8(0)), axis=1)
+    table.flags.writeable = False
+    return table
+
+
 def sample_posterior(loss, prior: Prior, n: int, seed: int = 0,
                      settings: SamplerSettings | None = None) -> PosteriorSample:
     """Adaptive random-walk Metropolis on the generalised posterior.
@@ -190,10 +208,11 @@ def sample_posterior(loss, prior: Prior, n: int, seed: int = 0,
 
     While s is frozen, one loss call evaluates every state the next
     ``prefetch_depth(chains)`` steps, at most to the end of the block, can
-    propose (pre-fetching; Brockwell, 2006) and the steps then walk that tree.
-    Each node is formed by the same addition as a plain step and a loss row
-    does not depend on its batch, so the draws equal those of plain steps bit
-    for bit, and the blocks do not depend on the chain count.
+    propose (pre-fetching; Brockwell, 2006). All the tree's moves are decided at
+    once, and ``walk_table`` reads each chain's walk from its accept bits. Each
+    node is formed by the same addition as a plain step and a loss row does not
+    depend on its batch, so the draws equal those of plain steps bit for bit,
+    and the blocks do not depend on the chain count.
     """
     st = settings if settings is not None else SamplerSettings()
     p = prior.dim
@@ -211,53 +230,59 @@ def sample_posterior(loss, prior: Prior, n: int, seed: int = 0,
         chol = np.eye(p)
 
     chains, iters = st.chains, st.iterations
-    burn = int(BURNIN_FRAC * iters)
-    x = np.empty((chains, p))
-    steps = np.empty((iters, chains, p))     # L z, before the step size s
+    burn, depth = int(BURNIN_FRAC * iters), prefetch_depth(chains)
+    # the tree of the next steps, row node * chains + chain: node 0 is the
+    # chains' state, node h + 2^j is node h moved by step j's proposal
+    nodes, lps = np.empty((2 ** depth, chains, p)), np.empty((2 ** depth, chains))
+    steps = np.empty((iters, chains, p))     # L z, times s once its span starts
     log_u = np.empty((iters, chains))
     for c in range(chains):
         rng = np.random.default_rng([seed, c])
-        x[c] = init + 0.01 * (chol @ rng.standard_normal(p))
+        nodes[0, c] = init + 0.01 * (chol @ rng.standard_normal(p))
         steps[:, c] = rng.standard_normal((iters, p)) @ chol.T
         log_u[:, c] = np.log(rng.random(iters))
-    lp = log_gen_posterior(x, loss, prior, n)
-    stuck = ~np.isfinite(lp)
-    x[stuck], lp[stuck] = init, lp0
+    lps[0] = log_gen_posterior(nodes[0], loss, prior, n)
+    stuck = ~np.isfinite(lps[0])
+    nodes[0, stuck], lps[0, stuck] = init, lp0
 
     log_s = np.full(chains, np.log(2.38 / np.sqrt(p)))
-    s = np.exp(log_s)[:, None]
-    kept = np.empty((chains, st.kept_per_chain, p))
-    accepted_post = np.zeros(chains)
-    depth, t0 = prefetch_depth(chains), 0
+    kept, accepted_post, t0 = np.empty((chains, st.kept_per_chain, p)), np.zeros(chains), 0
+    rows, lp_rows = nodes.reshape(-1, p), lps.reshape(-1)
+    halves = [(nodes[:2 ** j], nodes[2 ** j:2 ** (j + 1)]) for j in range(depth)]
+    level = np.repeat(np.arange(depth), 1 << np.arange(depth))     # of nodes 1, 2, ...
+    parent, bit = np.arange(1, 2 ** depth) - (1 << level), 1 << np.arange(2 ** depth - 1)
+    node_row, ar = np.arange(2 ** depth) * chains, np.arange(chains)
+    rate = np.array([(t + 1) ** 0.6 for t in range(burn)])
     while t0 < iters:
-        # s is frozen until its block ends (for good after burn-in), so the
-        # states the next d steps can reach form a tree: node 0 is x and
-        # node h + 2^j is node h moved by step j's proposal
+        # s is frozen until its block ends, for good after burn-in
         until = iters if t0 >= burn else min(t0 - t0 % ADAPT_BLOCK + ADAPT_BLOCK, burn)
-        d = min(depth, until - t0)
-        nodes = np.empty((2 ** d, chains, p))
-        nodes[0] = x
-        for j in range(d):
-            nodes[2 ** j:2 ** (j + 1)] = nodes[:2 ** j] + s * steps[t0 + j]
-        nodes = nodes.reshape(-1, p)        # row node * chains + chain
-        lp_nodes = np.concatenate(
-            [lp, log_gen_posterior(nodes[chains:], loss, prior, n)])
-        at = np.arange(chains)              # each chain's row, at node 0
-        for j, t in enumerate(range(t0, t0 + d)):
-            prop = at + (chains << j)
-            delta = lp_nodes[prop] - lp_nodes[at]
-            # log u < 0, so this accepts every delta >= 0
-            accept = log_u[t] < delta
-            at = np.where(accept, prop, at)
-            if t < burn:
-                log_s += (np.exp(np.minimum(delta, 0.0)) - TARGET_ACCEPT) / (t + 1) ** 0.6
+        steps[t0:until] *= np.exp(log_s)[:, None]
+        while t0 < until:
+            d = min(depth, until - t0)
+            m, top = 2 ** d, chains << d
+            for (old, new), step in zip(halves[:d], steps[t0:]):
+                np.add(old, step, out=new)
+            lp_rows[chains:top] = log_gen_posterior(rows[chains:top], loss, prior, n)
+            # every move at once, log u < 0 accepting every delta >= 0; no walk
+            # leaves a parent at -inf, and the floor keeps -inf - -inf quiet
+            delta = lps[1:m] - np.maximum(lps.take(parent[:m - 1], axis=0), LP_FLOOR)
+            accept = log_u[t0:t0 + d].take(level[:m - 1], axis=0) < delta
+            walk = walk_table(d).take(bit[:m - 1] @ accept, axis=0)
+            # the rows of nodes (of delta) that each step moves to (considers)
+            row = node_row.take(walk[:, :2 * d]) + ar[:, None]
+            if t0 < burn:
+                alpha = np.exp(np.minimum(delta.reshape(-1).take(row[:, d:]), 0.0))
+                for inc in ((alpha - TARGET_ACCEPT) / rate[t0:t0 + d]).T:  # step by step
+                    log_s += inc
             else:
-                accepted_post += accept
-                if (t - burn) % st.thin == 0:
-                    kept[:, (t - burn) // st.thin] = nodes[at]
-        x, lp, t0 = nodes[at], lp_nodes[at], t0 + d
-        if t0 == until:
-            s = np.exp(log_s)[:, None]
+                accepted_post += walk[:, 2 * d]
+                j = (burn - t0) % st.thin       # the tree's first kept step
+                if j < d:
+                    at = row[:, j:d:st.thin]
+                    k = (t0 + j - burn) // st.thin
+                    kept[:, k:k + at.shape[1]] = rows.take(at, axis=0)
+            nodes[0], lps[0] = rows.take(row[:, d - 1], axis=0), lp_rows.take(row[:, d - 1])
+            t0 += d
     accept_rates = accepted_post / max(iters - burn, 1)
 
     rhat = split_rhat(kept) if chains >= 2 else np.full(p, np.nan)

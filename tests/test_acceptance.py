@@ -21,7 +21,7 @@ from l2calib.numerics import build_rule
 from l2calib.posterior import (SamplerSettings, conjugate_posterior, laplace_approx,
                                sample_posterior)
 from l2calib.scaling import curvature_adjustment, fixed_gamma, scaled_loss
-from l2calib.simharness import (ClosedFormStudyConfig, StudyConfig,
+from l2calib.simharness import (CLOSED_FORM_PER_WORKER, ClosedFormStudyConfig, StudyConfig,
                                 generate_replicate, oracle_theta,
                                 run_closed_form_study, run_study)
 from l2calib.smoother import GcvGrid, fit_smoother
@@ -266,12 +266,14 @@ def test_reports_reproducible_across_runs_and_workers():
     b = run_study(StudyConfig(workers=1, **kw)).to_json(include_records=True)
     c = run_study(StudyConfig(workers=3, **kw)).to_json(include_records=True)
     # scenario1 is the one uniform design, so its per-replicate eigh is the
-    # one that could see the BLAS thread count: this process keeps the
-    # default count, pool workers run on one thread
+    # one that could see the BLAS thread count: every study slice runs BLAS on
+    # one thread, in this process and in a pool worker alike
     s1 = dict(scenario="scenario1", replicates=4, seed=3)
     f = run_study(StudyConfig(workers=1, **s1)).to_json(include_records=True)
     g = run_study(StudyConfig(workers=2, **s1)).to_json(include_records=True)
-    t_kw = dict(replicates=100, seed=2)
+    # table1 starts a pool only when each worker gets CLOSED_FORM_PER_WORKER
+    # replicates, so workers=2 pools here and workers=1 does not
+    t_kw = dict(replicates=2 * CLOSED_FORM_PER_WORKER, seed=2)
     d = run_closed_form_study(ClosedFormStudyConfig(workers=1, **t_kw)).to_json()
     e = run_closed_form_study(ClosedFormStudyConfig(workers=2, **t_kw)).to_json()
     elapsed = time.time() - t0

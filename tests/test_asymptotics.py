@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from l2calib import asymptotics
 from l2calib.asymptotics import (SingularCurvatureError, conditional_matrices,
                                  marginal_matrices, ols_matrices)
 from l2calib.calibration import estimate_theta
 from l2calib.models import make_scenario
-from l2calib.numerics import build_rule
+from l2calib.numerics import build_rule, check_definite
 from l2calib.simharness import generate_replicate
 from l2calib.smoother import Dataset, KernelSpec, fit_smoother
 from oracles import estimator_cov, fit_smoother_fixed, linear_estimator_variance
@@ -152,3 +153,19 @@ def test_invalid_noise_variance_raises(sandwich, sigma2):
     model, system, rule, data, fit, est = _pipeline("simple-linear", 8, 3, method)
     with pytest.raises(ValueError, match="noise variance"):
         sandwich(est, replace(fit, sigma2_hat=sigma2), model, rule)
+
+
+@pytest.mark.parametrize("what", ["W", "W_E"])
+@pytest.mark.parametrize("largest", [0.5, 2.0])
+def test_semidefinite_check_boundary(what, largest):
+    # W and W_E may be singular: the smallest eigenvalue may reach
+    # -1e-10 max(|largest|, 1) and no further
+    bound = 1e-10 * max(largest, 1.0)
+    fail = asymptotics._not_psd(what)
+    for zero in (0.0, -0.99 * bound):
+        w = np.diag([zero, largest])
+        assert check_definite(w, fail, semi=True).tobytes() == w.tobytes()
+    with pytest.raises(ValueError, match=f"^{what} is not positive semidefinite; eigenvalues"):
+        check_definite(np.diag([-1.01 * bound, largest]), fail, semi=True)
+    with pytest.raises(ValueError):     # the definite test refuses a zero eigenvalue
+        check_definite(np.diag([0.0, largest]), fail)

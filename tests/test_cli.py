@@ -20,7 +20,7 @@ from l2calib.asymptotics import conditional_matrices, marginal_matrices
 from l2calib.calibration import estimate_theta, linear_theta_hat
 from l2calib.cli import SETTINGS, build_parser, main
 from l2calib.numerics import DEFAULT_QUAD_ORDER, build_rule, set_blas_threads
-from l2calib.posterior import conjugate_posterior
+from l2calib.posterior import SamplerSettings, conjugate_posterior
 from l2calib import simharness
 from l2calib.scaling import ScalingError, curvature_adjustment, magnitude_gamma
 from l2calib.simharness import (SCALINGS, VARIANTS, StudyConfig, generate_replicate,
@@ -482,6 +482,29 @@ def test_calibrate_refuses_the_sampler_settings_the_study_config_refuses(
     assert rc == (0 if message is None else 2)
     if message is not None:
         assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_simulate_passes_its_sampler_flags_to_the_study(tmp_path):
+    out = tmp_path / "study.json"
+    rc = main(["simulate", "--scenario", "simple-linear", "--engine", "mcmc",
+               "--variant", "marginal", "--scaling", "magnitude", "--replicates", "1",
+               "--workers", "1", "--chains", "2", "--iterations", "200", "--thin", "1",
+               "--out", str(out)])
+    assert rc in (0, 1)    # short chains may trip the acceptance-band flag
+    cfg = json.loads(out.read_text())["config"]
+    assert (cfg["mcmc_chains"], cfg["mcmc_iterations"], cfg["mcmc_thin"]) == (2, 200, 1)
+
+
+# one chain; 2 kept draws per chain; 2 x 5 kept draws
+@pytest.mark.parametrize("chains, iterations, thin", [(1, 2000, 4), (4, 200, 50), (2, 200, 20)])
+def test_simulate_refuses_too_few_kept_draws(monkeypatch, capsys, chains, iterations, thin):
+    with pytest.raises(ValueError) as exc:
+        SamplerSettings(chains, iterations, thin).check_kept_draws()
+    monkeypatch.setattr(cli, "run_study", lambda *a, **k: pytest.fail("the study ran"))
+    rc = main(["simulate", "--scenario", "scenario1", "--engine", "mcmc", "--replicates", "2",
+               "--chains", str(chains), "--iterations", str(iterations), "--thin", str(thin)])
+    assert rc == 2
+    assert capsys.readouterr().err == f"error: {exc.value}\n"
 
 
 def test_simulate_refuses_data_flag(tmp_path, capsys):

@@ -1,4 +1,8 @@
 import csv
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,12 +12,12 @@ from numpy.testing import assert_allclose
 
 from l2calib.calibration import CalibrationEstimate
 from l2calib.models import DomainBox
-from l2calib.posterior import (ACCEPT_BAND, ADAPT_BLOCK, BURNIN_FRAC, RHAT_LIMIT,
-                               TARGET_ACCEPT, LaplaceApprox, PosteriorSample,
+from l2calib.posterior import (ACCEPT_BAND, ADAPT_BLOCK, BURNIN_FRAC, MAX_PREFETCH_DEPTH,
+                               RHAT_LIMIT, TARGET_ACCEPT, LaplaceApprox, PosteriorSample,
                                Prior, SamplerSettings, conjugate_posterior,
                                credible_interval, laplace_approx,
                                log_gen_posterior, prefetch_depth,
-                               sample_posterior, split_rhat, write_draws_csv)
+                               sample_posterior, split_rhat, walk_table, write_draws_csv)
 from l2calib.scaling import curvature_adjustment, fixed_gamma, no_scaling
 from l2calib.asymptotics import SandwichMatrices
 from oracles import NormalPrior, batch_mcse, estimator_cov
@@ -285,6 +289,32 @@ def test_sampler_equals_stepwise_reference(chains, iterations, thin, p, seed):
     assert post.per_chain_accept.tobytes() == rates.tobytes()
     assert post.rhat.tobytes() == rhat.tobytes()
     assert post.flags == flags
+
+
+@pytest.mark.parametrize("d", range(1, MAX_PREFETCH_DEPTH + 1))
+def test_walk_table_equals_a_stepwise_walk(d):
+    # every pattern of the tree's 2^d - 1 accept bits, bit h - 1 for node h
+    table = walk_table(d)
+    assert table.dtype == np.uint8 and not table.flags.writeable
+    assert table.shape == (2 ** (2 ** d - 1), 2 * d + 1)
+    for bits, row in enumerate(table.tolist()):
+        at, count = 0, 0
+        for j in range(d):
+            move = at + 2 ** j              # the node step j proposes
+            assert row[d + j] == move - 1
+            if bits >> (move - 1) & 1:
+                at, count = move, count + 1
+            assert row[j] == at
+        assert row[2 * d] == count
+
+
+def test_walk_tables_are_built_on_first_use_only():
+    code = ("import l2calib.cli, l2calib.posterior as p; "
+            "print(p.walk_table.cache_info().currsize)")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.strip() == "0"
 
 
 def test_prefetch_depth_keeps_calls_within_the_row_budget():

@@ -58,11 +58,14 @@ def runs() -> dict[str, tuple[str, ...]]:
         "simulate", "--scenario", "scenario2", "--variant", "conditional",
         "--conditional-form", "literal", "--replicates", "8", "--workers", "1",
         "--records", *REPORT, *SUMMARY)
-    # simulate has no sampler flags, so one analysis keeps this run short
+    # the default chain length: one analysis keeps this run short
     table["simulate-mcmc"] = (
         "simulate", "--scenario", "simple-linear", "--engine", "mcmc",
         "--variant", "marginal", "--scaling", "magnitude", "--replicates", "2",
         "--workers", "1", "--records", *REPORT, *SUMMARY)
+    table["simulate-mcmc-short"] = (
+        "simulate", "--scenario", "scenario1", "--engine", "mcmc", *SHORT_MCMC,
+        "--replicates", "2", "--workers", "1", "--records", *REPORT, *SUMMARY)
     table["simulate-conjugate"] = (
         "simulate", "--scenario", "scenario3", "--engine", "conjugate",
         "--replicates", "4", "--workers", "1", "--records", *REPORT, *SUMMARY)
