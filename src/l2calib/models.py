@@ -52,7 +52,8 @@ class DomainBox:
 
     def strictly_contains(self, x) -> bool:
         """Whether every point of x lies strictly inside the box, with no tolerance."""
-        return bool((x > self.lower).all() and (x < self.upper).all())
+        n = np.size(x)      # count_nonzero skips .all()'s Python-level dispatch
+        return bool(np.count_nonzero(x > self.lower) == n == np.count_nonzero(x < self.upper))
 
     def clip(self, x) -> np.ndarray:
         return np.clip(np.asarray(x, dtype=float), self.lower, self.upper)

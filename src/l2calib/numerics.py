@@ -97,7 +97,7 @@ def set_blas_threads(n: int) -> int | None:
     previous count, or None (changing nothing) when the library or its thread
     functions are not found. The setter is called only when the count differs
     from ``n``: in a fork child it starts a helper thread even for ``n = 1``,
-    and that thread spins beside the child's own.
+    which spins beside the child's own, so forked study slices only inherit one.
     """
     found = _openblas_threads()
     if found is None:

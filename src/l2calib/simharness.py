@@ -14,9 +14,10 @@ across reruns and across worker counts.
 from __future__ import annotations
 
 import json
+import pickle
 from collections import Counter
 from dataclasses import asdict, dataclass, field, replace
-from functools import cache, partial
+from functools import cache
 from statistics import NormalDist
 
 import numpy as np
@@ -28,7 +29,7 @@ from .calibration import (StraightLine, estimate_many, estimate_theta,
                           l2_loss_fn, linear_theta_hat, matched_gamma,
                           normal_posterior)
 from .models import SCENARIO_NAMES, make_scenario
-from .numerics import DEFAULT_QUAD_ORDER, blas_threads, build_rule, set_blas_threads
+from .numerics import DEFAULT_QUAD_ORDER, blas_threads, build_rule
 from .posterior import (INTERVAL_MODES, LEVEL_BOUND, Prior, SamplerSettings,
                         conjugate_posterior, credible_interval, laplace_approx,
                         sample_posterior)
@@ -42,8 +43,8 @@ ENGINES = ("laplace", "mcmc", "conjugate")
 # replicates a study slice fits and estimates together: a uniform design keeps
 # this many smoother fits alive, each with its n x n eigenvectors
 STUDY_CHUNK = 8
-# closed-form replicates a pool worker needs to pay for itself on 2 CPUs (BENCH_24.json)
-CLOSED_FORM_PER_WORKER = 500
+# closed-form replicates a worker needs to pay for its forked child on 2 CPUs (BENCH_27.json)
+CLOSED_FORM_PER_WORKER = 250
 
 
 def at_least(low: int) -> tuple:
@@ -342,57 +343,79 @@ class SimulationReport:
         return report_json(self.to_dict(include_records))
 
     def summary_rows(self) -> list[dict]:
+        """A row per analysis and coordinate; one blank row for an analysis no replicate used."""
+        columns = ("mean_post_mean", "mean_post_sd", "coverage", "mean_length")
         rows = []
         for name, agg in self.analyses.items():
-            if "coverage" not in agg:
-                rows.append({"analysis": name, "coordinate": "",
-                             "mean_post_mean": "", "mean_post_sd": "",
-                             "coverage": "", "mean_length": "",
-                             "n_used": agg.get("n_used", 0)})
-                continue
-            for j in range(len(agg["coverage"])):
-                rows.append({
-                    "analysis": name,
-                    "coordinate": j + 1,
-                    "mean_post_mean": agg["mean_post_mean"][j],
-                    "mean_post_sd": agg["mean_post_sd"][j],
-                    "coverage": agg["coverage"][j],
-                    "mean_length": agg["mean_length"][j],
-                    "n_used": agg["n_used"],
-                })
+            for j in range(len(agg["coverage"])) if "coverage" in agg else [None]:
+                rows.append({"analysis": name, "coordinate": "" if j is None else j + 1,
+                             **{c: "" if j is None else agg[c][j] for c in columns},
+                             "n_used": agg["n_used"]})
         return rows
 
 
+def _child_slice(write, slice_fn, args, chunk) -> None:
+    """Send ``(True, result)`` or ``(False, exc)``, as a RuntimeError if exc does not pickle."""
+    try:
+        write.send((True, slice_fn(*args, chunk)))
+    except BaseException as exc:     # the parent raises it
+        try:
+            write.send((False, pickle.loads(pickle.dumps(exc))))
+        except Exception:
+            write.send((False, RuntimeError(f"{type(exc).__name__}: {exc}")))
+
+
 def _map_slices(slice_fn, workers: int, replicates: int, *args) -> list:
-    """``slice_fn(*args, chunk)`` for each chunk of replicates 0..replicates-1,
-    in index order; the caller joins the results.
+    """``slice_fn(*args, chunk)`` for each chunk of replicates 0..replicates-1, in
+    index order. Every slice runs BLAS on one thread, as a two-thread ``eigh`` or
+    solve rounds differently, so no report depends on the worker count; this
+    process gets its own count back after the slices, also on raise.
 
-    Every slice runs BLAS on one thread wherever it runs, as a two-thread
-    ``eigh`` or solve rounds differently, so no report depends on the worker
-    count. This process gets its own count back after the slices, also on raise.
-
-    With more than one worker the indices are cut into one contiguous chunk
-    per worker and the chunks run in a process pool; ``pool.map`` yields the
-    results in the order the chunks were submitted. Fork workers inherit the
-    one thread, and the initializer leaves them be (see ``set_blas_threads``).
-    Otherwise all indices are one chunk, run in this process.
+    With more than one worker, where "fork" is a start method, the indices are
+    cut into one chunk per worker: this process runs the first, and forked
+    children (see ``set_blas_threads``) run the others and pipe back ``(ok, value)``.
+    If any chunk fails, every child is killed and joined before the error propagates.
     """
     indices = list(range(replicates))
+    chunks, children = [indices], []
+    if workers > 1 and replicates > 1:
+        import multiprocessing      # only forking needs it: keep it off start-up
+        if "fork" in multiprocessing.get_all_start_methods():
+            fork = multiprocessing.get_context("fork")
+            size = (replicates + workers - 1) // workers
+            chunks = [indices[i:i + size] for i in range(0, replicates, size)]
     with blas_threads(1):
-        if workers <= 1 or replicates <= 1:
-            return [slice_fn(*args, indices)]
-        # only a pool needs it, and it takes 20-30 ms to import
-        from concurrent.futures import ProcessPoolExecutor
-        size = (replicates + workers - 1) // workers
-        chunks = [indices[i:i + size] for i in range(0, replicates, size)]
-        # fork starts every worker up front, so start no more than there are chunks
-        with ProcessPoolExecutor(max_workers=len(chunks), initializer=set_blas_threads,
-                                 initargs=(1,)) as pool:
-            return list(pool.map(partial(slice_fn, *args), chunks))
+        try:
+            for chunk in chunks[1:]:
+                read, write = fork.Pipe(duplex=False)
+                child = fork.Process(target=_child_slice, args=(write, slice_fn, args, chunk))
+                child.start()
+                write.close()       # the child's copy is then the only one: EOF if it dies
+                children.append((child, read))
+            parts = [slice_fn(*args, chunks[0])]
+            for child, read in children:
+                try:
+                    ok, value = read.recv()
+                except EOFError:
+                    child.join()
+                    ok, value = False, RuntimeError(
+                        f"a forked slice exited with code {child.exitcode}")
+                if not ok:
+                    raise value
+                parts.append(value)
+            return parts
+        except BaseException:
+            for child, _ in children:
+                child.kill()
+            raise
+        finally:
+            for child, read in children:
+                child.join()
+                read.close()
 
 
 def run_study(config: StudyConfig) -> SimulationReport:
-    # once, in this process: pool workers receive theta* instead of re-deriving it
+    # once, in this process: forked children inherit theta* instead of re-deriving it
     theta_star = oracle_theta(config.scenario, config.quad_order)
     records = [r for part in _map_slices(_study_slice, config.workers, config.replicates,
                                          config, theta_star) for r in part]
@@ -500,7 +523,7 @@ def run_closed_form_study(cfg: ClosedFormStudyConfig) -> ClosedFormReport:
     prior_prec = 1.0 / cfg.tau2 if cfg.prior_in_interval else 0.0
     tables = {}
     flags = {}
-    # one pool for all sample sizes, and none unless it pays (CLOSED_FORM_PER_WORKER)
+    # one set of slices for all sample sizes, and no child unless it pays (CLOSED_FORM_PER_WORKER)
     workers = min(cfg.workers, max(1, cfg.replicates // CLOSED_FORM_PER_WORKER))
     est = np.concatenate(_map_slices(_closed_form_slice, workers, cfg.replicates, cfg), axis=1)
     for n, (theta_hat, var_hat) in zip(cfg.sample_sizes, est.transpose(0, 2, 1)):

@@ -18,6 +18,34 @@ def test_domain_box_basics():
     assert_allclose(box.clip([5.0, -7.0]), [2.0, -1.0])
 
 
+# fractions of each side: the faces exactly (0, 1), outside, and non-finite values
+_SIDE_FRACTION = st.one_of(st.floats(0.0, 1.0), st.sampled_from([0.0, 1.0, -0.5, 1.5]),
+                           st.sampled_from([np.nan, np.inf, -np.inf]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_strictly_contains_equals_the_all_form(data):
+    p = data.draw(st.integers(1, 3))
+    lower = np.array(data.draw(st.lists(st.floats(-5.0, 5.0), min_size=p, max_size=p)))
+    width = np.array(data.draw(st.lists(st.floats(0.1, 5.0), min_size=p, max_size=p)))
+    box = DomainBox(lower, lower + width)
+    shape = data.draw(st.sampled_from([(p,), (data.draw(st.integers(1, 6)), p)]))
+    t = np.array(data.draw(st.lists(_SIDE_FRACTION, min_size=int(np.prod(shape)),
+                                    max_size=int(np.prod(shape))))).reshape(shape)
+    x = np.where(t == 1.0, box.upper, box.lower + t * width)    # t = 1 is the upper face
+    assert box.strictly_contains(x) is bool((x > box.lower).all() and (x < box.upper).all())
+
+
+def test_strictly_contains_on_faces_and_non_finite_points():
+    box = DomainBox(np.array([0.0, -1.0]), np.array([2.0, 1.0]))
+    assert box.strictly_contains(np.array([1.0, 0.5]))
+    assert box.strictly_contains(np.array([[1.0, 0.5], [0.1, -0.9]]))
+    for bad in ([0.0, 0.5], [1.0, 1.0], [np.nan, 0.5], [1.0, np.inf], [-np.inf, 0.0]):
+        assert not box.strictly_contains(np.array(bad))
+        assert not box.strictly_contains(np.array([[1.0, 0.5], bad]))
+
+
 def test_domain_box_rejects_degenerate():
     with pytest.raises(ValueError):
         DomainBox(np.array([0.0]), np.array([0.0]))

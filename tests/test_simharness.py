@@ -1,7 +1,9 @@
-import concurrent.futures
 import dataclasses
 import json
+import multiprocessing
 import os
+import signal
+import time
 from functools import partial
 from statistics import NormalDist
 
@@ -579,24 +581,29 @@ def test_map_slices_keeps_index_order_on_uneven_chunks(workers):
     assert [a.tolist() for a in arrays] == chunks
 
 
+@pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                    reason="needs the fork start method")
 def test_pool_starts_no_more_workers_than_chunks(monkeypatch):
+    # 2 replicates at 6 workers are two chunks of one: this process runs the
+    # first and a single forked child the second
     started = []
+    fork = multiprocessing.get_context("fork").Process
+    start = fork.start
 
-    class Recording(concurrent.futures.ProcessPoolExecutor):
-        def __init__(self, max_workers=None, **kw):
-            started.append(max_workers)
-            super().__init__(max_workers=max_workers, **kw)
+    def recording(self):
+        started.append(self)
+        start(self)
 
     one = run_study(_tiny_study(replicates=2)).to_json(include_records=True)
-    # _map_slices imports the pool class when it starts a pool
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recording)
+    monkeypatch.setattr(fork, "start", recording)
     six = run_study(_tiny_study(replicates=2, workers=6)).to_json(include_records=True)
-    assert started == [2]
+    assert len(started) == 1
     assert six == one
+    assert multiprocessing.active_children() == []
 
 
 def _blas_threads_of_worker(indices):
-    # setting the count the initializer should already have set returns it
+    # setting the count a slice already runs on returns it
     return [set_blas_threads(1) for _ in indices]
 
 
@@ -605,9 +612,10 @@ def test_pool_workers_run_blas_on_one_thread():
     if previous is None:
         pytest.skip("numpy's bundled OpenBLAS not found")
     try:
+        # the first chunk runs in this process, the second in a forked child
         assert _map_slices(_blas_threads_of_worker, 2, 4) == [[1, 1], [1, 1]]
         assert set_blas_threads(2) == 2        # the parent keeps its count
-        # and a slice run in this process is pinned as a pool worker is
+        # and a slice run in this process alone is pinned as a child is
         assert _map_slices(_blas_threads_of_worker, 1, 2) == [[1, 1]]
         assert set_blas_threads(2) == 2
     finally:
@@ -615,31 +623,142 @@ def test_pool_workers_run_blas_on_one_thread():
 
 
 def _os_threads_of_worker(indices):
-    # after a BLAS call of its own: the OS threads this worker runs on, and its
-    # BLAS count (setting the count the worker already has returns it)
+    # after a BLAS call of its own: the OS threads this slice's process runs on,
+    # and its BLAS count (setting the count the slice already has returns it)
     a = np.arange(10000.0).reshape(100, 100) / 1e4
     a @ a
     return [(len(os.listdir("/proc/self/task")), set_blas_threads(1)) for _ in indices]
 
 
+class SliceError(Exception):
+    pass
+
+
 def _raise_in_worker(indices):
-    raise RuntimeError(f"slice {indices} failed")
+    raise SliceError(f"slice {indices} failed")
 
 
 @pytest.mark.skipif(not os.path.isdir("/proc/self/task"),
                     reason="needs /proc/self/task to count a process's threads")
 def test_pool_workers_start_no_blas_helper_thread():
-    # a helper thread started in a worker would spin beside it on its CPU
+    # a helper thread started in a forked child would spin beside it on its CPU
     previous = set_blas_threads(2)
     if previous is None:
         pytest.skip("numpy's bundled OpenBLAS not found")
     try:
         a = np.arange(40000.0).reshape(200, 200) / 4e4
         a @ a                       # the parent's BLAS threads are running
-        assert _map_slices(_os_threads_of_worker, 2, 4) == [[(1, 1)] * 2] * 2
+        here, *children = _map_slices(_os_threads_of_worker, 3, 6)
+        assert children == [[(1, 1)] * 2] * 2
+        # the first chunk runs in this process, which keeps the OS threads it
+        # had before (the test runner's among them), so only its BLAS count is
+        # checked: one thread, as in every child
+        assert [blas for _, blas in here] == [1, 1]
         assert set_blas_threads(2) == 2
-        with pytest.raises(RuntimeError, match="failed"):
+        with pytest.raises(SliceError, match="failed"):
             _map_slices(_raise_in_worker, 2, 4)
         assert set_blas_threads(2) == 2     # restored when a slice raises
     finally:
         set_blas_threads(previous)
+
+
+def _hung(signum, frame):
+    raise TimeoutError("_map_slices did not return within 60 s")
+
+
+@pytest.fixture
+def two_blas_threads():
+    """This process on two BLAS threads, which the test must leave on two, and
+    an alarm that turns a hang into a failure (a forked child has no alarm)."""
+    if "fork" not in multiprocessing.get_all_start_methods():
+        pytest.skip("needs the fork start method")
+    previous = set_blas_threads(2)
+    handler = signal.signal(signal.SIGALRM, _hung)
+    signal.alarm(60)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, handler)
+    if previous is not None:
+        assert set_blas_threads(previous) == 2
+
+
+def _pid_of_slice(indices):
+    return os.getpid()
+
+
+def test_first_chunk_runs_here_and_the_others_in_children(two_blas_threads):
+    here, *children = _map_slices(_pid_of_slice, 3, 7)
+    assert here == os.getpid()
+    assert len(set(children)) == 2 and os.getpid() not in children
+    assert multiprocessing.active_children() == []
+
+
+def test_without_fork_every_index_runs_here(monkeypatch):
+    monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+    assert _map_slices(_pid_of_slice, 3, 7) == [os.getpid()]
+    assert _map_slices(_index_array, 3, 7)[0].tolist() == list(range(7))
+
+
+def _raise_in_child(indices):
+    if indices[0] == 0:         # this process's chunk
+        return indices
+    raise SliceError(f"slice {indices} failed")
+
+
+def test_child_exception_is_raised_here_with_its_type_and_message(two_blas_threads):
+    with pytest.raises(SliceError, match=r"^slice \[3, 4\] failed$"):
+        _map_slices(_raise_in_child, 2, 5)
+    assert multiprocessing.active_children() == []
+
+
+def _raise_here_sleep_in_children(error, indices):
+    if indices[0] != 0:
+        time.sleep(60)
+    raise error("this process's chunk failed")
+
+
+@pytest.mark.parametrize("error", [SliceError, KeyboardInterrupt])
+def test_failing_chunk_here_leaves_no_child(two_blas_threads, error):
+    t0 = time.perf_counter()
+    with pytest.raises(error, match="this process's chunk failed"):
+        _map_slices(_raise_here_sleep_in_children, 3, 6, error)
+    assert time.perf_counter() - t0 < 30        # the sleeping children were killed
+    assert multiprocessing.active_children() == []
+
+
+class TwoArgumentError(Exception):
+    def __init__(self, message, code):      # pickles, but unpickling calls it with one
+        super().__init__(message)
+        self.code = code
+
+
+def _raise_unpicklable(kind, indices):
+    if indices[0] == 0:
+        return indices
+    if kind == "lambda":
+        exc = SliceError("holds a lambda")
+        exc.hook = lambda: None
+        raise exc
+    raise TwoArgumentError("needs two arguments", 7)
+
+
+@pytest.mark.parametrize("kind, text", [("lambda", "SliceError: holds a lambda"),
+                                        ("init", "TwoArgumentError: needs two arguments")])
+def test_unpicklable_child_exception_is_a_runtime_error(two_blas_threads, kind, text):
+    with pytest.raises(RuntimeError, match=text):
+        _map_slices(_raise_unpicklable, 2, 4, kind)
+    assert multiprocessing.active_children() == []
+
+
+def _exit_in_child(indices):
+    if indices[0] != 0:
+        os._exit(3)
+    return indices
+
+
+def test_child_that_exits_without_sending_names_its_exit_code(two_blas_threads):
+    with pytest.raises(RuntimeError, match="exited with code 3"):
+        _map_slices(_exit_in_child, 2, 4)
+    assert multiprocessing.active_children() == []

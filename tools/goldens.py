@@ -59,6 +59,10 @@ def runs() -> dict[str, tuple[str, ...]]:
         "--conditional-form", "literal", "--replicates", "8", "--workers", "1",
         "--records", *REPORT, *SUMMARY)
     # the default chain length: one analysis keeps this run short
+    # chunks of 7 + 7 + 6: the calling process and two forked children all run
+    table["simulate-scenario1-w3"] = (
+        "simulate", "--scenario", "scenario1", "--replicates", "20", "--workers", "3",
+        "--records", *REPORT, *SUMMARY)
     table["simulate-mcmc"] = (
         "simulate", "--scenario", "simple-linear", "--engine", "mcmc",
         "--variant", "marginal", "--scaling", "magnitude", "--replicates", "2",
@@ -73,6 +77,9 @@ def runs() -> dict[str, tuple[str, ...]]:
         table[f"table1-w{workers}"] = (
             "table1", "--replicates", "400", "--workers", str(workers),
             *REPORT, *SUMMARY)
+    # enough replicates that two workers each get CLOSED_FORM_PER_WORKER
+    table["table1-w2-pooled"] = (
+        "table1", "--replicates", "1000", "--workers", "2", *REPORT, *SUMMARY)
     # tau2 inside the spread of the n = 4 sampling variances: variance
     # matching is undefined for some replicates, which flags them and exits 1
     table["table1-prior-tau2"] = (
