@@ -200,8 +200,11 @@ class StraightLine:
         self.den = float(np.sum(self.wx * x))
 
     def qt_q(self, spec: KernelSpec, design, qmat) -> np.ndarray:
-        """Q'q for one bandwidth, Q the eigenvectors of its kernel matrix."""
-        return qmat.T @ (kernel_matrix(spec, self.nodes, design).T @ self.wx)
+        """Q'q for one bandwidth, Q the eigenvectors of its kernel matrix; for a
+        stack of bandwidth rows (see ``kernel_matrix``) and of their Q (g, n, n),
+        the stack (g, n), each row equal bit for bit to the one-bandwidth call."""
+        kq = np.swapaxes(kernel_matrix(spec, self.nodes, design), -1, -2) @ self.wx
+        return (np.swapaxes(qmat, -1, -2) @ kq[..., None])[..., 0]
 
     def theta_hat(self, qt_q, z, d, lam):
         """The minimiser from Q'q, z = Q'y and the eigenvalues d: a float for

@@ -57,10 +57,7 @@ class Prior:
     def log_density(self, theta):
         """Log prior density up to a constant: float for theta (p,), (c,) for (c, p)."""
         theta = np.asarray(theta, dtype=float)
-        if self.box.strictly_contains(theta):
-            lp = np.zeros(theta.shape[:-1])
-        else:
-            lp = np.where(self.box.inside(theta), 0.0, -np.inf)
+        lp = np.where(self.box.inside(theta), 0.0, -np.inf)
         return lp if theta.ndim == 2 else float(lp)
 
 

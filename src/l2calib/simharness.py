@@ -35,7 +35,7 @@ from .posterior import (INTERVAL_MODES, LEVEL_BOUND, Prior, SamplerSettings,
                         sample_posterior)
 from .scaling import (ScalingError, curvature_adjustment, fixed_gamma,
                       magnitude_adjustment, no_scaling, scaled_loss)
-from .smoother import KERNEL_FAMILIES, MIN_OBSERVATIONS, Dataset, GcvGrid
+from .smoother import KERNEL_FAMILIES, MIN_OBSERVATIONS, Dataset, GcvGrid, KernelSpec
 
 VARIANTS = ("marginal", "conditional")
 SCALINGS = ("magnitude", "curvature")
@@ -482,8 +482,7 @@ def _closed_form_slice(cfg: ClosedFormStudyConfig, indices: list[int]) -> np.nda
         xs = system.design.points(n)
         grid = GcvGrid(xs, family=cfg.kernel_family)
         # the response-free part of the estimator and its variance, per bandwidth
-        qt_qs = np.stack([line.qt_q(spec, grid.design, qmat)
-                          for spec, _, qmat in grid.bandwidths])
+        qt_qs = line.qt_q(KernelSpec(grid.family, grid.rho_grid), xs, grid.eig_vectors)
         y0 = np.asarray(system.mu(xs), dtype=float)
         ys = y0 + system.sigma * noise[:, :n]
         idx, j, _, _, _, z = grid.select_many(ys)

@@ -48,7 +48,7 @@ class DegenerateSmootherError(ValueError):
 
 @dataclass(frozen=True)
 class KernelSpec:
-    """Stationary kernel family plus per-coordinate bandwidths."""
+    """Stationary kernel family plus one bandwidth per coordinate."""
 
     family: str
     rho: np.ndarray
@@ -59,13 +59,13 @@ class KernelSpec:
                 f"unknown kernel family {self.family!r}; choose from {KERNEL_FAMILIES}")
         rho = np.atleast_1d(np.asarray(self.rho, dtype=float))
         if np.any(rho <= 0) or not np.all(np.isfinite(rho)):
-            raise ValueError("bandwidths must be positive and finite")
+            raise ValueError("every bandwidth must be positive and finite")
         object.__setattr__(self, "rho", rho)
 
 
 def kernel_matrix(spec: KernelSpec, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Cross-kernel matrix between point sets a (ma, k) and b (mb, k); for a
-    stack of bandwidths rho (g, k), the stack (g, ma, mb), each matrix equal
+    stack of bandwidth rows rho (g, k), the stack (g, ma, mb), each matrix equal
     bit for bit to the one-bandwidth call."""
     a = np.atleast_2d(np.asarray(a, dtype=float))
     b = np.atleast_2d(np.asarray(b, dtype=float))
@@ -195,11 +195,11 @@ class GcvGrid:
 
     The constructor takes one eigendecomposition K + jitter = Q diag(d) Q' per
     bandwidth, up to EIGH_BLOCK kernel elements per ``eigh`` call, into the stacks
-    ``eig_values`` (g, n) and ``eig_vectors`` (g, n, n), the one copy of each, which
-    ``bandwidths`` views as (spec, d, Q) triples. It also stores the shrinkage
-    factors lam / (d + lam) (g, L, n) and tr(I - A) (g, L). A select then costs one
-    batched rotation Q'y and one reduction over the whole (rho, lam) grid,
-    O(g * n * (n + L)) per response.
+    ``eig_values`` (g, n) and ``eig_vectors`` (g, n, n), the one copy of each:
+    bandwidth b is row b of ``rho_grid`` and of both stacks. It also stores the
+    ``shrinkage`` factors lam / (d + lam) (g, L, n) and the ``residual_trace``
+    tr(I - A) (g, L). A select then costs one batched rotation Q'y and one
+    reduction over the whole (rho, lam) grid, O(g * n * (n + L)) per response.
     """
 
     def __init__(self, design, family: str = "gaussian", lambda_grid=None,
@@ -218,19 +218,18 @@ class GcvGrid:
             raise ValueError("bandwidth grid has wrong dimension")
         # sort rows lexicographically so selection ignores input ordering
         self.rho_grid = rho[np.lexsort(rho.T[::-1])]
-        specs = [KernelSpec(family, r) for r in self.rho_grid]
-        self.eig_values = np.empty((len(specs), n))
-        self.eig_vectors = np.empty((len(specs), n, n))
+        self.family = family
+        self.eig_values = np.empty((len(rho), n))
+        self.eig_vectors = np.empty((len(rho), n, n))
         step = max(1, EIGH_BLOCK // (n * n))
         with blas_threads(1) if n < ONE_BLAS_THREAD_BELOW else nullcontext():
-            for b in range(0, len(specs), step):
+            for b in range(0, len(rho), step):
                 block = KernelSpec(family, self.rho_grid[b:b + step])
                 self.eig_values[b:b + step], self.eig_vectors[b:b + step] = np.linalg.eigh(
                     kernel_matrix(block, self.design, self.design) + JITTER * np.eye(n))
-        self.bandwidths = tuple(zip(specs, self.eig_values, self.eig_vectors))
         d = self.eig_values[:, None]
-        self._shr = self.lambda_grid[:, None] / (d + self.lambda_grid[:, None])
-        self._trace = self._shr.sum(axis=-1)
+        self.shrinkage = self.lambda_grid[:, None] / (d + self.lambda_grid[:, None])
+        self.residual_trace = self.shrinkage.sum(axis=-1)
 
     def select(self, y: np.ndarray):
         """Grid-minimise GCV for one response (n,); returns (rho index, lam,
@@ -261,9 +260,9 @@ class GcvGrid:
             # n rss / tr(I - A)^2, undefined (inf) where tr(I - A) < 1e-12, and at the
             # selected cell also the noise estimate; rounding alone orders cells flat
             # in lam (K = I)
-            rss = np.sum((self._shr * z) ** 2, axis=-1)
-            score = np.where(self._trace < 1e-12, np.inf,
-                             y.shape[1] * rss / np.maximum(self._trace, 1e-12) ** 2)
+            rss = np.sum((self.shrinkage * z) ** 2, axis=-1)
+            score = np.where(self.residual_trace < 1e-12, np.inf,
+                             y.shape[1] * rss / np.maximum(self.residual_trace, 1e-12) ** 2)
             best = score.min(axis=(1, 2))
             if not np.isfinite(best).all():
                 raise DegenerateSmootherError("GCV denominator vanished on the whole grid")
@@ -273,7 +272,7 @@ class GcvGrid:
             j = n_lam - 1 - np.argmax(hits[at, idx, ::-1], axis=1)
             parts.append((idx, j, best, rss[at, idx, j], z[at, idx, 0]))
         idx, j, best, rss, z = map(np.concatenate, zip(*parts))
-        return idx, j, best, rss, self._trace[idx, j], z
+        return idx, j, best, rss, self.residual_trace[idx, j], z
 
     def fit(self, y: np.ndarray) -> SmootherFit:
         return self.fit_many(np.asarray(y, dtype=float)[None])[0]
@@ -290,9 +289,10 @@ class GcvGrid:
         idx, j, scores, _, trms, zs = self.select_many(ys)
         fits = []
         for y, z, b, lam, score, trm in zip(ys, zs, idx, self.lambda_grid[j], scores, trms):
-            spec, d, q = self.bandwidths[b]
+            d, q = self.eig_values[b], self.eig_vectors[b]
             fits.append(SmootherFit(
-                data=Dataset(design=self.design, responses=y), kernel=spec, lam=float(lam),
+                data=Dataset(design=self.design, responses=y),
+                kernel=KernelSpec(self.family, self.rho_grid[b]), lam=float(lam),
                 coef=q @ (z / (d + lam)), sigma2_hat=float(score),
                 trace_hat=float(n - trm), gcv_value=float(score),
                 flags=("degenerate-smoother",) if trm < 1e-6 * n else (),

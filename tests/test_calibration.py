@@ -14,7 +14,8 @@ from l2calib.calibration import (StraightLine, estimate_many, estimate_theta,
 from l2calib.models import SCENARIO_NAMES, make_scenario
 from l2calib.numerics import build_rule
 from l2calib.simharness import generate_replicate
-from l2calib.smoother import Dataset, fit_smoother, kernel_matrix
+from l2calib.smoother import (KERNEL_FAMILIES, Dataset, GcvGrid, KernelSpec, fit_smoother,
+                              kernel_matrix)
 from oracles import linear_estimator_variance
 
 
@@ -344,3 +345,22 @@ def test_straight_line_closed_form_matches_quadrature_definition(name, n, order,
     kappa = np.linalg.norm(qt_q) * np.linalg.norm(z / (d + lam)) / abs(theta_ref * den)
     rel = abs(linear_theta_hat(fit, rule) - theta_ref) / abs(theta_ref)
     assert rel <= max(1e-8, 8 * np.finfo(float).eps * kappa)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(3, 60), st.sampled_from(KERNEL_FAMILIES), st.sampled_from([16, 64]),
+       st.sampled_from(["equidistant", "uniform"]), st.integers(0, 2**32 - 1))
+def test_straight_line_qt_q_of_a_grid_stack_equals_each_bandwidths_call(n, family, order,
+                                                                         design, seed):
+    # the closed-form study takes Q'q for a grid's whole stack from one call
+    model, _, _ = make_scenario("simple-linear")
+    line = StraightLine(_rule(model, order))
+    rng = np.random.default_rng(seed)
+    x = (np.linspace(0.0, 1.0, n) if design == "equidistant" else rng.random(n)).reshape(-1, 1)
+    grid = GcvGrid(x, family=family)
+    stack = line.qt_q(KernelSpec(family, grid.rho_grid), x, grid.eig_vectors)
+    assert stack.shape == grid.eig_values.shape
+    for rho, q, row in zip(grid.rho_grid, grid.eig_vectors, stack):
+        spec = KernelSpec(family, rho)
+        assert np.array_equal(row, line.qt_q(spec, x, q))
+        assert np.array_equal(row, q.T @ (kernel_matrix(spec, line.nodes, x).T @ line.wx))

@@ -14,7 +14,7 @@ from l2calib import numerics, smoother
 from l2calib.models import make_scenario
 from l2calib.numerics import set_blas_threads
 from l2calib.simharness import generate_replicate
-from l2calib.smoother import (DEFAULT_LAMBDA_GRID, JITTER, ONE_BLAS_THREAD_BELOW,
+from l2calib.smoother import (DEFAULT_LAMBDA_GRID, EIGH_BLOCK, JITTER, ONE_BLAS_THREAD_BELOW,
                               SELECT_CHUNK, Dataset, DegenerateSmootherError, GcvGrid,
                               KernelSpec, default_rho_grid,
                               fit_smoother, kernel_matrix, read_dataset_csv)
@@ -241,7 +241,7 @@ def test_gcv_choice_invariant_to_row_permutation(case):
     if (p_idx, p_lam) != (idx, lam):
         # rounding may break an exact tie the other way; the permuted choice
         # must then score the minimum on the unpermuted design too
-        spec = grid.bandwidths[p_idx][0]
+        spec = KernelSpec(grid.family, grid.rho_grid[p_idx])
         score = fit_smoother_fixed(Dataset(x, y), spec, p_lam).gcv_value
         assert abs(score - best) <= 1e-12 * best
 
@@ -355,7 +355,7 @@ def _loop_select(grid, y):
     """Reference for GcvGrid.select: score every (rho, lam) cell in turn."""
     n = y.size
     best = None
-    for idx, (spec, d, q) in enumerate(grid.bandwidths):
+    for idx, (d, q) in enumerate(zip(grid.eig_values, grid.eig_vectors)):
         z = q.T @ y
         for lam in grid.lambda_grid:
             shr = lam / (d + lam)
@@ -453,7 +453,7 @@ def test_select_many_equals_select_row_by_row(case):
         assert grid.select(y) == (int(idx[r]), float(grid.lambda_grid[j[r]]),
                                   float(score[r]), float(rss[r]), float(trm[r]))
         # the selected Q'y is the one-response product of that bandwidth, bit for bit
-        assert np.array_equal(z[r], grid.bandwidths[idx[r]][2].T @ y)
+        assert np.array_equal(z[r], grid.eig_vectors[idx[r]].T @ y)
     if not ys.any():
         assert set(idx) == {0} and set(j) == {grid.lambda_grid.size - 1}
 
@@ -477,7 +477,8 @@ def test_fit_many_equals_fit_row_by_row(case):
     for fit, y in zip(fits, ys):
         # fit(y) is the one-row case; the reference refits the selected cell
         idx, lam = grid.select(y)[:2]
-        ref = fit_smoother_fixed(Dataset(design=x, responses=y), grid.bandwidths[idx][0], lam)
+        ref = fit_smoother_fixed(Dataset(design=x, responses=y),
+                                 KernelSpec(grid.family, grid.rho_grid[idx]), lam)
         for got, one, want in zip(_fit_fields(fit), _fit_fields(grid.fit(y)), _fit_fields(ref)):
             assert np.array_equal(got, one) and np.array_equal(got, want)
 
@@ -486,11 +487,8 @@ def test_grid_holds_each_eigenbasis_once_and_fits_copy_theirs():
     n = 60
     x = np.linspace(0.0, 1.0, n).reshape(-1, 1)
     grid = GcvGrid(x)
-    g = len(grid.bandwidths)
+    g = len(grid.rho_grid)
     assert grid.eig_values.shape == (g, n) and grid.eig_vectors.shape == (g, n, n)
-    for b, (_, d, q) in enumerate(grid.bandwidths):
-        assert d.base is grid.eig_values and q.base is grid.eig_vectors
-        assert np.array_equal(q, grid.eig_vectors[b])
     # every other array the grid holds is smaller than one eigenvector stack
     others = [v for v in vars(grid).values()
               if isinstance(v, np.ndarray) and v is not grid.eig_vectors]
@@ -505,6 +503,31 @@ def test_grid_holds_each_eigenbasis_once_and_fits_copy_theirs():
     assert np.array_equal(fit.eig_vectors, grid.eig_vectors[idx])
 
 
+@pytest.mark.parametrize("n, blocks", [(4, 1), (50, 3)])
+def test_grid_builds_one_kernel_spec_per_eigh_block_and_fit_many_one_per_fit(
+        monkeypatch, n, blocks):
+    # a bandwidth is a row of the grid's arrays: a spec is validated per eigh call,
+    # and a fit gets the spec of its selected row
+    made, real = [], KernelSpec.__post_init__
+
+    def counting(self):
+        made.append(self)
+        real(self)
+
+    monkeypatch.setattr(KernelSpec, "__post_init__", counting)
+    x = np.linspace(0.0, 1.0, n).reshape(-1, 1)
+    grid = GcvGrid(x, family="matern52")
+    step = max(1, EIGH_BLOCK // (n * n))
+    assert len(made) == blocks == -(-len(grid.rho_grid) // step)
+    assert np.array_equal(np.concatenate([s.rho for s in made]), grid.rho_grid)
+    ys = np.sin(np.arange(1, 6)[:, None] * x[:, 0])
+    fits = grid.fit_many(ys)
+    assert len(made) == blocks + len(ys)
+    for fit, y in zip(fits, ys):
+        assert fit.kernel.family == "matern52"
+        assert np.array_equal(fit.kernel.rho, grid.rho_grid[grid.select(y)[0]])
+
+
 @pytest.mark.parametrize("family", smoother.KERNEL_FAMILIES)
 @pytest.mark.parametrize("design", ["equidistant", "uniform"])
 @pytest.mark.parametrize("n", [3, 4, 50, 399, 400, 450])
@@ -517,12 +540,12 @@ def test_stacked_grid_equals_one_eigh_per_bandwidth(n, design, family):
     rho = default_rho_grid(x)
     grid = GcvGrid(x, family=family, rho_grid=rho if n < 100 else rho[::4])
     lam = grid.lambda_grid[:, None]
-    for b, (spec, d, q) in enumerate(grid.bandwidths):
-        d0, q0 = kernel_eigh(spec, x)
+    for b, (d, q) in enumerate(zip(grid.eig_values, grid.eig_vectors)):
+        d0, q0 = kernel_eigh(KernelSpec(family, grid.rho_grid[b]), x)
         assert np.array_equal(d, d0) and np.array_equal(q, q0)
         shr = lam / (d0 + lam)
-        assert np.array_equal(grid._shr[b], shr)
-        assert np.array_equal(grid._trace[b], shr.sum(axis=-1))
+        assert np.array_equal(grid.shrinkage[b], shr)
+        assert np.array_equal(grid.residual_trace[b], shr.sum(axis=-1))
 
 
 def test_grid_build_peaks_no_higher_than_one_eigh_per_bandwidth():
@@ -567,7 +590,8 @@ def test_fit_takes_the_selected_cells_numbers(n, design, family, noise, seed):
     grid = GcvGrid(x, family=family)
     fit = grid.fit(y)
     idx, lam = grid.select(y)[:2]
-    ref = fit_smoother_fixed(Dataset(design=x, responses=y), grid.bandwidths[idx][0], lam)
+    ref = fit_smoother_fixed(Dataset(design=x, responses=y),
+                             KernelSpec(family, grid.rho_grid[idx]), lam)
     for name in ("coef", "sigma2_hat", "trace_hat", "gcv_value", "flags"):
         assert np.array_equal(getattr(fit, name), getattr(ref, name)), name
 

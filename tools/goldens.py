@@ -92,6 +92,10 @@ def runs() -> dict[str, tuple[str, ...]]:
     table["simulate-matern52"] = (
         "simulate", "--scenario", "scenario2", "--kernel", "matern52", "--replicates", "8",
         "--workers", "1", "--records", *REPORT, *SUMMARY)
+    # scenario1's uniform design: a grid and a fit's kernel for every replicate
+    table["simulate-scenario1-matern52"] = (
+        "simulate", "--scenario", "scenario1", "--kernel", "matern52", "--replicates", "8",
+        "--workers", "1", "--records", *REPORT, *SUMMARY)
     # a straight line's theta* is its vertex on the quadrature rule, so it moves with the order
     table["table1-quad16"] = (
         "table1", "--quad-order", "16", "--replicates", "400", "--workers", "1",
