@@ -107,6 +107,23 @@ def l2_loss_fn(mu_like, model: MathModel, rule: QuadratureRule, *,
     return terms.value
 
 
+def sampler_l2_loss(mu_like, model: MathModel, rule: QuadratureRule):
+    """The sampler's l2 loss: ``l2_loss_fn``'s closure, or for a feature-linear model the
+    row-wise c0 - 2 c.h + c'Gc in c = coefs(theta), with moments taken once at the nodes."""
+    terms = l2_loss_terms(mu_like, model, rule)
+    if model.features is None:
+        return l2_loss_fn(mu_like, model, rule, terms=terms)
+    f, w, y = model.features(terms.points), terms.weights, terms.target
+    c0, h2, gram = w @ (y * y), 2.0 * (y @ (w[:, None] * f)), f.T @ (w[:, None] * f)
+
+    def loss(theta):
+        c = model.coefs(np.asarray(theta, dtype=float))
+        val = c0 + (c * ((c[..., None, :] * gram).sum(axis=-1) - h2)).sum(axis=-1)
+        return float(val) if c.ndim == 1 else val
+
+    return loss
+
+
 def l2_loss_hess(theta, mu_like, model: MathModel, rule: QuadratureRule) -> np.ndarray:
     return l2_loss_terms(mu_like, model, rule).hess(theta)
 

@@ -183,6 +183,8 @@ def validate_config(cfg: dict) -> None:
             raise ConfigError(f"config key '{key}': required")
     if cfg.get("data") and cfg.get("n") is not None:
         raise ConfigError("n and data are exclusive: a dataset has its own size")
+    if cfg.get("draws_out") and cfg.get("engine") != "mcmc":
+        raise ConfigError("draws-out needs --engine mcmc: no other engine draws")
     if "engine" in cfg:
         try:
             check_engine(cfg["engine"], cfg["scenario"], chains=cfg["chains"],

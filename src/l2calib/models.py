@@ -86,6 +86,8 @@ class MathModel:
 
     ``scalar_linear`` marks single-parameter models of the form
     eta(theta, x) = theta * x, for which closed-form shortcuts exist.
+    A feature-linear model also sets ``features(x)`` (m, J) and ``coefs(theta)`` (J,)
+    or (c, J), and builds eta = sum_j coefs_j features_j from them: clear both to replace it.
     """
 
     name: str
@@ -95,6 +97,8 @@ class MathModel:
     grad_eta: Callable = field(repr=False)
     hess_eta: Callable = field(repr=False)
     scalar_linear: bool = False
+    features: Callable | None = field(default=None, repr=False)
+    coefs: Callable | None = field(default=None, repr=False)
 
     @property
     def n_params(self) -> int:
@@ -152,22 +156,21 @@ def _coords(theta):
 
 def _linear_model(name: str, theta_lo: float, theta_hi: float) -> MathModel:
     def eta(theta, x):
-        pts = _as_points(x, 1)
-        return _coords(theta)[0] * pts[:, 0]
+        return _coords(theta)[0] * _as_points(x, 1)[:, 0]
 
     def grad(theta, x):
         pts = _as_points(x, 1)
         return np.broadcast_to(pts, theta.shape[:-1] + pts.shape)
 
     def hess(theta, x):
-        pts = _as_points(x, 1)
-        return np.zeros(theta.shape[:-1] + pts.shape + (1,))
+        return np.zeros(theta.shape[:-1] + _as_points(x, 1).shape + (1,))
 
     return MathModel(
         name=name,
         theta_box=DomainBox(np.array([theta_lo]), np.array([theta_hi])),
         x_box=DomainBox(np.array([0.0]), np.array([1.0])),
         eta=eta, grad_eta=grad, hess_eta=hess, scalar_linear=True,
+        features=lambda x: _as_points(x, 1), coefs=lambda theta: theta,
     )
 
 
@@ -189,31 +192,35 @@ def _make_simple_linear():
 
 
 def _make_scenario1():
-    two_pi = 2.0 * np.pi
+    two_pi, pi = 2.0 * np.pi, np.pi
+
+    def wave(x):        # the theta-free factor of eta
+        return np.sin(two_pi * _as_points(x, 1)[:, 0] - pi)
+
+    def cols(theta):    # the coefficients 7 a^2 and 2 b^2 as _coords columns
+        th = _coords(theta)
+        a = np.sin(two_pi * th[0] - pi)
+        b = two_pi * th[1] - pi
+        return 7.0 * a * a, 2.0 * b * b
 
     def eta(theta, x):
-        pts = _as_points(x, 1)
-        th = _coords(theta)
-        a = np.sin(two_pi * th[0] - np.pi)
-        b = two_pi * th[1] - np.pi
-        return 7.0 * a * a + 2.0 * b * b * np.sin(two_pi * pts[:, 0] - np.pi)
+        c0, c1 = cols(theta)
+        return c0 + c1 * wave(x)
 
     def grad(theta, x):
-        pts = _as_points(x, 1)
         th = _coords(theta)
-        u = two_pi * th[0] - np.pi
-        b = two_pi * th[1] - np.pi
-        s = np.sin(two_pi * pts[:, 0] - np.pi)
-        g = np.empty(theta.shape[:-1] + (pts.shape[0], 2))
+        u = two_pi * th[0] - pi
+        b = two_pi * th[1] - pi
+        s = wave(x)
+        g = np.empty(theta.shape[:-1] + (s.size, 2))
         g[..., 0] = 14.0 * two_pi * np.sin(u) * np.cos(u)
         g[..., 1] = 4.0 * two_pi * b * s
         return g
 
     def hess(theta, x):
-        pts = _as_points(x, 1)
-        u = two_pi * _coords(theta)[0] - np.pi
-        s = np.sin(two_pi * pts[:, 0] - np.pi)
-        h = np.zeros(theta.shape[:-1] + (pts.shape[0], 2, 2))
+        u = two_pi * _coords(theta)[0] - pi
+        s = wave(x)
+        h = np.zeros(theta.shape[:-1] + (s.size, 2, 2))
         h[..., 0, 0] = 14.0 * two_pi**2 * np.cos(2.0 * u)
         h[..., 1, 1] = 4.0 * two_pi**2 * s
         return h
@@ -224,6 +231,8 @@ def _make_scenario1():
         theta_box=DomainBox(np.array([0.0, 0.0]), np.array([0.25, 0.5])),
         x_box=DomainBox(np.array([0.0]), np.array([1.0])),
         eta=eta, grad_eta=grad, hess_eta=hess,
+        features=lambda x: np.stack(np.broadcast_arrays(1.0, wave(x)), axis=-1),
+        coefs=lambda theta: np.hstack(cols(theta)),
     )
     system = PhysicalSystem(
         name="scenario1",

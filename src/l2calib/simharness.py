@@ -26,8 +26,8 @@ from . import __version__
 from .asymptotics import (CONDITIONAL_FORMS, conditional_matrices,
                           marginal_matrices)
 from .calibration import (StraightLine, estimate_many, estimate_theta,
-                          l2_loss_fn, linear_theta_hat, matched_gamma,
-                          normal_posterior)
+                          linear_theta_hat, matched_gamma, normal_posterior,
+                          sampler_l2_loss)
 from .models import SCENARIO_NAMES, make_scenario
 from .numerics import DEFAULT_QUAD_ORDER, blas_threads, build_rule
 from .posterior import (INTERVAL_MODES, LEVEL_BOUND, Prior, SamplerSettings,
@@ -36,6 +36,8 @@ from .posterior import (INTERVAL_MODES, LEVEL_BOUND, Prior, SamplerSettings,
 from .scaling import (ScalingError, curvature_adjustment, fixed_gamma,
                       magnitude_adjustment, no_scaling, scaled_loss)
 from .smoother import KERNEL_FAMILIES, MIN_OBSERVATIONS, Dataset, GcvGrid, KernelSpec
+# not called here: perfbench/spans.py patches it on this module (ROADMAP item 1)
+from .calibration import l2_loss_fn  # noqa: F401
 
 VARIANTS = ("marginal", "conditional")
 SCALINGS = ("magnitude", "curvature")
@@ -199,7 +201,7 @@ def run_analyses(names, est, fit, model, rule, sandwich, engine: str, level: flo
     gives a variant's matrices, and the adjustment and the posterior are None
     where the analysis failed before building them."""
     n = fit.data.n
-    base_loss = l2_loss_fn(fit, model, rule) if engine == "mcmc" else None
+    base_loss = sampler_l2_loss(fit, model, rule) if engine == "mcmc" else None
     theta_hat = linear_theta_hat(fit, rule) if engine == "conjugate" else None
     out = {}
     for name in names:

@@ -7,10 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+from l2calib import calibration
 from l2calib.calibration import (StraightLine, estimate_many, estimate_theta,
                                  l2_loss_fn, l2_loss_hess, l2_loss_terms,
                                  linear_theta_hat, ols_loss_fn, ols_loss_hess,
-                                 ols_loss_terms)
+                                 ols_loss_terms, sampler_l2_loss)
 from l2calib.models import SCENARIO_NAMES, make_scenario
 from l2calib.numerics import build_rule
 from l2calib.simharness import generate_replicate
@@ -209,15 +210,16 @@ def test_loss_rejects_rule_outside_model_box():
        st.integers(0, 2**32 - 1))
 def test_l2_loss_batch_rows_equal_single_theta(name, chains, seed):
     model, system, _ = make_scenario(name)
-    loss = l2_loss_fn(system.mu, model, _rule(model))
     grad_hess = l2_loss_terms(system.mu, model, _rule(model)).grad_hess
     box = model.theta_box
     rng = np.random.default_rng(seed)
     thetas = box.lower + rng.random((chains, box.dim)) * (box.upper - box.lower)
-    batch = loss(thetas)
-    assert batch.shape == (chains,)
-    for i in range(chains):
-        assert batch[i] == loss(thetas[i])
+    for loss in (l2_loss_fn(system.mu, model, _rule(model)),
+                 sampler_l2_loss(system.mu, model, _rule(model))):
+        batch = loss(thetas)
+        assert batch.shape == (chains,)
+        for i in range(chains):
+            assert batch[i] == loss(thetas[i])
     g, h = grad_hess(thetas)
     assert (g.shape, h.shape) == ((chains, box.dim), (chains, box.dim, box.dim))
     for i in range(chains):
@@ -233,7 +235,7 @@ def _linear_model_nan_above(cut):
         theta = np.asarray(theta, dtype=float)
         return np.where(theta[..., :1] > cut, np.nan, base.eta(theta, x))
 
-    return dataclasses.replace(base, eta=eta), system
+    return dataclasses.replace(base, eta=eta, features=None, coefs=None), system
 
 
 def test_estimate_survives_non_finite_loss_on_part_of_box():
@@ -294,6 +296,39 @@ def test_estimate_many_rows_equal_estimate_theta(kind, problems, n_starts):
         assert np.array_equal(est.hessian, ref.hessian, equal_nan=True)
         assert (est.converged, est.n_evals, est.best_start) == \
             (ref.converged, ref.n_evals, ref.best_start)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(["scenario1", "simple-linear", "scenario3"]), st.integers(0, 5),
+       st.integers(1, 8), st.integers(0, 2**32 - 1))
+def test_sampler_loss_of_a_feature_linear_model_is_the_l2_loss(kind, source, rows, seed):
+    # the quadratic form in coefs(theta) against the residual sum over the
+    # nodes: rows inside the box, on its faces and next to the minimiser
+    model, rule, sources = _estimate_sources(kind)
+    fit, box = sources[source], model.theta_box
+    rng = np.random.default_rng(seed)
+    thetas = box.lower + rng.random((rows, box.dim)) * (box.upper - box.lower)
+    face = rng.random(thetas.shape) < 0.3
+    thetas[face] = np.where(rng.random(thetas.shape) < 0.5, box.lower, box.upper)[face]
+    near = rng.random(rows) < 0.3
+    spread = 1e-3 * (box.upper - box.lower) * rng.standard_normal((rows, box.dim))
+    thetas[near] = box.clip(estimate_theta(fit, model, rule).theta + spread)[near]
+    got = sampler_l2_loss(fit, model, rule)(thetas)
+    assert_allclose(got, l2_loss_terms(fit, model, rule).value(thetas), rtol=1e-10, atol=0)
+
+
+def test_sampler_loss_of_a_model_without_features_is_l2_loss_fns_closure(monkeypatch):
+    model, system, _ = make_scenario("scenario2")
+    assert model.features is None and model.coefs is None
+    closures = []
+
+    def recording(*args, **kwargs):
+        closures.append(l2_loss_fn(*args, **kwargs))
+        return closures[-1]
+
+    monkeypatch.setattr(calibration, "l2_loss_fn", recording)
+    loss = sampler_l2_loss(system.mu, model, _rule(model))
+    assert len(closures) == 1 and loss is closures[0]
 
 
 def test_estimate_many_covers_stalled_and_non_finite_problems():

@@ -157,6 +157,16 @@ def test_calibrate_draws_out_keeps_every_analysis(tmp_path):
     assert counts == {"marginal-magnitude": kept, "marginal-curvature": kept}
 
 
+@pytest.mark.parametrize("engine", ["laplace", "conjugate"])
+def test_calibrate_refuses_draws_out_without_the_sampler(tmp_path, capsys, engine):
+    draws = tmp_path / "draws.csv"
+    rc = main(["calibrate", "--scenario", "simple-linear", "--engine", engine,
+               "--draws-out", str(draws)])
+    assert rc == 2
+    assert "--engine mcmc" in capsys.readouterr().err
+    assert not draws.exists()
+
+
 def _singular_w(*args, **kwargs):
     raise ScalingError("W is singular")
 

@@ -154,3 +154,9 @@ def test_eta_batch_rows_equal_single_theta(name, chains, seed):
         assert batch.shape == (chains, 9) + shape
         for i in range(chains):
             assert np.array_equal(batch[i], fn(thetas[i], x))
+    if model.features is not None:     # eta is sum_j coefs_j features_j, bit for bit
+        feats, coefs = model.features(x), model.coefs(thetas)
+        assert feats.shape[0] == 9 and coefs.shape == (chains, feats.shape[1])
+        for i in range(chains):
+            assert np.array_equal(coefs[i], model.coefs(thetas[i]))
+            assert np.array_equal((coefs[i] * feats).sum(axis=-1), model.eta(thetas[i], x))

@@ -540,7 +540,7 @@ def _nan_above_3(base):
         theta = np.asarray(theta, dtype=float)
         return np.where(theta[..., :1] > 3.0, np.nan, base.eta(theta, x))
 
-    return dataclasses.replace(base, eta=eta)
+    return dataclasses.replace(base, eta=eta, features=None, coefs=None)
 
 
 def test_replicate_flags_estimate_not_converged_on_non_finite_model(monkeypatch):

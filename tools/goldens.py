@@ -38,10 +38,10 @@ def runs() -> dict[str, tuple[str, ...]]:
     table = {"fit": ("fit", "--scenario", "scenario2", *REPORT)}
     for engine, scenario in (("laplace", "scenario2"), ("mcmc", "scenario1"),
                              ("conjugate", "simple-linear")):
-        extra = SHORT_MCMC if engine == "mcmc" else ()
+        # only the sampler has draws: --draws-out with another engine exits 2
+        extra = (*SHORT_MCMC, "--draws-out", "draws.csv") if engine == "mcmc" else ()
         table[f"calibrate-{engine}"] = (
-            "calibrate", "--scenario", scenario, "--engine", engine, *extra,
-            *REPORT, "--draws-out", "draws.csv")
+            "calibrate", "--scenario", scenario, "--engine", engine, *extra, *REPORT)
     table["calibrate-mcmc-literal-hpd"] = (
         "calibrate", "--scenario", "scenario2", "--engine", "mcmc", *SHORT_MCMC,
         "--conditional-form", "literal", "--interval", "hpd",
@@ -49,6 +49,10 @@ def runs() -> dict[str, tuple[str, ...]]:
     # seed 6 puts scenario3's estimate on the lower edge of its parameter box
     table["calibrate-scenario3-edge"] = (
         "calibrate", "--scenario", "scenario3", "--seed", "6", *REPORT)
+    # the curvature remap projects the sampler's points onto that edge and penalises them
+    table["calibrate-mcmc-scenario3-edge"] = (
+        "calibrate", "--scenario", "scenario3", "--seed", "6", "--engine", "mcmc",
+        *SHORT_MCMC, *REPORT)
     for scenario in SCENARIOS:
         for workers in (1, 2):
             table[f"simulate-{scenario}-w{workers}"] = (
