@@ -22,7 +22,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .models import MathModel
-from .numerics import QuadratureRule, minimize_box, minimize_boxes
+from .numerics import N_STARTS, QuadratureRule, minimize_box
 from .smoother import Dataset, KernelSpec, SmootherFit, kernel_matrix
 
 
@@ -43,10 +43,10 @@ class LossTerms:
     The l2 loss uses the quadrature nodes and weights and the smoothed mean
     at the nodes; the OLS loss uses the design, weights 1/n and the
     responses. ``value`` and ``grad_hess`` take one theta (p,) or a batch
-    (c, p), and each batch row equals the single-theta call bit for bit;
-    ``hess`` takes one theta. A target (P, m) holds P problems, one loss
-    each: a batch then needs ``rows`` (c,), the problem of each theta row,
-    and each row equals the one-problem call on that target row bit for bit.
+    (c, p), and each batch row equals the single-theta call bit for bit. A
+    target (P, m) holds P problems, one loss each: a batch then needs
+    ``rows`` (c,), the problem of each theta row, and each row equals the
+    one-problem call on that target row bit for bit.
     """
 
     model: MathModel
@@ -64,9 +64,6 @@ class LossTerms:
         resid = self._resid(theta, rows)
         val = (self.weights * resid * resid).sum(axis=-1)
         return float(val) if theta.ndim == 1 else val
-
-    def hess(self, theta) -> np.ndarray:
-        return self.grad_hess(theta)[1]
 
     def grad_hess(self, theta, rows=None) -> tuple[np.ndarray, np.ndarray]:
         """Gradient and Hessian from one residual and one grad_eta: (p,) and
@@ -125,7 +122,7 @@ def sampler_l2_loss(mu_like, model: MathModel, rule: QuadratureRule):
 
 
 def l2_loss_hess(theta, mu_like, model: MathModel, rule: QuadratureRule) -> np.ndarray:
-    return l2_loss_terms(mu_like, model, rule).hess(theta)
+    return l2_loss_terms(mu_like, model, rule).grad_hess(theta)[1]
 
 
 def ols_loss_fn(data: Dataset, model: MathModel, *, terms: LossTerms | None = None):
@@ -136,7 +133,7 @@ def ols_loss_fn(data: Dataset, model: MathModel, *, terms: LossTerms | None = No
 
 
 def ols_loss_hess(theta, data: Dataset, model: MathModel) -> np.ndarray:
-    return ols_loss_terms(data, model).hess(theta)
+    return ols_loss_terms(data, model).grad_hess(theta)[1]
 
 
 @dataclass
@@ -156,9 +153,21 @@ class CalibrationEstimate:
         return () if self.converged else ("estimate-not-converged",)
 
 
+def _estimate(terms: LossTerms, loss, seeds, n_starts, method) -> list[CalibrationEstimate]:
+    """One estimate per target row of ``terms`` and its seed, from one lockstep
+    minimisation of ``loss``: ``terms.value`` as ``l2_loss_fn`` or ``ols_loss_fn``
+    hands it out, so a wrapped loss function also sees the estimator's calls."""
+    box = terms.model.theta_box
+    res = minimize_box(loss, terms.grad_hess, box.lower, box.upper, seeds, n_starts)
+    hess = terms.grad_hess(np.array([r.x for r in res]), np.arange(len(res)))[1]
+    return [CalibrationEstimate(theta=r.x, value=r.value, method=method, hessian=h,
+                                converged=r.converged, n_evals=r.n_evals,
+                                best_start=r.best_start) for r, h in zip(res, hess)]
+
+
 def estimate_theta(source, model: MathModel, rule: QuadratureRule | None = None,
                    method: str = "l2", seed: int = 0,
-                   n_starts: int = 10) -> CalibrationEstimate:
+                   n_starts: int = N_STARTS) -> CalibrationEstimate:
     """Minimise the chosen loss over the model's parameter box.
 
     ``source`` is a SmootherFit or callable mean for method "l2", and a
@@ -167,36 +176,24 @@ def estimate_theta(source, model: MathModel, rule: QuadratureRule | None = None,
     if method == "l2":
         if rule is None:
             raise ValueError("the l2 method needs a quadrature rule")
-        terms = l2_loss_terms(source, model, rule)
-        loss = l2_loss_fn(source, model, rule, terms=terms)
-    elif method == "ols":
-        data = source.data if isinstance(source, SmootherFit) else source
-        if not isinstance(data, Dataset):
-            raise TypeError("the ols method needs a Dataset or SmootherFit")
-        terms = ols_loss_terms(data, model)
-        loss = ols_loss_fn(data, model, terms=terms)
-    else:
+        return estimate_many([source], model, rule, [seed], n_starts)[0]
+    if method != "ols":
         raise ValueError(f"unknown method {method!r}; choose 'l2' or 'ols'")
-
-    res = minimize_box(loss, terms.grad_hess, model.theta_box.lower,
-                       model.theta_box.upper, seed=seed, n_starts=n_starts)
-    return CalibrationEstimate(theta=res.x, value=res.value, method=method,
-                               hessian=terms.hess(res.x), converged=res.converged,
-                               n_evals=res.n_evals, best_start=res.best_start)
+    data = source.data if isinstance(source, SmootherFit) else source
+    if not isinstance(data, Dataset):
+        raise TypeError("the ols method needs a Dataset or SmootherFit")
+    terms = ols_loss_terms(data, model)
+    terms = replace(terms, target=terms.target[None])
+    return _estimate(terms, ols_loss_fn(data, model, terms=terms), [seed], n_starts, "ols")[0]
 
 
 def estimate_many(sources, model: MathModel, rule: QuadratureRule, seeds,
-                  n_starts: int = 10) -> list[CalibrationEstimate]:
-    """``estimate_theta(source, model, rule, "l2", seed, n_starts)`` for each
-    source and its seed, bit for bit, from one lockstep minimisation."""
+                  n_starts: int = N_STARTS) -> list[CalibrationEstimate]:
+    """The l2 estimate of each source from its seed, from one lockstep
+    minimisation: each equals the estimate of that source alone, bit for bit."""
     terms = [l2_loss_terms(s, model, rule) for s in sources]
     terms = replace(terms[0], target=np.stack([t.target for t in terms]))
-    res = minimize_boxes(terms.value, terms.grad_hess, model.theta_box.lower,
-                         model.theta_box.upper, seeds, n_starts)
-    hess = terms.grad_hess(np.array([r.x for r in res]), np.arange(len(res)))[1]
-    return [CalibrationEstimate(theta=r.x, value=r.value, method="l2", hessian=h,
-                                converged=r.converged, n_evals=r.n_evals,
-                                best_start=r.best_start) for r, h in zip(res, hess)]
+    return _estimate(terms, l2_loss_fn(None, model, rule, terms=terms), seeds, n_starts, "l2")
 
 
 class StraightLine:

@@ -318,7 +318,7 @@ def cmd_calibrate(cfg: dict) -> int:
             continue
         mean_txt = ", ".join(f"{m:.6g}" for m in entry["post_mean"])
         ivs = "; ".join(f"[{lo:.6g}, {hi:.6g}]" for lo, hi in entry["interval"])
-        lines.append(f"  {name}: mean [{mean_txt}]  {cfg['level']:.0%} {ivs}")
+        lines.append(f"  {name}: mean [{mean_txt}]  {100 * cfg['level']:g}% {ivs}")
     if cfg["draws_out"] and samples:
         write_draws_csv(samples, cfg["draws_out"])
 

@@ -132,6 +132,7 @@ class MinimizeResult:
 GTOL = 1e-10        # stop once the projected gradient is this small
 FTOL = 1e-12        # ... or once a Newton step promises less than FTOL |f|
 MAX_NEWTON_ITER = 100
+N_STARTS = 10       # starts per problem: the box centre and 9 Latin hypercube points
 
 
 def _latin_starts(lower, upper, n, seed):
@@ -148,16 +149,8 @@ def _latin_starts(lower, upper, n, seed):
     return lower + u * (upper - lower)
 
 
-def minimize_box(f, grad_hess, lower, upper, seed: int = 0,
-                 n_starts: int = 10) -> MinimizeResult:
-    """Multistart damped projected Newton over a box for one smooth f: the
-    one-problem case of ``minimize_boxes``, f and grad_hess of points only."""
-    return minimize_boxes(lambda x, _: f(x), lambda x, _: grad_hess(x), lower,
-                          upper, [seed], n_starts)[0]
-
-
-def minimize_boxes(f, grad_hess, lower, upper, seeds,
-                   n_starts: int = 10) -> list[MinimizeResult]:
+def minimize_box(f, grad_hess, lower, upper, seeds,
+                 n_starts: int = N_STARTS) -> list[MinimizeResult]:
     """Multistart damped projected Newton over a box, for P smooth problems at
     once, one per seed; returns one result per problem.
 
@@ -172,11 +165,13 @@ def minimize_boxes(f, grad_hess, lower, upper, seeds,
     the smallest shift mu that makes the matrix positive definite and keeps
     the step within the box diameter; the trial point is clipped to the box
     and accepted only if f does not rise (a non-finite f is a rise), and
-    each rejection raises mu. Converged means a small projected gradient
-    with no negative curvature, or an undamped Newton step that is too small
-    to move x or that f, at its rounding level, cannot tell from no step. A
-    start stops unconverged at a non-finite value or derivative, or after
-    ``MAX_NEWTON_ITER`` accepted steps.
+    each rejection raises mu. After a non-finite f the raised mu is a floor
+    for the start's later shifts, so it does not step back into that region.
+    Converged means a small projected gradient with no negative curvature,
+    or an undamped Newton step that is too small to move x or that f, at its
+    rounding level, cannot tell from no step. A start stops unconverged at a
+    non-finite value or derivative, or after ``MAX_NEWTON_ITER`` accepted
+    steps.
 
     The starts of every problem advance in lockstep rounds: one
     ``grad_hess`` call, one stacked ``eigh`` per pattern of free coordinates
@@ -206,6 +201,7 @@ def minimize_boxes(f, grad_hess, lower, upper, seeds,
     fx = np.array(f(x, prob), dtype=float)
     tried, steps = [np.arange(c)], np.zeros(c, dtype=int)   # rows passed to f
     conv, shift, fresh = np.zeros(c, dtype=bool), np.zeros(c), np.ones(c, dtype=bool)
+    floor = np.zeros(c)     # the shift a start's last non-finite trial forced
     # diam: the box diameter over each pattern of free coordinates
     live, bits, diam = np.flatnonzero(np.isfinite(fx)), 1 << np.arange(p), {}
     while live.size:
@@ -237,7 +233,8 @@ def minimize_boxes(f, grad_hess, lower, upper, seeds,
                 # a zero gradient at negative curvature leaves s0 = -e_0, and the
                 # step would be 0 / 0: doubling s0 keeps the matrix definite
                 s0 = np.where(low > 0.0, s0, 2.0 * s0)
-            ss = s[sel] = np.where(fresh[live[sel]], np.where(s0 > 0.0, s0, 0.0), s[sel])
+            s0 = np.maximum(np.where(s0 > 0.0, s0, 0.0), floor[live[sel]])
+            ss = s[sel] = np.where(fresh[live[sel]], s0, s[sel])
             keep = ~stop[:, None]
             d = np.divide(gv, e + ss[:, None], out=np.zeros_like(gv), where=keep)
             step[sel[:, None], idx] = (v @ d[:, :, None])[:, :, 0]
@@ -263,6 +260,7 @@ def minimize_boxes(f, grad_hess, lower, upper, seeds,
         tiny = undamped & (dec <= FTOL * np.abs(fx[pend]))
         conv[pend] = tiny
         shift[pend] = np.where(undamped, big, 4.0 * s)
+        floor[pend] = np.where(np.isfinite(ft), floor[pend], shift[pend])
         live = pend[(acc & (steps[pend] < MAX_NEWTON_ITER) & np.isfinite(fx[pend]))
                     | (~acc & ~tiny)]
 

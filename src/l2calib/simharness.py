@@ -29,7 +29,7 @@ from .calibration import (StraightLine, estimate_many, estimate_theta,
                           linear_theta_hat, matched_gamma, normal_posterior,
                           sampler_l2_loss)
 from .models import SCENARIO_NAMES, make_scenario
-from .numerics import DEFAULT_QUAD_ORDER, blas_threads, build_rule
+from .numerics import DEFAULT_QUAD_ORDER, N_STARTS, blas_threads, build_rule
 from .posterior import (INTERVAL_MODES, LEVEL_BOUND, Prior, SamplerSettings,
                         conjugate_posterior, credible_interval, laplace_approx,
                         sample_posterior)
@@ -82,7 +82,7 @@ class StudyConfig:
     quad_order: int = DEFAULT_QUAD_ORDER
     kernel_family: str = "gaussian"
     conditional_form: str = "derived"
-    n_starts: int = 10
+    n_starts: int = N_STARTS
     workers: int = 1
     mcmc_chains: int = SamplerSettings.chains
     mcmc_iterations: int = SamplerSettings.iterations

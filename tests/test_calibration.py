@@ -113,7 +113,7 @@ def test_grad_hess_evaluates_the_model_once_and_matches_grad_and_hess():
     g, h = terms.grad_hess(theta)
     assert calls == {"eta": 1, "grad_eta": 1, "hess_eta": 1}
     assert np.array_equal(g, terms.grad_hess(theta)[0])
-    assert np.array_equal(h, terms.hess(theta))
+    assert np.array_equal(h, l2_loss_hess(theta, system.mu, model, _rule(model)))
 
 
 def test_discrepancy_term_shifts_hessian():
@@ -256,6 +256,9 @@ def test_estimate_not_converged_when_minimiser_is_non_finite():
     est = estimate_theta(system.mu, model, _rule(model), seed=4)
     assert not est.converged and est.flags == ("estimate-not-converged",)
     assert np.isfinite(est.value) and 2.9 < est.theta[0] <= 3.0
+    # a start keeps the shift a NaN trial forced, so it does not step back into
+    # the NaN region after each accepted step: 4,457 loss points without that
+    assert est.n_evals <= 900
 
 
 @functools.cache

@@ -102,6 +102,14 @@ def test_calibrate_report(tmp_path, capsys):
     assert "theta_hat =" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("level, printed", [(0.95, "95%"), (0.9999, "99.99%")])
+def test_calibrate_prints_the_level_unrounded(capsys, level, printed):
+    # a rounding format printed 0.9999 as 100%
+    assert main(["calibrate", "--scenario", "simple-linear", "--level", str(level)]) == 0
+    lines = [ln for ln in capsys.readouterr().out.splitlines() if ": mean [" in ln]
+    assert len(lines) == 4 and all(f"]  {printed} [" in ln for ln in lines)
+
+
 def test_calibrate_conjugate_engine_uses_closed_form(tmp_path):
     out = tmp_path / "cal.json"
     rc = main(["calibrate", "--scenario", "simple-linear", "--seed", "2",

@@ -8,10 +8,9 @@ from scipy.stats import qmc
 from l2calib import numerics
 from l2calib.calibration import l2_loss_terms, ols_loss_terms
 from l2calib.models import SCENARIO_NAMES, make_scenario
-from l2calib.numerics import (FTOL, GTOL, MAX_NEWTON_ITER, FactorError,
+from l2calib.numerics import (FTOL, GTOL, MAX_NEWTON_ITER, N_STARTS, FactorError,
                               _latin_starts, blas_threads, build_rule, gauss_legendre_01,
-                              minimize_box, minimize_boxes, set_blas_threads,
-                              sym_psd_factor)
+                              minimize_box, set_blas_threads, sym_psd_factor)
 from l2calib.simharness import generate_replicate
 from l2calib.smoother import fit_smoother
 
@@ -116,19 +115,25 @@ def _quadratic(centre, curv, cross=0.0):
 
 
 def _rows(f, grad_hess):
-    """The batch forms minimize_box calls, from single-point f and grad_hess."""
+    """Batch forms of points (c, p), from single-point f and grad_hess."""
     return (lambda ts: np.array([f(t) for t in ts]),
             lambda ts: tuple(np.array(a) for a in zip(*[grad_hess(t) for t in ts])))
 
 
+def _minimize(f, grad_hess, lower, upper, seed=0, n_starts=N_STARTS):
+    """minimize_box on one problem, f and grad_hess of points (c, p) only."""
+    return minimize_box(lambda x, _: f(x), lambda x, _: grad_hess(x), lower, upper,
+                        [seed], n_starts)[0]
+
+
 def test_minimize_box_quadratic():
-    res = minimize_box(*_rows(*_quadratic([3.5], [1.0])), [2.0], [4.0], seed=0)
+    res = _minimize(*_rows(*_quadratic([3.5], [1.0])), [2.0], [4.0], seed=0)
     assert res.converged
     assert_allclose(res.x, [3.5], atol=1e-8)
 
 
 def test_minimize_box_boundary_argmin():
-    res = minimize_box(*_rows(*_quadratic([9.0], [1.0])), [0.0], [4.0], seed=0)
+    res = _minimize(*_rows(*_quadratic([9.0], [1.0])), [0.0], [4.0], seed=0)
     assert_allclose(res.x, [4.0], atol=1e-8)
     assert res.converged
 
@@ -137,8 +142,8 @@ def test_minimize_box_boundary_argmin_two_dim():
     # unconstrained minimiser (1.7, 0.4): the first coordinate stops on its
     # upper bound, the second stays interior and still converges
     f, grad_hess = _quadratic([1.7, 0.4], [1.0, 3.0], cross=0.2)
-    res = minimize_box(*_rows(f, grad_hess), [0.0, 0.0], [1.0, 1.0], seed=2,
-                       n_starts=6)
+    res = _minimize(*_rows(f, grad_hess), [0.0, 0.0], [1.0, 1.0], seed=2,
+                    n_starts=6)
     assert res.converged
     assert res.x[0] == 1.0
     # interior coordinate solves its own first-order condition on the face
@@ -148,8 +153,8 @@ def test_minimize_box_boundary_argmin_two_dim():
 
 def test_minimize_box_two_dim_with_coupling():
     f, grad_hess = _quadratic([0.3, 0.7], [1.0, 2.0], cross=0.1)
-    res = minimize_box(*_rows(f, grad_hess), [0.0, 0.0], [1.0, 1.0], seed=1,
-                       n_starts=5)
+    res = _minimize(*_rows(f, grad_hess), [0.0, 0.0], [1.0, 1.0], seed=1,
+                    n_starts=5)
     g = np.array([2.0 * (res.x[0] - 0.3) + 0.1 * res.x[1],
                   4.0 * (res.x[1] - 0.7) + 0.1 * res.x[0]])
     assert np.max(np.abs(g)) < 1e-6
@@ -161,7 +166,7 @@ def test_minimize_box_multimodal_finds_global():
     f = lambda t: float(np.cos(3.0 * t[0]) + 0.05 * (t[0] + 2.0) ** 2)
     grad_hess = lambda t: (np.array([-3.0 * np.sin(3.0 * t[0]) + 0.1 * (t[0] + 2.0)]),
                            np.array([[-9.0 * np.cos(3.0 * t[0]) + 0.1]]))
-    res = minimize_box(*_rows(f, grad_hess), [-4.0, ], [4.0], seed=0, n_starts=12)
+    res = _minimize(*_rows(f, grad_hess), [-4.0, ], [4.0], seed=0, n_starts=12)
     grid = np.linspace(-4, 4, 20001)
     brute = grid[np.argmin([f([t]) for t in grid])]
     assert_allclose(res.x[0], brute, atol=1e-4)
@@ -172,8 +177,8 @@ def test_minimize_box_deterministic():
     f = lambda t: float(np.sin(7 * t[0]) + t[0] ** 2)
     grad_hess = lambda t: (np.array([7 * np.cos(7 * t[0]) + 2 * t[0]]),
                            np.array([[-49 * np.sin(7 * t[0]) + 2.0]]))
-    a = minimize_box(*_rows(f, grad_hess), [-3.0], [3.0], seed=5, n_starts=8)
-    b = minimize_box(*_rows(f, grad_hess), [-3.0], [3.0], seed=5, n_starts=8)
+    a = _minimize(*_rows(f, grad_hess), [-3.0], [3.0], seed=5, n_starts=8)
+    b = _minimize(*_rows(f, grad_hess), [-3.0], [3.0], seed=5, n_starts=8)
     assert np.array_equal(a.x, b.x) and a.value == b.value
     assert (a.n_evals, a.best_start) == (b.n_evals, b.best_start)
 
@@ -182,16 +187,16 @@ def test_minimize_box_counts_evaluations():
     calls = []
     f, grad_hess = _quadratic([0.2, 0.6], [1.0, 1.0])
     counted = lambda t: calls.append(1) or f(t)
-    res = minimize_box(*_rows(counted, grad_hess), [0.0, 0.0], [1.0, 1.0], seed=3,
-                       n_starts=4)
+    res = _minimize(*_rows(counted, grad_hess), [0.0, 0.0], [1.0, 1.0], seed=3,
+                    n_starts=4)
     assert res.n_evals == len(calls) >= 4
 
 
 def test_minimize_box_ties_go_to_smallest_point():
     # a flat f: every start is stationary where it begins, all values tie
     zero = lambda t: 0.0
-    res = minimize_box(*_rows(zero, lambda t: (np.zeros(2), np.zeros((2, 2)))),
-                       [0.0, 0.0], [1.0, 1.0], seed=7, n_starts=6)
+    res = _minimize(*_rows(zero, lambda t: (np.zeros(2), np.zeros((2, 2)))),
+                    [0.0, 0.0], [1.0, 1.0], seed=7, n_starts=6)
     starts = [np.array([0.5, 0.5]), *_latin_starts(np.zeros(2), np.ones(2), 5, 7)]
     first = min(range(6), key=lambda i: tuple(starts[i]))
     assert res.converged and res.best_start == first
@@ -202,9 +207,9 @@ def test_minimize_box_iteration_cap_is_not_converged():
     # a Hessian that overstates the curvature a million-fold makes every
     # accepted step 1e-6 long, so the descent runs out of iterations far
     # from the bound where f = -t has its minimum
-    res = minimize_box(*_rows(lambda t: float(-t[0]),
-                              lambda t: (np.array([-1.0]), np.array([[1e6]]))),
-                       [0.0], [1.0], seed=0, n_starts=1)
+    res = _minimize(*_rows(lambda t: float(-t[0]),
+                           lambda t: (np.array([-1.0]), np.array([[1e6]]))),
+                    [0.0], [1.0], seed=0, n_starts=1)
     assert not res.converged
     assert 0.5 < res.x[0] < 0.51
 
@@ -217,13 +222,13 @@ def test_minimize_box_iteration_cap_is_not_converged():
 def test_minimize_box_rejects_bad_arguments(lower, upper, n_starts, match):
     f, grad_hess = _quadratic(np.zeros(np.size(lower)), np.ones(np.size(lower)))
     with pytest.raises(ValueError, match=match):
-        minimize_box(*_rows(f, grad_hess), lower, upper, n_starts=n_starts)
+        _minimize(*_rows(f, grad_hess), lower, upper, n_starts=n_starts)
 
 
 def test_minimize_box_no_finite_start():
     f = lambda t: float("nan")
-    res = minimize_box(*_rows(f, lambda t: (np.zeros(1), np.eye(1))),
-                       [0.0], [1.0], seed=0, n_starts=3)
+    res = _minimize(*_rows(f, lambda t: (np.zeros(1), np.eye(1))),
+                    [0.0], [1.0], seed=0, n_starts=3)
     assert not res.converged and np.isnan(res.value)
     assert res.n_evals == 3
 
@@ -236,22 +241,23 @@ def test_minimize_box_saddle_start_stops_without_a_nan_trial():
     rows = []
     f_rows, gh_rows = _rows(f, grad_hess)
     counted = lambda ts: rows.extend(ts) or f_rows(ts)
-    alone = minimize_box(counted, gh_rows, [0.0, 0.0], [1.0, 1.0], n_starts=1)
+    alone = _minimize(counted, gh_rows, [0.0, 0.0], [1.0, 1.0], n_starts=1)
     assert not alone.converged and alone.n_evals == 1
     assert np.array_equal(alone.x, [0.5, 0.5])
-    res = minimize_box(counted, gh_rows, [0.0, 0.0], [1.0, 1.0], seed=4, n_starts=5)
+    res = _minimize(counted, gh_rows, [0.0, 0.0], [1.0, 1.0], seed=4, n_starts=5)
     assert np.isfinite(rows).all()
     assert res.converged and res.value == -0.25 and res.x[0] == 0.5
     # a gradient too small to move e_0 + shift off 0 (2^-53 from the saddle)
     # gets the same floor, and the start then leaves the saddle
-    near = minimize_box(*_rows(*_quadratic([0.5, 0.5 + 2.0**-53], [1.0, -1.0])),
-                        [0.0, 0.0], [1.0, 1.0], n_starts=1)
+    near = _minimize(*_rows(*_quadratic([0.5, 0.5 + 2.0**-53], [1.0, -1.0])),
+                     [0.0, 0.0], [1.0, 1.0], n_starts=1)
     assert near.converged and np.array_equal(near.x, [0.5, 0.0])
 
 
 def _newton_descent(f, grad_hess, x, lower, upper):
-    """The step-by-step reference: one start, one point per call."""
-    fx, evals = f(x), 1
+    """The step-by-step reference: one start, one point per call. The shift
+    raised after a non-finite trial is the floor of every later shift."""
+    fx, evals, floor = f(x), 1, 0.0
     for _ in range(MAX_NEWTON_ITER):
         if not np.isfinite(fx):
             break
@@ -270,7 +276,7 @@ def _newton_descent(f, grad_hess, x, lower, upper):
         shift = np.linalg.norm(gf) / diam - eig[0]
         if eig[0] + shift <= 0.0:      # a zero gradient at negative curvature
             shift *= 2.0
-        shift = max(0.0, shift)
+        shift = max(0.0, shift, floor)
         while True:
             trial = x.copy()
             trial[free] = np.clip(x[free] - vec @ (gv / (eig + shift)),
@@ -287,6 +293,8 @@ def _newton_descent(f, grad_hess, x, lower, upper):
                 shift = np.abs(eig).max()
             else:
                 shift *= 4.0
+            if not np.isfinite(ft):
+                floor = shift
         x, fx = trial, ft
     return x, fx, False, evals
 
@@ -369,7 +377,7 @@ def test_lockstep_equals_stepwise_reference(problem, seed, n_starts):
         batch_f, batch_gh = _rows(f, grad_hess)
     (value, x, ok, start), n_evals = _reference_minimize(
         f, grad_hess, lower, upper, seed, n_starts)
-    res = minimize_box(batch_f, batch_gh, lower, upper, seed=seed, n_starts=n_starts)
+    res = _minimize(batch_f, batch_gh, lower, upper, seed=seed, n_starts=n_starts)
     assert np.array_equal(res.x, np.array(x))
     assert np.array_equal(res.value, value, equal_nan=True)
     assert (res.converged, res.n_evals, res.best_start) == (ok, n_evals, start)
@@ -381,7 +389,7 @@ def test_lockstep_equals_stepwise_reference(problem, seed, n_starts):
        st.lists(st.tuples(st.sampled_from([None, float("nan"), float("inf")]),
                           st.integers(0, 2**32 - 1)), min_size=1, max_size=4),
        st.integers(1, 6))
-def test_minimize_boxes_solves_each_problem_as_minimize_box(p, problems, n_starts):
+def test_minimize_box_solves_each_problem_as_if_alone(p, problems, n_starts):
     # quadratics on one box, some non-finite beyond a cut: each problem ends
     # where minimize_box on it alone does, whatever its neighbours
     made = [_quadratic_problem(np.random.default_rng(seed), p, bad)
@@ -394,10 +402,10 @@ def test_minimize_boxes_solves_each_problem_as_minimize_box(p, problems, n_start
     def grad_hess(x, rows):
         return tuple(np.array(a) for a in zip(*[made[k][1](t) for t, k in zip(x, rows)]))
 
-    results = minimize_boxes(f, grad_hess, np.zeros(p), np.ones(p), seeds, n_starts)
+    results = minimize_box(f, grad_hess, np.zeros(p), np.ones(p), seeds, n_starts)
     assert len(results) == len(made)
     for (fk, ghk, lower, upper), seed, res in zip(made, seeds, results):
-        ref = minimize_box(*_rows(fk, ghk), lower, upper, seed=seed, n_starts=n_starts)
+        ref = _minimize(*_rows(fk, ghk), lower, upper, seed=seed, n_starts=n_starts)
         assert np.array_equal(res.x, ref.x)
         assert np.array_equal(res.value, ref.value, equal_nan=True)
         assert (res.converged, res.n_evals, res.best_start) == \

@@ -37,6 +37,17 @@ def test_instrument_wraps_and_restores_every_traced_name(tmp_path):
     assert len(tracer.samples) == 4
 
 
+def test_instrument_traces_the_study_estimator(tmp_path):
+    # a study chunk's estimates go through the traced minimiser and loss closure
+    spans = _spans()
+    tracer = spans.Tracer()
+    with spans.instrument(tracer):
+        assert cli.main(["simulate", "--scenario", "scenario1", "--replicates", "2",
+                         "--workers", "1", "--out", str(tmp_path / "r.json")]) in (0, 1)
+    assert tracer.calls("numerics.minimize_box") >= 1
+    assert tracer.calls("calibration.loss") >= 1
+
+
 def test_capture_samples_keeps_one_sample_per_analysis(tmp_path):
     spans = _spans()
     sink: list = []

@@ -46,6 +46,9 @@ def runs() -> dict[str, tuple[str, ...]]:
         "calibrate", "--scenario", "scenario2", "--engine", "mcmc", *SHORT_MCMC,
         "--conditional-form", "literal", "--interval", "hpd",
         *REPORT, "--draws-out", "draws.csv")
+    # a level that a rounding format would print as 100%
+    table["calibrate-level-9999"] = ("calibrate", "--scenario", "scenario2", "--level",
+                                     "0.9999", *REPORT)
     # seed 6 puts scenario3's estimate on the lower edge of its parameter box
     table["calibrate-scenario3-edge"] = (
         "calibrate", "--scenario", "scenario3", "--seed", "6", *REPORT)
