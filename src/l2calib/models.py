@@ -149,14 +149,11 @@ class PhysicalSystem:
 # built-in scenarios
 # ---------------------------------------------------------------------------
 
-def _coords(theta):
-    """Scalars for one theta (p,); (c, 1) columns for a batch (c, p), so eta is (c, m)."""
-    return theta.T[..., None] if theta.ndim == 2 else theta
-
-
-def _linear_model(name: str, theta_lo: float, theta_hi: float) -> MathModel:
+def _line_scenario(name: str, *, theta_box, sigma: float, design_upper: float, n: int):
+    """The straight line eta = theta x against the truth 4x + x sin 5x, observed on an
+    equidistant design over [0, design_upper]."""
     def eta(theta, x):
-        return _coords(theta)[0] * _as_points(x, 1)[:, 0]
+        return theta[..., :1] * _as_points(x, 1)[:, 0]
 
     def grad(theta, x):
         pts = _as_points(x, 1)
@@ -165,30 +162,18 @@ def _linear_model(name: str, theta_lo: float, theta_hi: float) -> MathModel:
     def hess(theta, x):
         return np.zeros(theta.shape[:-1] + _as_points(x, 1).shape + (1,))
 
-    return MathModel(
-        name=name,
-        theta_box=DomainBox(np.array([theta_lo]), np.array([theta_hi])),
-        x_box=DomainBox(np.array([0.0]), np.array([1.0])),
+    model = MathModel(
+        name=name, theta_box=DomainBox(*theta_box), x_box=DomainBox(0.0, 1.0),
         eta=eta, grad_eta=grad, hess_eta=hess, scalar_linear=True,
         features=lambda x: _as_points(x, 1), coefs=lambda theta: theta,
     )
-
-
-def _wiggly_line_mu(pts):
-    x = pts[:, 0]
-    return 4.0 * x + x * np.sin(5.0 * x)
-
-
-def _make_simple_linear():
-    # single-parameter straight-line model against a gently oscillating truth
-    model = _linear_model("simple-linear", -10.0, 10.0)
     system = PhysicalSystem(
-        name="simple-linear",
-        mu=_wiggly_line_mu,
-        sigma=0.25,
-        design=DesignRule("equidistant", np.array([0.0]), np.array([1.0])),
+        name=name,
+        mu=lambda pts: 4.0 * pts[:, 0] + pts[:, 0] * np.sin(5.0 * pts[:, 0]),
+        sigma=sigma,
+        design=DesignRule("equidistant", 0.0, design_upper),
     )
-    return model, system, {"n": 8}
+    return model, system, {"n": n}
 
 
 def _make_scenario1():
@@ -197,20 +182,18 @@ def _make_scenario1():
     def wave(x):        # the theta-free factor of eta
         return np.sin(two_pi * _as_points(x, 1)[:, 0] - pi)
 
-    def cols(theta):    # the coefficients 7 a^2 and 2 b^2 as _coords columns
-        th = _coords(theta)
-        a = np.sin(two_pi * th[0] - pi)
-        b = two_pi * th[1] - pi
-        return 7.0 * a * a, 2.0 * b * b
+    def coefs(theta):   # the coefficients 7 a^2 and 2 b^2, (2,) or (c, 2)
+        a = np.sin(two_pi * theta[..., :1] - pi)
+        b = two_pi * theta[..., 1:] - pi
+        return np.concatenate((7.0 * a * a, 2.0 * b * b), axis=-1)
 
     def eta(theta, x):
-        c0, c1 = cols(theta)
-        return c0 + c1 * wave(x)
+        c = coefs(theta)
+        return c[..., :1] + c[..., 1:] * wave(x)
 
     def grad(theta, x):
-        th = _coords(theta)
-        u = two_pi * th[0] - pi
-        b = two_pi * th[1] - pi
+        u = two_pi * theta[..., :1] - pi
+        b = two_pi * theta[..., 1:] - pi
         s = wave(x)
         g = np.empty(theta.shape[:-1] + (s.size, 2))
         g[..., 0] = 14.0 * two_pi * np.sin(u) * np.cos(u)
@@ -218,7 +201,7 @@ def _make_scenario1():
         return g
 
     def hess(theta, x):
-        u = two_pi * _coords(theta)[0] - pi
+        u = two_pi * theta[..., :1] - pi
         s = wave(x)
         h = np.zeros(theta.shape[:-1] + (s.size, 2, 2))
         h[..., 0, 0] = 14.0 * two_pi**2 * np.cos(2.0 * u)
@@ -228,17 +211,17 @@ def _make_scenario1():
     theta0 = np.array([0.2, 0.3])
     model = MathModel(
         name="scenario1",
-        theta_box=DomainBox(np.array([0.0, 0.0]), np.array([0.25, 0.5])),
-        x_box=DomainBox(np.array([0.0]), np.array([1.0])),
+        theta_box=DomainBox([0.0, 0.0], [0.25, 0.5]),
+        x_box=DomainBox(0.0, 1.0),
         eta=eta, grad_eta=grad, hess_eta=hess,
         features=lambda x: np.stack(np.broadcast_arrays(1.0, wave(x)), axis=-1),
-        coefs=lambda theta: np.hstack(cols(theta)),
+        coefs=coefs,
     )
     system = PhysicalSystem(
         name="scenario1",
         mu=lambda pts: eta(theta0, pts),  # no structural discrepancy
         sigma=0.2,
-        design=DesignRule("uniform", np.array([0.0]), np.array([1.0])),
+        design=DesignRule("uniform", 0.0, 1.0),
     )
     return model, system, {"n": 50, "theta0": theta0}
 
@@ -246,50 +229,40 @@ def _make_scenario1():
 def _make_scenario2():
     def eta(theta, x):
         pts = _as_points(x, 1)
-        return np.sin(5.0 * _coords(theta)[0] * pts[:, 0]) + 5.0 * pts[:, 0]
+        return np.sin(5.0 * theta[..., :1] * pts[:, 0]) + 5.0 * pts[:, 0]
 
     def grad(theta, x):
-        pts = _as_points(x, 1)
-        x0 = pts[:, 0]
-        return (5.0 * x0 * np.cos(5.0 * _coords(theta)[0] * x0))[..., None]
+        x0 = _as_points(x, 1)[:, 0]
+        return (5.0 * x0 * np.cos(5.0 * theta[..., :1] * x0))[..., None]
 
     def hess(theta, x):
-        pts = _as_points(x, 1)
-        x0 = pts[:, 0]
-        return (-25.0 * x0 ** 2 * np.sin(5.0 * _coords(theta)[0] * x0))[..., None, None]
+        x0 = _as_points(x, 1)[:, 0]
+        return (-25.0 * x0 ** 2 * np.sin(5.0 * theta[..., :1] * x0))[..., None, None]
 
     model = MathModel(
         name="scenario2",
-        theta_box=DomainBox(np.array([0.0]), np.array([3.0])),
-        x_box=DomainBox(np.array([0.0]), np.array([1.0])),
+        theta_box=DomainBox(0.0, 3.0),
+        x_box=DomainBox(0.0, 1.0),
         eta=eta, grad_eta=grad, hess_eta=hess,
     )
     system = PhysicalSystem(
         name="scenario2",
         mu=lambda pts: 5.0 * pts[:, 0] * np.cos(7.5 * pts[:, 0]) + 5.0 * pts[:, 0],
         sigma=0.2,
-        design=DesignRule("equidistant", np.array([0.0]), np.array([1.0])),
+        design=DesignRule("equidistant", 0.0, 1.0),
     )
     return model, system, {"n": 30}
 
 
-def _make_scenario3():
-    # straight-line model, data observed only on the left part of the domain
-    model = _linear_model("scenario3", 2.0, 4.0)
-    system = PhysicalSystem(
-        name="scenario3",
-        mu=_wiggly_line_mu,
-        sigma=0.02,
-        design=DesignRule("equidistant", np.array([0.0]), np.array([0.8])),
-    )
-    return model, system, {"n": 17}
-
-
 _SCENARIOS = {
-    "simple-linear": _make_simple_linear,
+    # single-parameter straight line against a gently oscillating truth
+    "simple-linear": lambda: _line_scenario(
+        "simple-linear", theta_box=(-10.0, 10.0), sigma=0.25, design_upper=1.0, n=8),
     "scenario1": _make_scenario1,
     "scenario2": _make_scenario2,
-    "scenario3": _make_scenario3,
+    # the same line, with data observed only on the left part of the domain
+    "scenario3": lambda: _line_scenario(
+        "scenario3", theta_box=(2.0, 4.0), sigma=0.02, design_upper=0.8, n=17),
 }
 
 SCENARIO_NAMES = tuple(sorted(_SCENARIOS))

@@ -87,6 +87,38 @@ def test_scenario_shapes_and_defaults():
         assert np.asarray(system.mu(x)).shape == (7,)
 
 
+# name: theta box, x box, sigma, design kind and bounds, default n, theta0,
+# scalar_linear, and whether features/coefs are set
+_DECLARED = {
+    "simple-linear": (([-10.0], [10.0]), ([0.0], [1.0]), 0.25,
+                      ("equidistant", [0.0], [1.0]), 8, None, True, True),
+    "scenario1": (([0.0, 0.0], [0.25, 0.5]), ([0.0], [1.0]), 0.2,
+                  ("uniform", [0.0], [1.0]), 50, [0.2, 0.3], False, True),
+    "scenario2": (([0.0], [3.0]), ([0.0], [1.0]), 0.2,
+                  ("equidistant", [0.0], [1.0]), 30, None, False, False),
+    "scenario3": (([2.0], [4.0]), ([0.0], [1.0]), 0.02,
+                  ("equidistant", [0.0], [0.8]), 17, None, True, True),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_DECLARED))
+def test_scenario_declarations(name):
+    theta_box, x_box, sigma, design, n, theta0, scalar_linear, linear_in_coefs = _DECLARED[name]
+    model, system, defaults = make_scenario(name)
+    assert model.name == system.name == name
+    for box, (lower, upper) in ((model.theta_box, theta_box), (model.x_box, x_box)):
+        assert box.lower.tolist() == lower and box.upper.tolist() == upper
+    assert system.sigma == sigma
+    assert (system.design.kind, system.design.lower.tolist(),
+            system.design.upper.tolist()) == design
+    assert defaults.get("n") == n
+    assert set(defaults) == ({"n"} if theta0 is None else {"n", "theta0"})
+    if theta0 is not None:
+        assert defaults["theta0"].tolist() == theta0
+    assert model.scalar_linear is scalar_linear
+    assert (model.features is not None) is (model.coefs is not None) is linear_in_coefs
+
+
 def _bias(model, system, theta, x):
     """Pointwise discrepancy mu(x) - eta(theta, x)."""
     pts = np.asarray(x, dtype=float).reshape(-1, 1)
