@@ -5,7 +5,7 @@ ridge level chosen by generalized cross validation, minimise the squared
 L2 distance between the smoothed mean and the model over the parameter box,
 scale the generalized posterior so that credible sets track the frequentist
 variability of the estimate, then summarise by Laplace approximation, by
-random-walk Metropolis, or in closed form for straight-line models.
+independence Metropolis, or in closed form for straight-line models.
 """
 
 __version__ = "0.1.0"

@@ -4,8 +4,8 @@ The target density is  pi(theta | y) proportional to exp(-n loss(theta)) pi(thet
 with the loss already carrying any magnitude or curvature scaling. Three
 engines are provided:
 
-* an adaptive Gaussian random-walk Metropolis sampler (step size tuned to a
-  0.35 acceptance rate once per block of burn-in steps, frozen afterwards);
+* an independence Metropolis sampler whose multivariate t proposal is drawn
+  from the Laplace fit and refitted once by an importance-weighted pilot;
 * a Laplace approximation N(theta_hat, (n H)^-1) with H the scaled loss
   Hessian at the estimate;
 * the closed-form normal posterior for the straight-line model under a
@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, field
-from functools import cache
 from statistics import NormalDist
 
 import numpy as np
@@ -30,14 +29,12 @@ MIN_INTERVAL_DRAWS = 100
 MIN_SPLIT_DRAWS = 4     # kept draws per chain the split R-hat needs: two halves of 2
 INTERVAL_MODES = ("quantile", "hpd")
 LEVEL_BOUND = (lambda v: 0.0 < v < 1.0, "must be in (0,1)")
-ACCEPT_BAND = (0.1, 0.6)
+ACCEPT_BAND = (0.3, 1.0)  # low: stuck chains; for an independence kernel no rate is too high
 RHAT_LIMIT = 1.05
-BURNIN_FRAC = 0.5       # leading share of each chain spent adapting, then dropped
-TARGET_ACCEPT = 0.35    # acceptance rate the burn-in step-size adaptation aims at
-ADAPT_BLOCK = 4         # burn-in steps between step-size updates
-MAX_PREFETCH_DEPTH = 4  # steps one loss call can cover
-PREFETCH_ROWS = 64      # proposal rows one prefetching loss call may carry
-LP_FLOOR = -np.finfo(float).max  # the least finite log posterior
+BURNIN_FRAC = 0.5       # leading share of each chain dropped
+T_DF = 4                # degrees of freedom of the t proposal
+T_SCALE = 1.5           # the proposal's scale, in units of the Laplace sd
+PILOT_ROWS = 4096       # draws of the pilot refit, and the most rows one loss call carries
 
 
 @dataclass(frozen=True)
@@ -162,126 +159,94 @@ def split_rhat(per_chain: list[np.ndarray]) -> np.ndarray:
     return np.where(w > 0, r, 1.0)
 
 
-def prefetch_depth(chains: int) -> int:
-    """Steps taken per loss call: the largest d, at most
-    ``MAX_PREFETCH_DEPTH``, with chains * (2^d - 1) <= ``PREFETCH_ROWS``;
-    1 (the plain step) when no d fits."""
-    fits = (PREFETCH_ROWS // chains + 1).bit_length() - 1
-    return min(MAX_PREFETCH_DEPTH, max(1, fits))
+@dataclass(frozen=True)
+class _StudentT:
+    """Multivariate t with ``T_DF`` degrees of freedom, centre and scale matrix
+    chol chol^T: draws and their log density, up to a constant of T_DF and p."""
+
+    centre: np.ndarray
+    chol: np.ndarray
+
+    def draw(self, rng, size: int) -> np.ndarray:
+        z = rng.standard_normal((size, self.centre.size))
+        g = rng.chisquare(T_DF, size) / T_DF
+        return self.centre + (z / np.sqrt(g)[:, None]) @ self.chol.T
+
+    def log_density(self, x: np.ndarray) -> np.ndarray:
+        z = np.linalg.solve(self.chol, (x - self.centre).T)
+        return (-0.5 * (T_DF + self.centre.size) * np.log1p((z * z).sum(axis=0) / T_DF)
+                - np.log(np.diag(self.chol)).sum())
 
 
-@cache
-def walk_table(d: int) -> np.ndarray:
-    """The walks of ``d`` steps through a pre-fetched tree, built on first use: uint8
-    row k is the walk that accept bits k give (bit h - 1 for node h). Columns: the
-    node after each step, the bit of the move each step considers, the accept count."""
-    keys = np.arange(2 ** (2 ** d - 1), dtype=np.int16)     # small temporaries, d <= 4
-    table = np.empty((keys.size, 2 * d + 1), np.uint8)
-    at = np.zeros_like(keys)
-    for j in range(d):
-        table[:, d + j] = move = at + (1 << j) - 1        # node at + 2^j
-        table[:, j] = at = at + (((keys >> move) & 1) << j)
-    table[:, 2 * d] = np.count_nonzero(np.diff(table[:, :d], prepend=np.uint8(0)), axis=1)
-    table.flags.writeable = False
-    return table
+def _log_target(rows, loss, prior, n) -> np.ndarray:
+    """``log_gen_posterior`` of each row, in loss calls of at most ``PILOT_ROWS`` rows."""
+    return np.concatenate([log_gen_posterior(rows[i:i + PILOT_ROWS], loss, prior, n)
+                           for i in range(0, len(rows), PILOT_ROWS)])
+
+
+def _proposal(init, cov, loss, prior, n, seed) -> _StudentT:
+    """The t at ``init`` with scale ``T_SCALE``^2 ``cov``, refitted once to ``PILOT_ROWS``
+    importance-weighted draws of it (Cappe, Guillin, Marin & Robert, 2004) unless they have
+    no finite weight, an effective size below p + 1, a covariance that fails
+    ``check_definite``, or one wider than the proposal from fewer effective draws than an
+    interval needs: a pilot sees its target only as far as its draws reach."""
+    laplace = _StudentT(init, np.linalg.cholesky(T_SCALE ** 2 * cov))
+    x = laplace.draw(np.random.default_rng([seed, 2 ** 32 - 1]), PILOT_ROWS)
+    log_w = _log_target(x, loss, prior, n) - laplace.log_density(x)
+    if not np.isfinite(log_w).any():
+        return laplace
+    w = np.exp(log_w - log_w.max())
+    ess, centre = w.sum() ** 2 / (w * w).sum(), w @ x / w.sum()
+    fit = np.atleast_2d(np.cov(x.T, aweights=w, bias=True))
+    widens = np.linalg.eigvals(np.linalg.solve(T_SCALE ** 2 * cov, fit)).real.max() > 1.0
+    if ess < init.size + 1 or (widens and ess < MIN_INTERVAL_DRAWS):
+        return laplace
+    try:
+        fit = check_definite(fit, ValueError)
+    except ValueError:
+        return laplace
+    return _StudentT(centre, np.linalg.cholesky(T_SCALE ** 2 * fit))
 
 
 def sample_posterior(loss, prior: Prior, n: int, seed: int = 0,
                      settings: SamplerSettings | None = None) -> PosteriorSample:
-    """Adaptive random-walk Metropolis on the generalised posterior.
+    """Independence Metropolis on the generalised posterior (Tierney, 1994).
 
-    ``loss`` maps a batch (c, p) to (c,) values, as the losses of
-    ``calibration`` and ``scaling`` do: the chains advance in lockstep, and
-    each loss call sees only proposals inside the prior, whose ``dim`` and
-    ``log_density`` are all the sampler reads of it. Chain c draws its start
-    jitter, all its proposal normals, then all its log-uniforms from a stream
-    seeded by (seed, c), so results are reproducible and independent of the
-    chain count. The proposal is x + s L z with L a Cholesky factor of
-    ``init_cov`` (identity if absent) and each chain's s adapted by
-    Robbins-Monro during burn-in only: every burn-in step adds its own
-    acceptance-rate error, weighted (t + 1)^-0.6, to log s, and s takes the
-    new value at the end of each block of ``ADAPT_BLOCK`` steps and of
-    burn-in. The kept steps thus use one fixed kernel (Andrieu & Thoms, 2008).
-
-    While s is frozen, one loss call evaluates every state the next
-    ``prefetch_depth(chains)`` steps, at most to the end of the block, can
-    propose (pre-fetching; Brockwell, 2006). All the tree's moves are decided at
-    once, and ``walk_table`` reads each chain's walk from its accept bits. Each
-    node is formed by the same addition as a plain step and a loss row does not
-    depend on its batch, so the draws equal those of plain steps bit for bit,
-    and the blocks do not depend on the chain count.
+    ``loss`` maps a batch (c, p) to (c,) values and sees only rows inside the prior, whose
+    ``dim`` and ``log_density`` are all the sampler reads of it. Chain c starts at ``init``
+    and draws its ``_proposal`` rows, then its log-uniforms, from the stream (seed, c), so
+    draws do not depend on the chain count. All rows are evaluated first, in loss calls of
+    at most ``PILOT_ROWS`` rows. Each chain drops its first ``BURNIN_FRAC`` of steps and
+    keeps every ``thin``-th state after it.
     """
     st = settings if settings is not None else SamplerSettings()
-    p = prior.dim
-    if st.init is None:
-        raise ValueError("sampler needs an initial point (the loss minimiser)")
-    init = np.atleast_1d(np.asarray(st.init, dtype=float))
+    if st.init is None or st.init_cov is None:
+        raise ValueError("sampler needs an initial point and its covariance (the Laplace fit)")
+    p, init = prior.dim, np.atleast_1d(np.asarray(st.init, dtype=float))
     lp0 = log_gen_posterior(init, loss, prior, n)
     if not np.isfinite(lp0):
         raise ValueError("log posterior is not finite at the initial point")
-
-    if st.init_cov is not None:
-        cov = np.atleast_2d(np.asarray(st.init_cov, dtype=float))
-        chol = np.linalg.cholesky(cov + 1e-12 * np.trace(cov) / p * np.eye(p))
-    else:
-        chol = np.eye(p)
-
-    chains, iters = st.chains, st.iterations
-    burn, depth = int(BURNIN_FRAC * iters), prefetch_depth(chains)
-    # the tree of the next steps, row node * chains + chain: node 0 is the
-    # chains' state, node h + 2^j is node h moved by step j's proposal
-    nodes, lps = np.empty((2 ** depth, chains, p)), np.empty((2 ** depth, chains))
-    steps = np.empty((iters, chains, p))     # L z, times s once its span starts
-    log_u = np.empty((iters, chains))
+    q = _proposal(init, np.atleast_2d(np.asarray(st.init_cov, dtype=float)),
+                  loss, prior, n, seed)
+    chains, iters, burn = st.chains, st.iterations, int(BURNIN_FRAC * st.iterations)
+    props, log_u = np.empty((chains, iters, p)), np.empty((chains, iters))
     for c in range(chains):
         rng = np.random.default_rng([seed, c])
-        nodes[0, c] = init + 0.01 * (chol @ rng.standard_normal(p))
-        steps[:, c] = rng.standard_normal((iters, p)) @ chol.T
-        log_u[:, c] = np.log(rng.random(iters))
-    lps[0] = log_gen_posterior(nodes[0], loss, prior, n)
-    stuck = ~np.isfinite(lps[0])
-    nodes[0, stuck], lps[0, stuck] = init, lp0
-
-    log_s = np.full(chains, np.log(2.38 / np.sqrt(p)))
-    kept, accepted_post, t0 = np.empty((chains, st.kept_per_chain, p)), np.zeros(chains), 0
-    rows, lp_rows = nodes.reshape(-1, p), lps.reshape(-1)
-    halves = [(nodes[:2 ** j], nodes[2 ** j:2 ** (j + 1)]) for j in range(depth)]
-    level = np.repeat(np.arange(depth), 1 << np.arange(depth))     # of nodes 1, 2, ...
-    parent, bit = np.arange(1, 2 ** depth) - (1 << level), 1 << np.arange(2 ** depth - 1)
-    node_row, ar = np.arange(2 ** depth) * chains, np.arange(chains)
-    rate = np.array([(t + 1) ** 0.6 for t in range(burn)])
-    while t0 < iters:
-        # s is frozen until its block ends, for good after burn-in
-        until = iters if t0 >= burn else min(t0 - t0 % ADAPT_BLOCK + ADAPT_BLOCK, burn)
-        steps[t0:until] *= np.exp(log_s)[:, None]
-        while t0 < until:
-            d = min(depth, until - t0)
-            m, top = 2 ** d, chains << d
-            for (old, new), step in zip(halves[:d], steps[t0:]):
-                np.add(old, step, out=new)
-            lp_rows[chains:top] = log_gen_posterior(rows[chains:top], loss, prior, n)
-            # every move at once, log u < 0 accepting every delta >= 0; no walk
-            # leaves a parent at -inf, and the floor keeps -inf - -inf quiet
-            delta = lps[1:m] - np.maximum(lps.take(parent[:m - 1], axis=0), LP_FLOOR)
-            accept = log_u[t0:t0 + d].take(level[:m - 1], axis=0) < delta
-            walk = walk_table(d).take(bit[:m - 1] @ accept, axis=0)
-            # the rows of nodes (of delta) that each step moves to (considers)
-            row = node_row.take(walk[:, :2 * d]) + ar[:, None]
-            if t0 < burn:
-                alpha = np.exp(np.minimum(delta.reshape(-1).take(row[:, d:]), 0.0))
-                for inc in ((alpha - TARGET_ACCEPT) / rate[t0:t0 + d]).T:  # step by step
-                    log_s += inc
-            else:
-                accepted_post += walk[:, 2 * d]
-                j = (burn - t0) % st.thin       # the tree's first kept step
-                if j < d:
-                    at = row[:, j:d:st.thin]
-                    k = (t0 + j - burn) // st.thin
-                    kept[:, k:k + at.shape[1]] = rows.take(at, axis=0)
-            nodes[0], lps[0] = rows.take(row[:, d - 1], axis=0), lp_rows.take(row[:, d - 1])
-            t0 += d
-    accept_rates = accepted_post / max(iters - burn, 1)
-
+        props[c] = q.draw(rng, iters)
+        log_u[c] = np.log(rng.random(iters))
+    rows = props.reshape(-1, p)
+    log_w = (_log_target(rows, loss, prior, n) - q.log_density(rows)).reshape(chains, iters)
+    kept, accept_rates = np.empty((chains, st.kept_per_chain, p)), np.empty(chains)
+    for c in range(chains):
+        # the chain's state after each step: the last accepted row, or -1 for init
+        at, i, cur = [], -1, lp0 - q.log_density(init[None])[0]
+        for t, (lw, lu) in enumerate(zip(log_w[c].tolist(), log_u[c].tolist())):
+            if lu < lw - cur:
+                i, cur = t, lw
+            at.append(i)
+        at = np.array(at)
+        accept_rates[c] = np.mean(at[burn:] == np.arange(burn, iters))
+        kept[c] = np.vstack([props[c], init])[at[burn::st.thin]]
     rhat = split_rhat(kept) if chains >= 2 else np.full(p, np.nan)
     flags = []
     pooled = float(accept_rates.mean())

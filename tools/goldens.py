@@ -46,6 +46,10 @@ def runs() -> dict[str, tuple[str, ...]]:
         "calibrate", "--scenario", "scenario2", "--engine", "mcmc", *SHORT_MCMC,
         "--conditional-form", "literal", "--interval", "hpd",
         *REPORT, "--draws-out", "draws.csv")
+    # the default chain length, 4 x 20,000
+    table["calibrate-mcmc-default"] = (
+        "calibrate", "--scenario", "scenario1", "--seed", "3", "--engine", "mcmc",
+        *REPORT, "--draws-out", "draws.csv")
     # a level that a rounding format would print as 100%
     table["calibrate-level-9999"] = ("calibrate", "--scenario", "scenario2", "--level",
                                      "0.9999", *REPORT)
