@@ -59,22 +59,11 @@ class DomainBox:
         return np.clip(np.asarray(x, dtype=float), self.lower, self.upper)
 
 
-def _as_points(x, dim: int) -> np.ndarray:
-    """Coerce x to an (m, dim) array of points."""
-    x = np.asarray(x, dtype=float)
-    if x.ndim == 0:
-        x = x.reshape(1, 1)
-    elif x.ndim == 1:
-        # a single point if it has the right length, else a column of scalars
-        x = x.reshape(1, -1) if x.size == dim and dim > 1 else x.reshape(-1, dim)
-    if x.ndim != 2 or x.shape[1] != dim:
-        raise ValueError(f"expected points of dimension {dim}, got shape {x.shape}")
-    return x
-
-
 @dataclass(frozen=True)
 class MathModel:
     """Simulator with analytic theta-derivatives.
+
+    Every x is an (m, k) array of points, k = ``x_box.dim``; no other shape is coerced.
 
     eta(theta, x)      -> (m,) model output at each row of x
     grad_eta(theta, x) -> (m, p) gradient in theta
@@ -153,19 +142,18 @@ def _line_scenario(name: str, *, theta_box, sigma: float, design_upper: float, n
     """The straight line eta = theta x against the truth 4x + x sin 5x, observed on an
     equidistant design over [0, design_upper]."""
     def eta(theta, x):
-        return theta[..., :1] * _as_points(x, 1)[:, 0]
+        return theta[..., :1] * x[:, 0]
 
     def grad(theta, x):
-        pts = _as_points(x, 1)
-        return np.broadcast_to(pts, theta.shape[:-1] + pts.shape)
+        return np.broadcast_to(x, theta.shape[:-1] + x.shape)
 
     def hess(theta, x):
-        return np.zeros(theta.shape[:-1] + _as_points(x, 1).shape + (1,))
+        return np.zeros(theta.shape[:-1] + x.shape + (1,))
 
     model = MathModel(
         name=name, theta_box=DomainBox(*theta_box), x_box=DomainBox(0.0, 1.0),
         eta=eta, grad_eta=grad, hess_eta=hess, scalar_linear=True,
-        features=lambda x: _as_points(x, 1), coefs=lambda theta: theta,
+        features=lambda x: x, coefs=lambda theta: theta,
     )
     system = PhysicalSystem(
         name=name,
@@ -180,7 +168,7 @@ def _make_scenario1():
     two_pi, pi = 2.0 * np.pi, np.pi
 
     def wave(x):        # the theta-free factor of eta
-        return np.sin(two_pi * _as_points(x, 1)[:, 0] - pi)
+        return np.sin(two_pi * x[:, 0] - pi)
 
     def coefs(theta):   # the coefficients 7 a^2 and 2 b^2, (2,) or (c, 2)
         a = np.sin(two_pi * theta[..., :1] - pi)
@@ -228,15 +216,14 @@ def _make_scenario1():
 
 def _make_scenario2():
     def eta(theta, x):
-        pts = _as_points(x, 1)
-        return np.sin(5.0 * theta[..., :1] * pts[:, 0]) + 5.0 * pts[:, 0]
+        return np.sin(5.0 * theta[..., :1] * x[:, 0]) + 5.0 * x[:, 0]
 
     def grad(theta, x):
-        x0 = _as_points(x, 1)[:, 0]
+        x0 = x[:, 0]
         return (5.0 * x0 * np.cos(5.0 * theta[..., :1] * x0))[..., None]
 
     def hess(theta, x):
-        x0 = _as_points(x, 1)[:, 0]
+        x0 = x[:, 0]
         return (-25.0 * x0 ** 2 * np.sin(5.0 * theta[..., :1] * x0))[..., None, None]
 
     model = MathModel(

@@ -29,7 +29,7 @@ MIN_INTERVAL_DRAWS = 100
 MIN_SPLIT_DRAWS = 4     # kept draws per chain the split R-hat needs: two halves of 2
 INTERVAL_MODES = ("quantile", "hpd")
 LEVEL_BOUND = (lambda v: 0.0 < v < 1.0, "must be in (0,1)")
-ACCEPT_BAND = (0.3, 1.0)  # low: stuck chains; for an independence kernel no rate is too high
+ACCEPT_MIN = 0.3        # below it chains stick; for an independence kernel no rate is too high
 RHAT_LIMIT = 1.05
 BURNIN_FRAC = 0.5       # leading share of each chain dropped
 T_DF = 4                # degrees of freedom of the t proposal
@@ -43,40 +43,31 @@ class Prior:
 
     box: DomainBox
 
-    @staticmethod
-    def uniform(box: DomainBox) -> "Prior":
-        return Prior(box)
-
-    @property
-    def dim(self) -> int:
-        return self.box.dim
-
     def log_density(self, theta):
-        """Log prior density up to a constant: float for theta (p,), (c,) for (c, p)."""
-        theta = np.asarray(theta, dtype=float)
-        lp = np.where(self.box.inside(theta), 0.0, -np.inf)
-        return lp if theta.ndim == 2 else float(lp)
+        """Log prior density up to a constant, (c,) for theta (c, p)."""
+        return np.where(self.box.inside(theta), 0.0, -np.inf)
 
 
-def log_gen_posterior(theta, loss, prior: Prior, n: int):
-    """Log generalised posterior up to an additive constant.
+def log_gen_posterior(theta, loss, prior: Prior, n: int) -> np.ndarray:
+    """Log generalised posterior up to an additive constant, (c,) for a batch (c, p).
 
-    ``theta`` is one point (p,), giving a float, or a batch (c, p), giving
-    (c,). ``loss`` maps a batch (c, p) to (c,) and is called once, on the rows
-    inside the prior's support; a non-finite loss gives -inf.
+    ``loss`` maps a batch (c, p) to (c,) and is called on the rows inside the prior's
+    support, in calls of at most ``PILOT_ROWS`` rows; a non-finite loss gives -inf.
     """
     theta = np.asarray(theta, dtype=float)
-    if theta.ndim < 2:
-        return float(log_gen_posterior(np.atleast_1d(theta)[None], loss, prior, n)[0])
-    if isinstance(prior, Prior) and prior.box.strictly_contains(theta):
-        val = loss(theta)       # the uniform prior adds 0 strictly inside its box
-        return np.where(np.isfinite(val), -n * val, -np.inf)
-    lp = prior.log_density(theta)
-    inside = np.isfinite(lp)
-    if inside.any():
-        val = loss(theta[inside])
-        lp[inside] = np.where(np.isfinite(val), -n * val + lp[inside], -np.inf)
-    return lp
+    out = np.empty(len(theta))
+    for i in range(0, len(theta), PILOT_ROWS):
+        rows, lp = theta[i:i + PILOT_ROWS], out[i:i + PILOT_ROWS]
+        if isinstance(prior, Prior) and prior.box.strictly_contains(rows):
+            val = loss(rows)    # the uniform prior adds 0 strictly inside its box
+            lp[:] = np.where(np.isfinite(val), -n * val, -np.inf)
+            continue
+        lp[:] = prior.log_density(rows)
+        inside = np.isfinite(lp)
+        if inside.any():
+            val = loss(rows[inside])
+            lp[inside] = np.where(np.isfinite(val), -n * val + lp[inside], -np.inf)
+    return out
 
 
 @dataclass
@@ -84,8 +75,6 @@ class SamplerSettings:
     chains: int = 4
     iterations: int = 20_000
     thin: int = 4
-    init: np.ndarray | None = None
-    init_cov: np.ndarray | None = None
 
     def __post_init__(self):
         if self.chains < 1 or self.iterations < 10:
@@ -178,12 +167,6 @@ class _StudentT:
                 - np.log(np.diag(self.chol)).sum())
 
 
-def _log_target(rows, loss, prior, n) -> np.ndarray:
-    """``log_gen_posterior`` of each row, in loss calls of at most ``PILOT_ROWS`` rows."""
-    return np.concatenate([log_gen_posterior(rows[i:i + PILOT_ROWS], loss, prior, n)
-                           for i in range(0, len(rows), PILOT_ROWS)])
-
-
 def _proposal(init, cov, loss, prior, n, seed) -> _StudentT:
     """The t at ``init`` with scale ``T_SCALE``^2 ``cov``, refitted once to ``PILOT_ROWS``
     importance-weighted draws of it (Cappe, Guillin, Marin & Robert, 2004) unless they have
@@ -192,7 +175,7 @@ def _proposal(init, cov, loss, prior, n, seed) -> _StudentT:
     interval needs: a pilot sees its target only as far as its draws reach."""
     laplace = _StudentT(init, np.linalg.cholesky(T_SCALE ** 2 * cov))
     x = laplace.draw(np.random.default_rng([seed, 2 ** 32 - 1]), PILOT_ROWS)
-    log_w = _log_target(x, loss, prior, n) - laplace.log_density(x)
+    log_w = log_gen_posterior(x, loss, prior, n) - laplace.log_density(x)
     if not np.isfinite(log_w).any():
         return laplace
     w = np.exp(log_w - log_w.max())
@@ -208,26 +191,23 @@ def _proposal(init, cov, loss, prior, n, seed) -> _StudentT:
     return _StudentT(centre, np.linalg.cholesky(T_SCALE ** 2 * fit))
 
 
-def sample_posterior(loss, prior: Prior, n: int, seed: int = 0,
+def sample_posterior(loss, prior: Prior, n: int, start: LaplaceApprox, seed: int = 0,
                      settings: SamplerSettings | None = None) -> PosteriorSample:
     """Independence Metropolis on the generalised posterior (Tierney, 1994).
 
     ``loss`` maps a batch (c, p) to (c,) values and sees only rows inside the prior, whose
-    ``dim`` and ``log_density`` are all the sampler reads of it. Chain c starts at ``init``
-    and draws its ``_proposal`` rows, then its log-uniforms, from the stream (seed, c), so
-    draws do not depend on the chain count. All rows are evaluated first, in loss calls of
-    at most ``PILOT_ROWS`` rows. Each chain drops its first ``BURNIN_FRAC`` of steps and
-    keeps every ``thin``-th state after it.
+    ``log_density`` is all the sampler reads of it. ``start`` is the Laplace fit: chain c
+    starts at its mean and draws its ``_proposal`` rows, then its log-uniforms, from the
+    stream (seed, c), so draws do not depend on the chain count. All rows are evaluated
+    first, in loss calls of at most ``PILOT_ROWS`` rows. Each chain drops its first
+    ``BURNIN_FRAC`` of steps and keeps every ``thin``-th state after it.
     """
     st = settings if settings is not None else SamplerSettings()
-    if st.init is None or st.init_cov is None:
-        raise ValueError("sampler needs an initial point and its covariance (the Laplace fit)")
-    p, init = prior.dim, np.atleast_1d(np.asarray(st.init, dtype=float))
-    lp0 = log_gen_posterior(init, loss, prior, n)
+    init = start.mean
+    p, lp0 = init.size, log_gen_posterior(init[None], loss, prior, n)[0]
     if not np.isfinite(lp0):
         raise ValueError("log posterior is not finite at the initial point")
-    q = _proposal(init, np.atleast_2d(np.asarray(st.init_cov, dtype=float)),
-                  loss, prior, n, seed)
+    q = _proposal(init, start.cov, loss, prior, n, seed)
     chains, iters, burn = st.chains, st.iterations, int(BURNIN_FRAC * st.iterations)
     props, log_u = np.empty((chains, iters, p)), np.empty((chains, iters))
     for c in range(chains):
@@ -235,7 +215,8 @@ def sample_posterior(loss, prior: Prior, n: int, seed: int = 0,
         props[c] = q.draw(rng, iters)
         log_u[c] = np.log(rng.random(iters))
     rows = props.reshape(-1, p)
-    log_w = (_log_target(rows, loss, prior, n) - q.log_density(rows)).reshape(chains, iters)
+    log_w = log_gen_posterior(rows, loss, prior, n) - q.log_density(rows)
+    log_w = log_w.reshape(chains, iters)
     kept, accept_rates = np.empty((chains, st.kept_per_chain, p)), np.empty(chains)
     for c in range(chains):
         # the chain's state after each step: the last accepted row, or -1 for init
@@ -250,7 +231,7 @@ def sample_posterior(loss, prior: Prior, n: int, seed: int = 0,
     rhat = split_rhat(kept) if chains >= 2 else np.full(p, np.nan)
     flags = []
     pooled = float(accept_rates.mean())
-    if not ACCEPT_BAND[0] <= pooled <= ACCEPT_BAND[1]:
+    if pooled < ACCEPT_MIN:
         flags.append("acceptance-outside-band")
     if chains >= 2 and np.any(rhat > RHAT_LIMIT):
         flags.append("rhat-high")
@@ -328,6 +309,11 @@ def _hpd_from_draws(x: np.ndarray, level: float) -> tuple[float, float]:
     return float(xs[i]), float(xs[i + k])
 
 
+def two_sided_z(level: float) -> float:
+    """The standard normal quantile that leaves (1 - level) / 2 in each tail."""
+    return NormalDist().inv_cdf(0.5 + level / 2.0)
+
+
 def credible_interval(obj, level: float = 0.95, mode: str = "quantile") -> np.ndarray:
     """Per-coordinate credible intervals, shape (p, 2).
 
@@ -340,7 +326,7 @@ def credible_interval(obj, level: float = 0.95, mode: str = "quantile") -> np.nd
     if not LEVEL_BOUND[0](level):
         raise ValueError(f"level {LEVEL_BOUND[1]}")
     if isinstance(obj, LaplaceApprox):
-        z = NormalDist().inv_cdf(0.5 + level / 2.0)
+        z = two_sided_z(level)
         sd = obj.sd
         return np.column_stack([obj.mean - z * sd, obj.mean + z * sd])
     if isinstance(obj, PosteriorSample):

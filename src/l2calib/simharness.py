@@ -16,9 +16,8 @@ from __future__ import annotations
 import json
 import pickle
 from collections import Counter
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 from functools import cache
-from statistics import NormalDist
 
 import numpy as np
 
@@ -32,8 +31,8 @@ from .models import SCENARIO_NAMES, make_scenario
 from .numerics import DEFAULT_QUAD_ORDER, N_STARTS, blas_threads, build_rule
 from .posterior import (INTERVAL_MODES, LEVEL_BOUND, Prior, SamplerSettings,
                         conjugate_posterior, credible_interval, laplace_approx,
-                        sample_posterior)
-from .scaling import (ScalingError, curvature_adjustment, fixed_gamma,
+                        sample_posterior, two_sided_z)
+from .scaling import (curvature_adjustment, fixed_gamma,
                       magnitude_adjustment, no_scaling, scaled_loss)
 from .smoother import KERNEL_FAMILIES, MIN_OBSERVATIONS, Dataset, GcvGrid, KernelSpec
 # not called here: perfbench/spans.py patches it on this module (ROADMAP item 1)
@@ -223,14 +222,12 @@ def run_analyses(names, est, fit, model, rule, sandwich, engine: str, level: flo
             else:
                 # the default is looked up per call, so a patched module name is seen
                 post = (sampler or sample_posterior)(
-                    scaled_loss(adj, base_loss, model.theta_box),
-                    Prior.uniform(model.theta_box), n, seed=seed,
-                    settings=replace(settings, init=est.theta,
-                                     init_cov=laplace_approx(est, adj, n).cov))
+                    scaled_loss(adj, base_loss, model.theta_box), Prior(model.theta_box), n,
+                    laplace_approx(est, adj, n), seed=seed, settings=settings)
             entry["flags"].extend(post.flags)
             entry.update(post_mean=post.mean.tolist(), post_sd=post.sd.tolist(),
                          interval=credible_interval(post, level=level, mode=interval).tolist())
-        except (ScalingError, ValueError) as exc:
+        except ValueError as exc:     # ScalingError is one
             entry["flags"].append(f"analysis-failed: {exc}")
             entry["failed"] = True
         entry["flags"] = sorted(set(entry["flags"]))
@@ -517,7 +514,7 @@ class ClosedFormReport(SimulationReport):
 
 
 def run_closed_form_study(cfg: ClosedFormStudyConfig) -> ClosedFormReport:
-    z = NormalDist().inv_cdf(0.5 + cfg.level / 2.0)
+    z = two_sided_z(cfg.level)
     theta_star = float(oracle_theta("simple-linear", cfg.quad_order)[0])
     box = make_scenario("simple-linear")[0].x_box
     den = StraightLine(build_rule(box.lower, box.upper, cfg.quad_order)).den

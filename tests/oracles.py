@@ -166,7 +166,7 @@ def fit_smoother_fixed(data: Dataset, kernel: KernelSpec, lam: float) -> Smoothe
 @dataclass(frozen=True)
 class NormalPrior:
     """Independent normal prior N(mean, diag(var)), for closed-form checks of
-    the sampler, which reads a prior's ``dim`` and ``log_density`` only."""
+    the sampler, which reads a prior's ``log_density`` only."""
 
     mean: np.ndarray
     var: np.ndarray
@@ -178,10 +178,6 @@ class NormalPrior:
             raise ValueError("normal prior needs matching mean/var with var > 0")
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "var", var)
-
-    @property
-    def dim(self) -> int:
-        return self.mean.size
 
     def log_density(self, theta):
         """Log density up to a constant: float for theta (p,), (c,) for (c, p)."""

@@ -52,9 +52,8 @@ def test_sampler_matches_closed_form_posterior():
         exact = conjugate_posterior(linear_theta_hat(fit, rule), n=4, tau2=1.0,
                                     gamma=g, rule=rule)
         loss = scaled_loss(fixed_gamma(g), base)
-        settings = SamplerSettings(chains=4, iterations=100_000, thin=1,
-                                   init=exact.mean, init_cov=exact.cov)
-        post = sample_posterior(loss, prior, n=4, seed=42, settings=settings)
+        settings = SamplerSettings(chains=4, iterations=100_000, thin=1)
+        post = sample_posterior(loss, prior, n=4, start=exact, seed=42, settings=settings)
         assert post.n_draws == 200_000
         per = [post.draws[post.chain_ids == c, 0] for c in range(4)]
         mcse_mean = np.sqrt(sum(batch_mcse(x) ** 2 for x in per)) / 4
